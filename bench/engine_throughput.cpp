@@ -1,6 +1,6 @@
 // Ingestion + engine scaling bench (BENCH_ingest.json + BENCH_engine.json).
 //
-// Three measurements, all over the CCD-network workload:
+// Five measurements, all over the CCD-network workload:
 //
 //  1. Ingest layer in isolation (source -> timeunit batching, no
 //     detection): the seed's per-record path — one virtual next() per
@@ -15,36 +15,28 @@
 //     (schema v3).
 //
 //  2. Worker grid: aggregate detection throughput of the task-scheduled
-//     engine for 8 uniform generated streams at 1/2/4/8 workers.
+//     engine for 8 uniform generated streams at 1/2/4/8 workers. Written
+//     to BENCH_engine.json (schema v6).
 //
-//  3. Skewed streams: 8 streams where two are ~8x heavier than the rest —
-//     and, crucially, would land on the SAME shard under the old
-//     round-robin thread-pair-per-shard engine (replicated here as
-//     StaticShardEngine). The shared worker pool runs the two heavy
-//     streams on two workers while the static layout serializes them
-//     behind one thread pair, so the scheduler must win on aggregate
-//     records/sec. Written (with the grid) to BENCH_engine.json — the
-//     committed scheduler-vs-shards baseline.
-//
-//  4. Metrics overhead + stage percentiles: the uniform workers=1 scenario
+//  3. Metrics overhead + stage percentiles: the uniform workers=1 scenario
 //     with the obs::MetricsRegistry on vs off (best-of-3 alternating runs;
 //     the committed overhead delta must stay < 2%), plus the per-stage
 //     latency percentiles of the metrics-on run. Both land in the
 //     BENCH_engine.json "metrics" section.
 //
-//  5. Residency: a fleet (default 100k streams, argv[4]) sharing ONE
+//  4. Residency: a fleet (default 100k streams, argv[4]) sharing ONE
 //     hierarchy, advanced under an aggressive resident cap with pooled
 //     workspaces and idle-stream hibernation. The committed figure is the
 //     resident workspace-bytes reduction vs the pre-refactor
 //     one-bound-workspace-per-stream layout (must be >= 50x). Written to
 //     the BENCH_engine.json "residency" section.
 //
-//  6. Socket ingest: the same materialized trace streamed over loopback
+//  5. Socket ingest: the same materialized trace streamed over loopback
 //     TCP in the framed binary protocol into a SocketSource-fed engine
 //     stream. Reports end-to-end records/sec plus the ingest-latency
 //     percentiles (p50/p90/p99 of engine.unit_latency — queue entry to
 //     detection done). Written to the BENCH_engine.json "socket_ingest"
-//     section (schema v5).
+//     section.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -58,7 +50,6 @@
 #include "common/expect.h"
 #include "common/timer.h"
 #include "core/workspace.h"
-#include "engine/bounded_queue.h"
 #include "engine/engine.h"
 #include "net/tcp.h"
 #include "stream/binary_source.h"
@@ -69,7 +60,6 @@
 namespace {
 
 using namespace tiresias;
-using engine::BoundedQueue;
 using engine::DetectionEngine;
 using engine::EngineConfig;
 using engine::EngineStats;
@@ -127,136 +117,6 @@ class LegacyBatcher {
   bool sourceDone_ = false;
 };
 
-/// Replica of the PR-2 engine's concurrency layout (the layout this PR
-/// removed): streams bound round-robin to shards, one ingest + one worker
-/// thread per shard, one bounded queue between them. Kept in-bench as the
-/// baseline the scheduler is measured against — an unlucky stream mix
-/// serializes its heavy streams behind a single thread pair here.
-class StaticShardEngine {
- public:
-  struct Stream {
-    std::unique_ptr<RecordSource> source;
-    TiresiasPipeline pipeline;
-    RunSummary summary;
-    Stream(const Hierarchy& h, PipelineConfig cfg,
-           std::unique_ptr<RecordSource> src)
-        : source(std::move(src)),
-          pipeline(borrowHierarchy(h), std::move(cfg)) {}
-  };
-
-  explicit StaticShardEngine(std::size_t shards) : shards_(shards) {}
-
-  void addStream(const Hierarchy& h, PipelineConfig cfg,
-                 std::unique_ptr<RecordSource> src) {
-    streams_.push_back(std::make_unique<Stream>(h, std::move(cfg),
-                                                std::move(src)));
-  }
-
-  /// Run every stream to exhaustion; returns total records processed.
-  std::size_t run() {
-    struct Shard {
-      std::vector<Stream*> streams;
-      std::unique_ptr<BoundedQueue<std::pair<Stream*, TimeUnitBatch>>> queue;
-      // Same record-buffer recycling the PR-2 engine had (ingest -> queue
-      // -> worker -> ingest), so the baseline isn't handicapped with
-      // per-unit allocations the real shard engine didn't pay.
-      std::mutex recycleMutex;
-      std::vector<std::vector<Record>> recycle;
-      std::vector<Record> takeRecycled() {
-        std::lock_guard lock(recycleMutex);
-        if (recycle.empty()) return {};
-        std::vector<Record> buf = std::move(recycle.back());
-        recycle.pop_back();
-        return buf;
-      }
-      void recycleBuffer(std::vector<Record>&& buf) {
-        buf.clear();
-        std::lock_guard lock(recycleMutex);
-        if (recycle.size() < 34) recycle.push_back(std::move(buf));
-      }
-    };
-    std::vector<Shard> shards(shards_);
-    for (auto& s : shards) {
-      s.queue = std::make_unique<
-          BoundedQueue<std::pair<Stream*, TimeUnitBatch>>>(32);
-    }
-    for (std::size_t i = 0; i < streams_.size(); ++i) {
-      shards[i % shards_].streams.push_back(streams_[i].get());
-    }
-    std::vector<std::thread> threads;
-    for (auto& shard : shards) {
-      threads.emplace_back([&shard] {  // ingest
-        std::vector<std::unique_ptr<TimeUnitBatcher>> batchers;
-        std::vector<bool> done(shard.streams.size(), false);
-        for (Stream* s : shard.streams) {
-          batchers.push_back(std::make_unique<TimeUnitBatcher>(
-              *s->source, s->pipeline.config().delta,
-              s->pipeline.config().startTime));
-        }
-        std::size_t live = shard.streams.size();
-        TimeUnitBatch batch;
-        while (live > 0) {
-          for (std::size_t i = 0; i < shard.streams.size(); ++i) {
-            if (done[i]) continue;
-            batch.records = shard.takeRecycled();
-            if (!batchers[i]->next(batch)) {
-              done[i] = true;
-              --live;
-              shard.recycleBuffer(std::move(batch.records));
-              continue;
-            }
-            shard.queue->push({shard.streams[i], std::move(batch)});
-          }
-        }
-        shard.queue->close();
-      });
-      threads.emplace_back([&shard] {  // worker
-        while (auto item = shard.queue->pop()) {
-          item->first->pipeline.processUnit(item->second, nullptr,
-                                            item->first->summary);
-          shard.recycleBuffer(std::move(item->second.records));
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    std::size_t records = 0;
-    for (const auto& s : streams_) records += s->summary.recordsProcessed;
-    return records;
-  }
-
- private:
-  std::size_t shards_;
-  std::vector<std::unique_ptr<Stream>> streams_;
-};
-
-/// Simulates a paginated remote feed (log tailer, HTTP export): at most
-/// `pageSize` records per nextBatch pull, each pull preceded by a network
-/// round-trip latency. The sleep happens while *fetching*, so sources on
-/// different threads overlap their waits — sources serialized on one
-/// thread stack them.
-class RemoteSource final : public RecordSource {
- public:
-  RemoteSource(std::unique_ptr<RecordSource> inner, std::size_t pageSize,
-               std::chrono::microseconds latency)
-      : inner_(std::move(inner)), pageSize_(pageSize), latency_(latency) {}
-
-  std::optional<Record> next() override { return inner_->next(); }
-
-  std::size_t nextBatch(std::vector<Record>& out, std::size_t max) override {
-    std::this_thread::sleep_for(latency_);
-    return inner_->nextBatch(out, std::min(max, pageSize_));
-  }
-
-  std::size_t skippedRecords() const override {
-    return inner_->skippedRecords();
-  }
-
- private:
-  std::unique_ptr<RecordSource> inner_;
-  std::size_t pageSize_;
-  std::chrono::microseconds latency_;
-};
-
 struct PathStats {
   std::size_t records = 0;
   double seconds = 0.0;
@@ -311,8 +171,8 @@ BenchResult runEngine(const WorkloadSpec& spec, std::size_t workers,
   cfg.streamQueueCapacity = 32;
   cfg.totalQueueCapacity = 256;
   cfg.metrics = metrics;
-  // Null sink, like the StaticShardEngine baseline: both sides measure
-  // pure scheduling + detection, not result-store insertion.
+  // Null sink: measure pure scheduling + detection, not result-store
+  // insertion.
   DetectionEngine eng(cfg, nullptr);
   for (std::size_t i = 0; i < sources.size(); ++i) {
     eng.addStream("s" + std::to_string(i), borrowHierarchy(spec.hierarchy),
@@ -408,8 +268,7 @@ int main(int argc, char** argv) {
   bench::banner("ingest fast path + task-scheduled engine (src/stream, "
                 "src/engine)",
                 "batched vs per-record ingest; aggregate records/sec of 8 "
-                "uniform streams at 1/2/4/8 workers; skewed streams through "
-                "the scheduler vs the static-shard layout");
+                "uniform streams at 1/2/4/8 workers");
   const unsigned cores = std::thread::hardware_concurrency();
   bench::note("hardware threads: " + std::to_string(cores));
   bench::note("per-stream units: " + std::to_string(units));
@@ -570,124 +429,6 @@ int main(int argc, char** argv) {
                      "metrics-on run exposes run-slice and unit-latency "
                      "stage histograms");
 
-  // ---- Skewed streams: scheduler vs the static-shard layout ----
-  // 8 streams, two of them ~8x heavier — at ids 0 and 4 so the old
-  // round-robin over 4 shards co-locates both on shard 0 (the "unlucky
-  // neighbors" failure mode: one thread pair serializes both heavies
-  // while the other three shards go idle). The shared pool instead runs
-  // each heavy stream on its own worker.
-  const TimeUnit heavyUnits = units;
-  const TimeUnit lightUnits = std::max<TimeUnit>(units / 8, 16);
-  const std::size_t skewShards = 4;
-  auto skewSource = [&](std::size_t i) -> SourceFactory {
-    const bool heavy = i == 0 || i == 4;
-    const TimeUnit n = heavy ? heavyUnits : lightUnits;
-    return [&, n, i] {
-      return std::make_unique<GeneratorSource>(spec, 0, n, 1 + i);
-    };
-  };
-  std::vector<SourceFactory> skewSources;
-  for (std::size_t i = 0; i < streams; ++i) skewSources.push_back(skewSource(i));
-
-  std::printf("\nskewed streams (2 heavy x %lld units + 6 light x %lld "
-              "units):\n",
-              static_cast<long long>(heavyUnits),
-              static_cast<long long>(lightUnits));
-  PathStats staticShard;
-  {
-    StaticShardEngine baseline(skewShards);
-    for (std::size_t i = 0; i < streams; ++i) {
-      baseline.addStream(spec.hierarchy, pipelineConfig(spec),
-                         skewSources[i]());
-    }
-    Stopwatch watch;
-    staticShard.records = baseline.run();
-    staticShard.seconds = watch.elapsedSeconds();
-    staticShard.recordsPerSec =
-        static_cast<double>(staticShard.records) / staticShard.seconds;
-  }
-  const auto sched = runEngine(spec, skewShards, skewSources);
-  const double skewSpeedup =
-      sched.stats.recordsPerSecond / staticShard.recordsPerSec;
-  std::printf("%-22s %12zu records %10.3fs %14.0f records/sec\n",
-              "static 4-shard pairs", staticShard.records,
-              staticShard.seconds, staticShard.recordsPerSec);
-  std::printf("%-22s %12zu records %10.3fs %14.0f records/sec\n",
-              "scheduler (4 workers)", sched.stats.recordsProcessed,
-              sched.stats.elapsedSeconds, sched.stats.recordsPerSecond);
-  std::printf("scheduler speedup on the skewed mix: %.2fx (busiest-stream "
-              "share %.2f)\n",
-              skewSpeedup, sched.stats.busiestStreamShare);
-  ok &= bench::check(sched.stats.recordsProcessed == staticShard.records,
-                     "scheduler and static baseline processed identical "
-                     "skewed work");
-  if (cores >= 4) {
-    ok &= bench::check(skewSpeedup >= 1.15,
-                       "scheduler beats the static-shard layout on the "
-                       "skewed mix by >= 1.15x");
-  } else {
-    bench::note("< 4 hardware threads: compute-bound skew CHECK skipped "
-                "(no parallelism to reclaim)");
-  }
-
-  // ---- Skewed remote streams: the co-residency stall, without needing
-  // spare cores ----
-  // Same skewed mix, but every source is a paginated remote feed. The
-  // static layout welds ingest to shards: shard 0's single ingest thread
-  // fetches both heavy streams, so their round-trip latencies stack. The
-  // scheduler's ingest pool is sized independently (3 threads here — it
-  // need not match the worker count), which puts the two heavy sources on
-  // different ingest threads; their waits overlap even on one core.
-  const std::size_t pageSize = 256;
-  const auto pageLatency = std::chrono::microseconds(2000);
-  auto remoteSource = [&](std::size_t i) -> SourceFactory {
-    return [&, i] {
-      const bool heavy = i == 0 || i == 4;
-      return std::make_unique<RemoteSource>(
-          std::make_unique<GeneratorSource>(
-              spec, 0, heavy ? heavyUnits : lightUnits, 1 + i),
-          pageSize, pageLatency);
-    };
-  };
-  std::vector<SourceFactory> remoteSources;
-  for (std::size_t i = 0; i < streams; ++i) {
-    remoteSources.push_back(remoteSource(i));
-  }
-  std::printf("\nskewed remote streams (paginated sources, %zu records/page "
-              "at %lldus/page):\n",
-              pageSize, static_cast<long long>(pageLatency.count()));
-  PathStats staticRemote;
-  {
-    StaticShardEngine baseline(skewShards);
-    for (std::size_t i = 0; i < streams; ++i) {
-      baseline.addStream(spec.hierarchy, pipelineConfig(spec),
-                         remoteSources[i]());
-    }
-    Stopwatch watch;
-    staticRemote.records = baseline.run();
-    staticRemote.seconds = watch.elapsedSeconds();
-    staticRemote.recordsPerSec =
-        static_cast<double>(staticRemote.records) / staticRemote.seconds;
-  }
-  const auto schedRemote = runEngine(spec, skewShards, remoteSources, 3);
-  const double remoteSpeedup =
-      schedRemote.stats.recordsPerSecond / staticRemote.recordsPerSec;
-  std::printf("%-22s %12zu records %10.3fs %14.0f records/sec\n",
-              "static 4-shard pairs", staticRemote.records,
-              staticRemote.seconds, staticRemote.recordsPerSec);
-  std::printf("%-22s %12zu records %10.3fs %14.0f records/sec\n",
-              "scheduler (4w + 3i)", schedRemote.stats.recordsProcessed,
-              schedRemote.stats.elapsedSeconds,
-              schedRemote.stats.recordsPerSecond);
-  std::printf("scheduler speedup on the skewed remote mix: %.2fx\n",
-              remoteSpeedup);
-  ok &= bench::check(
-      schedRemote.stats.recordsProcessed == staticRemote.records,
-      "scheduler and static baseline processed identical remote work");
-  ok &= bench::check(remoteSpeedup >= 1.15,
-                     "scheduler beats the static-shard layout on the skewed "
-                     "remote mix by >= 1.15x");
-
   // ---- Residency: fleet-scale memory under pooled workspaces +
   // hibernation ----
   // A skewed fleet sharing one hierarchy, advanced under a resident cap a
@@ -835,7 +576,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"tiresias_bench_engine/v5\",\n");
+    std::fprintf(f, "  \"schema\": \"tiresias_bench_engine/v6\",\n");
     std::fprintf(f, "  \"workload\": \"ccd-net/medium\",\n");
     std::fprintf(f, "  \"hardware_threads\": %u,\n", cores);
     std::fprintf(f, "  \"uniform\": {\n");
@@ -855,52 +596,6 @@ int main(int argc, char** argv) {
                    i + 1 < grid.size() ? "," : "");
     }
     std::fprintf(f, "    ]\n  },\n");
-    std::fprintf(f, "  \"skewed\": {\n");
-    std::fprintf(f, "    \"streams\": %zu,\n", streams);
-    std::fprintf(f, "    \"heavy_streams\": 2,\n");
-    std::fprintf(f, "    \"heavy_units\": %lld,\n",
-                 static_cast<long long>(heavyUnits));
-    std::fprintf(f, "    \"light_units\": %lld,\n",
-                 static_cast<long long>(lightUnits));
-    std::fprintf(f,
-                 "    \"static_shards\": {\"shards\": %zu, \"records\": %zu, "
-                 "\"seconds\": %.6f, \"records_per_sec\": %.0f},\n",
-                 skewShards, staticShard.records, staticShard.seconds,
-                 staticShard.recordsPerSec);
-    std::fprintf(f,
-                 "    \"scheduler\": {\"workers\": %zu, \"ingest_threads\": "
-                 "2, \"records\": %zu, \"seconds\": %.6f, "
-                 "\"records_per_sec\": %.0f, \"busiest_stream_share\": "
-                 "%.3f},\n",
-                 skewShards, sched.stats.recordsProcessed,
-                 sched.stats.elapsedSeconds, sched.stats.recordsPerSecond,
-                 sched.stats.busiestStreamShare);
-    std::fprintf(f, "    \"speedup\": %.2f\n", skewSpeedup);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"skewed_remote\": {\n");
-    std::fprintf(f, "    \"streams\": %zu,\n", streams);
-    std::fprintf(f, "    \"heavy_streams\": 2,\n");
-    std::fprintf(f, "    \"heavy_units\": %lld,\n",
-                 static_cast<long long>(heavyUnits));
-    std::fprintf(f, "    \"light_units\": %lld,\n",
-                 static_cast<long long>(lightUnits));
-    std::fprintf(f, "    \"page_records\": %zu,\n", pageSize);
-    std::fprintf(f, "    \"page_latency_us\": %lld,\n",
-                 static_cast<long long>(pageLatency.count()));
-    std::fprintf(f,
-                 "    \"static_shards\": {\"shards\": %zu, \"records\": %zu, "
-                 "\"seconds\": %.6f, \"records_per_sec\": %.0f},\n",
-                 skewShards, staticRemote.records, staticRemote.seconds,
-                 staticRemote.recordsPerSec);
-    std::fprintf(f,
-                 "    \"scheduler\": {\"workers\": %zu, \"ingest_threads\": "
-                 "3, \"records\": %zu, \"seconds\": %.6f, "
-                 "\"records_per_sec\": %.0f},\n",
-                 skewShards, schedRemote.stats.recordsProcessed,
-                 schedRemote.stats.elapsedSeconds,
-                 schedRemote.stats.recordsPerSecond);
-    std::fprintf(f, "    \"speedup\": %.2f\n", remoteSpeedup);
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"residency\": {\n");
     std::fprintf(f, "    \"streams\": %zu,\n", res.streams);
     std::fprintf(f, "    \"workers\": %zu,\n", res.workers);

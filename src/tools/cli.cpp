@@ -3,14 +3,20 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iomanip>
+#include <limits>
+#include <map>
 #include <memory>
+#include <optional>
 #include <ostream>
 #include <random>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -43,238 +49,209 @@ using workload::Scale;
 using workload::SpikeSpec;
 using workload::WorkloadSpec;
 
-constexpr const char* kUsage =
-    "usage: tiresias_cli <command> [options]\n"
-    "\n"
-    "commands:\n"
-    "  generate   --dataset ccd-net|ccd-trouble|scd [--scale test|medium|paper]\n"
-    "             [--days N] [--seed S] [--spike path:unit:dur:magnitude]...\n"
-    "             --out trace.csv\n"
-    "  convert    --in trace.csv --out trace.tsrb\n"
-    "             re-encode a CSV trace in the binary record format: the\n"
-    "             category paths are deduplicated into a path table and\n"
-    "             each record becomes a fixed-width (file-id, timestamp)\n"
-    "             pair, so ingest is parse-free. Junk rows are dropped\n"
-    "             (and counted) with exactly CsvSource's semantics.\n"
-    "  detect     --dataset ... --trace trace.csv [--theta T] [--window W]\n"
-    "             [--rt R] [--dt D] [--algo ada|sta] [--out anomalies.csv]\n"
-    "  analyze    --dataset ... --trace trace.csv [--unit-minutes M]\n"
-    "  hierarchy  --dataset ... [--scale ...]\n"
-    "  serve      --streams K --units M [--workers W] [--ingest-threads I]\n"
-    "             [--queue C] [--total-queue Q] [--budget B] [--scale ...]\n"
-    "             [--seed S] [--theta T] [--window W]\n"
-    "             [--checkpoint-dir DIR [--checkpoint-every N] [--restore]]\n"
-    "             [--metrics-out FILE [--metrics-every MS]]\n"
-    "             [--max-resident R [--hibernate-dir DIR]]\n"
-    "             [--anomaly-port P] [--stats-port P] [--loopback]\n"
-    "             multiplex K generated CCD/SCD streams through the\n"
-    "             task-scheduled detection engine (W shared workers over\n"
-    "             per-stream queues; W defaults to the hardware threads)\n"
-    "             and print per-stream + scheduler stats.\n"
-    "             --max-resident R caps the streams holding live state in\n"
-    "             memory: colder streams hibernate to snapshots (in-memory\n"
-    "             blobs, or files under --hibernate-dir) and wake\n"
-    "             bit-identically on their next unit.\n"
-    "             --checkpoint-dir DIR snapshots engine + anomaly-store\n"
-    "             state to DIR/checkpoint.tsnap (atomically, every N\n"
-    "             processed units plus once at the end); --restore resumes\n"
-    "             from that file, skipping the already-processed prefix.\n"
-    "             --metrics-out FILE appends one JSON-lines metrics\n"
-    "             snapshot (schema tiresias_metrics/v1: per-stage latency\n"
-    "             percentiles + sampled gauges) every --metrics-every MS\n"
-    "             (default 1000) plus a final one after drain.\n"
-    "             --shards N is deprecated: it now maps to --workers N\n"
-    "  serve      --listen PORT [--ingest-format auto|csv|binary]\n"
-    "             [--net-streams K] [--stream-names A,B,...]\n"
-    "             [--read-timeout-ms MS] [--error-budget N]\n"
-    "             [--junk-budget N] [--shed-watermark U] [--fault-plan P]\n"
-    "             [--dataset ...|--hierarchy FILE] [--scale ...]\n"
-    "             [--checkpoint-dir DIR [--checkpoint-every N] [--restore]]\n"
-    "             [--anomaly-port P] [--stats-port P] [--loopback]\n"
-    "             [engine options]\n"
-    "             network mode: ingest live records over TCP instead of\n"
-    "             generating them. K anonymous connections are accepted on\n"
-    "             PORT (one engine stream each); every connection speaks\n"
-    "             either newline-separated CSV rows (\"path,timestamp\" —\n"
-    "             `nc` a trace file at it) or the framed binary stream\n"
-    "             protocol (`tiresias_cli send`), auto-detected per\n"
-    "             connection by the full 8-byte magic+version prefix\n"
-    "             unless --ingest-format pins it. Records resolve against\n"
-    "             the --dataset/--hierarchy tree (default ccd-net --scale\n"
-    "             test). PORT 0 binds an ephemeral port; the actual ports\n"
-    "             are printed on one 'serving:' line for scripting. The\n"
-    "             run ends when every stream ends (end-of-stream marker,\n"
-    "             EOF, or --read-timeout-ms of silence).\n"
-    "             --stream-names declares named resumable streams (served\n"
-    "             beside the K anonymous ones; --net-streams defaults to 0\n"
-    "             when names are given): a `send --stream-name A` client\n"
-    "             that disconnects mid-stream may reconnect and is told\n"
-    "             the committed position to resume from, surviving up to\n"
-    "             --error-budget (default 16) dropped connections per\n"
-    "             stream. With --checkpoint-dir/--restore the resume point\n"
-    "             also survives a server crash: totals end bit-identical\n"
-    "             to an uninterrupted run. --junk-budget N drops a\n"
-    "             connection after N skipped records (0 = unlimited);\n"
-    "             --shed-watermark U refuses new connections while the\n"
-    "             engine's queue lag is at least U units.\n"
-    "             --fault-plan arms deterministic fault injection on the\n"
-    "             serving surface (chaos testing): seed=N,short-read=P,\n"
-    "             short-write=P,eintr=P,disconnect=P,accept-fail=P,\n"
-    "             stall=P[:MS] with probabilities in [0,1].\n"
-    "             --anomaly-port streams every detected anomaly to all\n"
-    "             connected subscribers as JSON lines; --stats-port\n"
-    "             answers each connection with one tiresias_metrics/v1\n"
-    "             JSON document (poll with `nc`). Both also work in\n"
-    "             generated mode. All serving ports are unauthenticated\n"
-    "             and bind all interfaces by default; --loopback restricts\n"
-    "             every listener (ingest, anomaly, stats) to 127.0.0.1.\n"
-    "  send       --to HOST:PORT --trace FILE [--format binary|csv]\n"
-    "             [--dataset ...|--hierarchy FILE] [--scale ...]\n"
-    "             [--frame N] [--timeout-ms MS] [--stream-name NAME]\n"
-    "             [--retries N] [--backoff-ms MS]\n"
-    "             stream a trace file into a listening serve instance.\n"
-    "             binary (default): records are resolved against the\n"
-    "             --dataset/--hierarchy tree (must match the server's) and\n"
-    "             sent as the framed stream protocol with an end-of-stream\n"
-    "             marker, --frame records per frame. csv: the file's bytes\n"
-    "             are streamed verbatim.\n"
-    "             --stream-name NAME (binary only) identifies the stream\n"
-    "             by name instead of by connection: on every (re)connect\n"
-    "             the server replies with the position it has committed\n"
-    "             and the already-processed prefix is skipped. --retries N\n"
-    "             reconnects up to N times on a lost connection, with\n"
-    "             jittered exponential backoff from --backoff-ms (default\n"
-    "             200).\n"
-    "\n"
-    "detect/analyze/hierarchy also accept --hierarchy <paths-file> (one\n"
-    "leaf path per line) instead of --dataset, for custom domains.\n"
-    "detect/analyze sniff the --trace format by magic, so CSV traces and\n"
-    "converted binary traces are interchangeable.\n"
-    "Unknown options and duplicated single-use options are errors; only\n"
-    "--spike may be repeated.\n";
+using Kind = CliOption::Kind;
+using Mode = CliOption::Mode;
 
-/// Per-command option whitelist. runCli rejects unknown options (typo
-/// protection: `--shard 4` must fail loudly, not be silently ignored),
-/// stray positionals, and duplicates of any option not listed as
-/// repeatable.
-bool checkOptions(const CliArgs& args, std::ostream& err,
-                  std::initializer_list<const char*> allowed,
-                  std::initializer_list<const char*> repeatable = {}) {
-  const auto in = [](const auto& list, const std::string& name) {
-    for (const char* a : list) {
-      if (name == a) return true;
-    }
-    return false;
+constexpr double kUnbounded = CliOption::kUnbounded;
+/// Lower bound of a strictly positive real (bounds are inclusive).
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+constexpr double kMaxPort = 65535;
+constexpr double kMaxMs = std::numeric_limits<int>::max();
+constexpr const char* kTreeCommands =
+    "generate detect analyze hierarchy serve send";
+
+/// Every option of every command, in usage order.
+constexpr CliOption kOptions[] = {
+    // Hierarchy selection.
+    {.name = "dataset", .commands = kTreeCommands, .kind = Kind::kEnum,
+     .value = "ccd-net|ccd-trouble|scd", .def = "ccd-net",
+     .mode = Mode::kListenOnly, .help = "preset workload and hierarchy"},
+    {.name = "scale", .commands = kTreeCommands, .kind = Kind::kEnum,
+     .value = "test|medium|paper", .def = "test", .help = "preset size"},
+    {.name = "hierarchy", .commands = kTreeCommands, .kind = Kind::kString,
+     .value = "file", .mode = Mode::kListenOnly,
+     .help = "custom tree, one leaf path per line (overrides --dataset)"},
+    {.name = "root-name", .commands = kTreeCommands, .kind = Kind::kString,
+     .value = "name", .def = "root", .mode = Mode::kListenOnly,
+     .help = "root label of a --hierarchy tree"},
+    // Files.
+    {.name = "in", .commands = "convert", .kind = Kind::kString,
+     .value = "file", .help = "CSV trace to convert"},
+    {.name = "trace", .commands = "detect analyze send", .kind = Kind::kString,
+     .value = "file", .help = "CSV or binary trace (the format is sniffed)"},
+    {.name = "out", .commands = "generate convert detect",
+     .kind = Kind::kString, .value = "file",
+     .help = "trace / binary trace / anomaly report to write"},
+    // generate
+    {.name = "days", .commands = "generate", .kind = Kind::kInt, .def = "7",
+     .lo = 1, .help = "days of traffic"},
+    {.name = "seed", .commands = "generate serve", .kind = Kind::kInt,
+     .def = "1", .mode = Mode::kGeneratedOnly, .help = "generator seed"},
+    {.name = "spike", .commands = "generate", .kind = Kind::kRepeated,
+     .value = "path:unit:dur:magnitude", .help = "inject a burst of records"},
+    // Detector.
+    {.name = "theta", .commands = "detect serve", .kind = Kind::kReal,
+     .def = "8", .lo = kPositive, .help = "anomaly threshold"},
+    {.name = "window", .commands = "detect", .kind = Kind::kInt,
+     .value = "units", .def = "288", .lo = 2, .help = "detection window"},
+    {.name = "window", .commands = "serve", .kind = Kind::kInt,
+     .value = "units", .def = "32", .lo = 2, .help = "detection window"},
+    {.name = "rt", .commands = "detect", .kind = Kind::kReal, .def = "2.8",
+     .help = "ratio threshold of the split rule"},
+    {.name = "dt", .commands = "detect", .kind = Kind::kReal, .def = "8",
+     .help = "difference threshold of the split rule"},
+    {.name = "algo", .commands = "detect", .kind = Kind::kEnum,
+     .value = "ada|sta", .def = "ada", .help = "adaptive or strawman detector"},
+    // analyze
+    {.name = "unit-minutes", .commands = "analyze", .kind = Kind::kInt,
+     .def = "15", .lo = 1, .help = "timeunit length in minutes"},
+    // serve: generated streams and the engine.
+    {.name = "streams", .commands = "serve", .kind = Kind::kInt, .def = "4",
+     .lo = 1, .mode = Mode::kGeneratedOnly, .help = "streams, cycling presets"},
+    {.name = "units", .commands = "serve", .kind = Kind::kInt, .def = "96",
+     .lo = 1, .mode = Mode::kGeneratedOnly, .help = "timeunits per stream"},
+    {.name = "workers", .commands = "serve", .kind = Kind::kInt, .def = "0",
+     .lo = 0, .help = "shared workers; 0 = one per hardware thread"},
+    {.name = "ingest-threads", .commands = "serve", .kind = Kind::kInt,
+     .def = "1", .lo = 1, .help = "ingest pool size"},
+    {.name = "queue", .commands = "serve", .kind = Kind::kInt,
+     .value = "units", .def = "16", .lo = 1, .help = "per-stream queue bound"},
+    {.name = "total-queue", .commands = "serve", .kind = Kind::kInt,
+     .value = "units", .def = "1024", .lo = 1, .help = "global queue bound"},
+    {.name = "budget", .commands = "serve", .kind = Kind::kInt,
+     .value = "units", .def = "8", .lo = 1, .help = "units per worker claim"},
+    {.name = "max-resident", .commands = "serve", .kind = Kind::kInt,
+     .value = "streams", .def = "0", .lo = 0,
+     .help = "streams with live state, colder ones hibernate; 0 = all"},
+    {.name = "hibernate-dir", .commands = "serve", .kind = Kind::kString,
+     .value = "dir", .needs = "max-resident",
+     .help = "hibernate to files here instead of memory"},
+    {.name = "checkpoint-dir", .commands = "serve", .kind = Kind::kString,
+     .value = "dir", .help = "checkpoint to DIR/checkpoint.tsnap at the end"},
+    {.name = "checkpoint-every", .commands = "serve", .kind = Kind::kInt,
+     .value = "units", .def = "0", .lo = 0, .needs = "checkpoint-dir",
+     .help = "also checkpoint every N processed units; 0 = never"},
+    {.name = "restore", .commands = "serve", .kind = Kind::kFlag,
+     .needs = "checkpoint-dir", .help = "resume from the checkpoint"},
+    {.name = "metrics-out", .commands = "serve", .kind = Kind::kString,
+     .value = "file", .help = "write tiresias_metrics/v1 JSON lines"},
+    {.name = "metrics-every", .commands = "serve", .kind = Kind::kInt,
+     .value = "ms", .def = "1000", .lo = 1, .needs = "metrics-out",
+     .help = "metrics line period (plus one after drain)"},
+    // serve: network ingest and output ports.
+    {.name = "listen", .commands = "serve", .kind = Kind::kInt,
+     .value = "port", .lo = 0, .hi = kMaxPort,
+     .help = "ingest over TCP instead of generating (0 = ephemeral)"},
+    {.name = "ingest-format", .commands = "serve", .kind = Kind::kEnum,
+     .value = "auto|csv|binary", .def = "auto", .mode = Mode::kListenOnly,
+     .help = "wire format (auto: sniffed per connection)"},
+    {.name = "net-streams", .commands = "serve", .kind = Kind::kInt,
+     .def = "1", .lo = 0, .mode = Mode::kListenOnly,
+     .help = "anonymous streams; 0 if only --stream-names"},
+    {.name = "stream-names", .commands = "serve", .kind = Kind::kString,
+     .value = "a,b,...", .mode = Mode::kListenOnly,
+     .help = "named streams a client can reconnect to and resume"},
+    {.name = "read-timeout-ms", .commands = "serve", .kind = Kind::kInt,
+     .value = "ms", .def = "30000", .lo = 1, .hi = kMaxMs,
+     .mode = Mode::kListenOnly, .help = "end a stream after this silence"},
+    {.name = "error-budget", .commands = "serve", .kind = Kind::kInt,
+     .def = "16", .lo = 0, .mode = Mode::kListenOnly,
+     .help = "dropped connections a named stream survives"},
+    {.name = "junk-budget", .commands = "serve", .kind = Kind::kInt,
+     .def = "0", .lo = 0, .mode = Mode::kListenOnly,
+     .help = "drop a connection after N skipped records; 0 = never"},
+    {.name = "shed-watermark", .commands = "serve", .kind = Kind::kInt,
+     .value = "units", .def = "0", .lo = 0, .mode = Mode::kListenOnly,
+     .help = "refuse connections at this queue lag; 0 = never"},
+    {.name = "fault-plan", .commands = "serve", .kind = Kind::kString,
+     .value = "plan", .mode = Mode::kListenOnly,
+     .help = "chaos testing: seed=N,short-read=P,short-write=P,eintr=P,"
+             "disconnect=P,accept-fail=P,stall=P[:MS], P in [0,1]"},
+    {.name = "anomaly-port", .commands = "serve", .kind = Kind::kInt,
+     .value = "port", .lo = 0, .hi = kMaxPort,
+     .help = "stream anomalies to subscribers as JSON lines"},
+    {.name = "stats-port", .commands = "serve", .kind = Kind::kInt,
+     .value = "port", .lo = 0, .hi = kMaxPort,
+     .help = "answer each poll with one tiresias_metrics/v1 document"},
+    {.name = "loopback", .commands = "serve", .kind = Kind::kFlag,
+     .help = "bind every listener to 127.0.0.1"},
+    // send
+    {.name = "to", .commands = "send", .kind = Kind::kString,
+     .value = "host:port", .help = "address of a serve --listen"},
+    {.name = "format", .commands = "send", .kind = Kind::kEnum,
+     .value = "binary|csv", .def = "binary",
+     .help = "framed records, or the file's bytes verbatim"},
+    {.name = "frame", .commands = "send", .kind = Kind::kInt,
+     .value = "records", .def = "8192", .lo = 1,
+     .hi = kSocketMaxFrameRecords, .help = "records per frame"},
+    {.name = "timeout-ms", .commands = "send", .kind = Kind::kInt,
+     .value = "ms", .def = "30000", .lo = 1, .hi = kMaxMs,
+     .help = "connect and write timeout"},
+    {.name = "stream-name", .commands = "send", .kind = Kind::kString,
+     .value = "name", .lo = 1, .hi = kSocketMaxStreamNameBytes,
+     .mode = Mode::kBinaryOnly, .help = "resume a named stream"},
+    {.name = "retries", .commands = "send", .kind = Kind::kInt, .def = "0",
+     .lo = 0, .mode = Mode::kBinaryOnly, .help = "reconnects after a loss"},
+    {.name = "backoff-ms", .commands = "send", .kind = Kind::kInt,
+     .value = "ms", .def = "200", .lo = 1, .mode = Mode::kBinaryOnly,
+     .help = "first retry delay (jittered, doubling, capped at 10 s)"},
+};
+
+/// One command's option values as parseOptions checked them: the
+/// command-line value where given, the table default otherwise.
+struct Options {
+  struct Value {
+    const CliOption* row = nullptr;
+    bool given = false;
+    std::string text;
+    std::vector<std::string> all;  // every occurrence (kRepeated)
+    long long num = 0;
+    double real = 0;
   };
-  for (const auto& [key, value] : args.options) {
-    (void)value;
-    if (!in(allowed, key) && !in(repeatable, key)) {
-      err << args.command << ": unknown option '--" << key << "'\n" << kUsage;
-      return false;
-    }
+  std::map<std::string, Value> values;
+
+  // An undeclared name is a programming error: map::at throws.
+  const Value& at(const std::string& name) const { return values.at(name); }
+  bool has(const std::string& name) const { return at(name).given; }
+  long long num(const std::string& name) const { return at(name).num; }
+  double real(const std::string& name) const { return at(name).real; }
+  const std::string& str(const std::string& name) const {
+    return at(name).text;
   }
-  for (const char* name : allowed) {
-    std::size_t count = 0;
-    for (const auto& [key, value] : args.options) {
-      (void)value;
-      if (key == name) ++count;
-    }
-    if (count > 1) {
-      err << args.command << ": option '--" << name << "' given " << count
-          << " times";
-      if (repeatable.size() > 0) {
-        err << " (only";
-        for (const char* r : repeatable) err << " --" << r;
-        err << " may be repeated)";
-      }
-      err << "\n";
-      return false;
-    }
+  const std::vector<std::string>& all(const std::string& name) const {
+    return at(name).all;
   }
-  if (!args.positional.empty()) {
-    err << args.command << ": unexpected argument '" << args.positional[0]
-        << "'\n"
-        << kUsage;
-    return false;
-  }
-  return true;
+};
+
+/// The --scale choices, already checked against the table.
+Scale scaleOf(const std::string& name) {
+  if (name == "medium") return Scale::kMedium;
+  return name == "paper" ? Scale::kPaper : Scale::kTest;
 }
 
-/// Numeric value of --name (or `fallback` when absent). Non-numeric,
-/// trailing-garbage, missing or out-of-range values are usage errors —
-/// value typos must fail as loudly as option-name typos, not escape as
-/// an uncaught std::sto* exception.
-template <typename T>
-bool parsedOption(const CliArgs& args, const std::string& cmd,
-                  const char* name, T fallback, std::ostream& err, T& out,
-                  T (*parse)(const std::string&, std::size_t*)) {
-  if (!args.has(name)) {
-    out = fallback;
-    return true;
-  }
-  const std::string text = args.get(name, "");
-  try {
-    std::size_t pos = 0;
-    out = parse(text, &pos);
-    if (!text.empty() && pos == text.size()) return true;
-  } catch (const std::exception&) {
-  }
-  err << cmd << ": bad numeric value '" << text << "' for --" << name << "\n";
-  return false;
-}
-
-bool numOption(const CliArgs& args, const std::string& cmd, const char* name,
-               long long fallback, std::ostream& err, long long& out) {
-  return parsedOption<long long>(
-      args, cmd, name, fallback, err, out,
-      [](const std::string& s, std::size_t* pos) { return std::stoll(s, pos); });
-}
-
-bool realOption(const CliArgs& args, const std::string& cmd, const char* name,
-                double fallback, std::ostream& err, double& out) {
-  return parsedOption<double>(
-      args, cmd, name, fallback, err, out,
-      [](const std::string& s, std::size_t* pos) { return std::stod(s, pos); });
-}
-
-bool parseDataset(const CliArgs& args, std::ostream& err, WorkloadSpec& spec) {
+bool parseDataset(const Options& opt, std::ostream& err, WorkloadSpec& spec) {
   // A custom domain can be supplied as a file of leaf paths; detection and
   // analysis then run against that hierarchy (generation still needs a
   // preset's rate model, so --hierarchy is accepted for detect/analyze).
-  if (args.has("hierarchy")) {
-    std::ifstream probe(args.get("hierarchy", ""));
-    if (!probe) {
-      err << "cannot open --hierarchy file '" << args.get("hierarchy", "")
-          << "'\n";
+  if (opt.has("hierarchy")) {
+    const std::string& file = opt.str("hierarchy");
+    if (!std::ifstream(file)) {
+      err << "cannot open --hierarchy file '" << file << "'\n";
       return false;
     }
-    spec.hierarchy = HierarchyBuilder::fromPathsFile(
-        args.get("hierarchy", ""), args.get("root-name", "root"));
+    spec.hierarchy =
+        HierarchyBuilder::fromPathsFile(file, opt.str("root-name"));
     spec.unit = 15 * kMinute;
     return true;
   }
-  const std::string dataset = args.get("dataset", "ccd-net");
-  const std::string scaleName = args.get("scale", "test");
-  Scale scale;
-  if (scaleName == "test") {
-    scale = Scale::kTest;
-  } else if (scaleName == "medium") {
-    scale = Scale::kMedium;
-  } else if (scaleName == "paper") {
-    scale = Scale::kPaper;
-  } else {
-    err << "unknown --scale '" << scaleName << "'\n";
-    return false;
-  }
-  if (dataset == "ccd-net") {
-    spec = workload::ccdNetworkWorkload(scale);
-  } else if (dataset == "ccd-trouble") {
+  const std::string& dataset = opt.str("dataset");
+  const Scale scale = scaleOf(opt.str("scale"));
+  if (dataset == "ccd-trouble") {
     spec = workload::ccdTroubleWorkload(scale);
   } else if (dataset == "scd") {
     spec = workload::scdNetworkWorkload(scale);
   } else {
-    err << "unknown --dataset '" << dataset << "'\n";
-    return false;
+    spec = workload::ccdNetworkWorkload(scale);
   }
   return true;
 }
@@ -326,37 +303,22 @@ bool parseSpike(const std::string& text, const Hierarchy& h, std::ostream& err,
   return true;
 }
 
-int cmdGenerate(const CliArgs& args, std::ostream& out, std::ostream& err) {
-  if (!checkOptions(args, err,
-                    {"dataset", "scale", "hierarchy", "root-name", "days",
-                     "seed", "out"},
-                    {"spike"})) {
-    return 2;
-  }
+int cmdGenerate(const Options& opt, std::ostream& out, std::ostream& err) {
   WorkloadSpec spec;
-  if (!parseDataset(args, err, spec)) return 2;
-  const std::string outPath = args.get("out", "");
+  if (!parseDataset(opt, err, spec)) return 2;
+  const std::string& outPath = opt.str("out");
   if (outPath.empty()) {
     err << "generate: --out is required\n";
     return 2;
   }
-  long long days = 0, seedIn = 0;
-  if (!numOption(args, "generate", "days", 7, err, days) ||
-      !numOption(args, "generate", "seed", 1, err, seedIn)) {
-    return 2;
-  }
-  if (days <= 0) {
-    err << "generate: --days must be positive\n";
-    return 2;
-  }
-  const auto seed = static_cast<std::uint64_t>(seedIn);
+  const long long days = opt.num("days");
+  const auto seed = static_cast<std::uint64_t>(opt.num("seed"));
   const auto unitsPerDay = static_cast<TimeUnit>(kDay / spec.unit);
 
   GroundTruthLedger ledger;
-  for (const auto& [key, value] : args.options) {
-    if (key != "spike") continue;
+  for (const std::string& text : opt.all("spike")) {
     SpikeSpec spike;
-    if (!parseSpike(value, spec.hierarchy, err, spike)) return 2;
+    if (!parseSpike(text, spec.hierarchy, err, spike)) return 2;
     ledger.add(spike);
   }
   std::shared_ptr<AnomalyInjector> injector;
@@ -373,10 +335,9 @@ int cmdGenerate(const CliArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdConvert(const CliArgs& args, std::ostream& out, std::ostream& err) {
-  if (!checkOptions(args, err, {"in", "out"})) return 2;
-  const std::string inPath = args.get("in", "");
-  const std::string outPath = args.get("out", "");
+int cmdConvert(const Options& opt, std::ostream& out, std::ostream& err) {
+  const std::string& inPath = opt.str("in");
+  const std::string& outPath = opt.str("out");
   if (inPath.empty() || outPath.empty()) {
     err << "convert: --in and --out are required\n";
     return 2;
@@ -394,38 +355,21 @@ int cmdConvert(const CliArgs& args, std::ostream& out, std::ostream& err) {
   }
 }
 
-int cmdDetect(const CliArgs& args, std::ostream& out, std::ostream& err) {
-  if (!checkOptions(args, err,
-                    {"dataset", "scale", "hierarchy", "root-name", "trace",
-                     "theta", "window", "rt", "dt", "algo", "out"})) {
-    return 2;
-  }
+int cmdDetect(const Options& opt, std::ostream& out, std::ostream& err) {
   WorkloadSpec spec;
-  if (!parseDataset(args, err, spec)) return 2;
-  const std::string trace = args.get("trace", "");
+  if (!parseDataset(opt, err, spec)) return 2;
+  const std::string& trace = opt.str("trace");
   if (trace.empty()) {
     err << "detect: --trace is required\n";
     return 2;
   }
-  double theta = 0, rt = 0, dt = 0;
-  long long window = 0;
-  if (!realOption(args, "detect", "theta", 8, err, theta) ||
-      !realOption(args, "detect", "rt", 2.8, err, rt) ||
-      !realOption(args, "detect", "dt", 8, err, dt) ||
-      !numOption(args, "detect", "window", 288, err, window)) {
-    return 2;
-  }
-  if (window <= 0) {
-    err << "detect: --window must be positive\n";
-    return 2;
-  }
   PipelineConfig cfg;
   cfg.delta = spec.unit;
-  cfg.detector.theta = theta;
-  cfg.detector.windowLength = static_cast<std::size_t>(window);
-  cfg.detector.ratioThreshold = rt;
-  cfg.detector.diffThreshold = dt;
-  cfg.useAda = args.get("algo", "ada") != "sta";
+  cfg.detector.theta = opt.real("theta");
+  cfg.detector.windowLength = static_cast<std::size_t>(opt.num("window"));
+  cfg.detector.ratioThreshold = opt.real("rt");
+  cfg.detector.diffThreshold = opt.real("dt");
+  cfg.useAda = opt.str("algo") == "ada";
   cfg.candidatePeriods = {static_cast<std::size_t>(kDay / spec.unit),
                           static_cast<std::size_t>(kWeek / spec.unit)};
 
@@ -467,7 +411,7 @@ int cmdDetect(const CliArgs& args, std::ostream& out, std::ostream& err) {
         << " actual=" << fmtF(e.anomaly.actual, 0)
         << " forecast=" << fmtF(e.anomaly.forecast, 1) << "\n";
   }
-  const std::string outPath = args.get("out", "");
+  const std::string& outPath = opt.str("out");
   if (!outPath.empty()) {
     store.exportCsv(outPath);
     out << "anomaly report written to " << outPath << "\n";
@@ -475,27 +419,15 @@ int cmdDetect(const CliArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdAnalyze(const CliArgs& args, std::ostream& out, std::ostream& err) {
-  if (!checkOptions(args, err,
-                    {"dataset", "scale", "hierarchy", "root-name", "trace",
-                     "unit-minutes"})) {
-    return 2;
-  }
+int cmdAnalyze(const Options& opt, std::ostream& out, std::ostream& err) {
   WorkloadSpec spec;
-  if (!parseDataset(args, err, spec)) return 2;
-  const std::string trace = args.get("trace", "");
+  if (!parseDataset(opt, err, spec)) return 2;
+  const std::string& trace = opt.str("trace");
   if (trace.empty()) {
     err << "analyze: --trace is required\n";
     return 2;
   }
-  long long unitMinutes = 0;
-  if (!numOption(args, "analyze", "unit-minutes", 15, err, unitMinutes)) {
-    return 2;
-  }
-  if (unitMinutes <= 0) {
-    err << "analyze: --unit-minutes must be positive\n";
-    return 2;
-  }
+  const long long unitMinutes = opt.num("unit-minutes");
   const Duration delta = unitMinutes * kMinute;
 
   std::vector<double> counts;
@@ -531,12 +463,9 @@ int cmdAnalyze(const CliArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdHierarchy(const CliArgs& args, std::ostream& out, std::ostream& err) {
-  if (!checkOptions(args, err, {"dataset", "scale", "hierarchy", "root-name"})) {
-    return 2;
-  }
+int cmdHierarchy(const Options& opt, std::ostream& out, std::ostream& err) {
   WorkloadSpec spec;
-  if (!parseDataset(args, err, spec)) return 2;
+  if (!parseDataset(opt, err, spec)) return 2;
   const auto& h = spec.hierarchy;
   out << "nodes=" << h.size() << " leaves=" << h.leafCount()
       << " height=" << h.height() << "\n";
@@ -558,57 +487,11 @@ void writeMetricsLine(std::ostream& os, const engine::EngineStats& st) {
   os << serve::engineStatsJson(st) << "\n";
 }
 
-int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
-  if (!checkOptions(args, err,
-                    {"streams", "units", "workers", "ingest-threads", "queue",
-                     "total-queue", "budget", "scale", "seed", "theta",
-                     "window", "shards", "checkpoint-dir", "checkpoint-every",
-                     "restore", "metrics-out", "metrics-every",
-                     "max-resident", "hibernate-dir", "listen",
-                     "ingest-format", "net-streams", "stream-names",
-                     "read-timeout-ms", "error-budget", "junk-budget",
-                     "shed-watermark", "fault-plan",
-                     "dataset", "hierarchy", "root-name", "anomaly-port",
-                     "stats-port", "loopback"})) {
-    return 2;
-  }
-  // Parse signed so "--streams -1" can't wrap around to a huge count.
-  long long streamsIn = 0, units = 0, workersIn = 0, ingestIn = 0;
-  long long queueIn = 0, totalQueueIn = 0, budgetIn = 0, seedIn = 0;
-  long long window = 0, checkpointEvery = 0, metricsEvery = 0;
-  long long maxResident = 0;
-  long long listenPort = 0, netStreamsIn = 0, readTimeoutMs = 0;
-  long long anomalyPort = 0, statsPort = 0;
-  long long errorBudget = 0, junkBudget = 0, shedWatermark = 0;
-  double theta = 0;
-  if (!numOption(args, "serve", "streams", 4, err, streamsIn) ||
-      !numOption(args, "serve", "units", 96, err, units) ||
-      !numOption(args, "serve", "workers", 0, err, workersIn) ||  // 0 = hw
-      !numOption(args, "serve", "ingest-threads", 1, err, ingestIn) ||
-      !numOption(args, "serve", "queue", 16, err, queueIn) ||
-      !numOption(args, "serve", "total-queue", 1024, err, totalQueueIn) ||
-      !numOption(args, "serve", "budget", 8, err, budgetIn) ||
-      !numOption(args, "serve", "seed", 1, err, seedIn) ||
-      !numOption(args, "serve", "window", 32, err, window) ||
-      !numOption(args, "serve", "checkpoint-every", 0, err, checkpointEvery) ||
-      !numOption(args, "serve", "metrics-every", 1000, err, metricsEvery) ||
-      !numOption(args, "serve", "max-resident", 0, err, maxResident) ||
-      !numOption(args, "serve", "listen", -1, err, listenPort) ||
-      !numOption(args, "serve", "net-streams", 1, err, netStreamsIn) ||
-      !numOption(args, "serve", "read-timeout-ms", 30'000, err,
-                 readTimeoutMs) ||
-      !numOption(args, "serve", "anomaly-port", -1, err, anomalyPort) ||
-      !numOption(args, "serve", "stats-port", -1, err, statsPort) ||
-      !numOption(args, "serve", "error-budget", 16, err, errorBudget) ||
-      !numOption(args, "serve", "junk-budget", 0, err, junkBudget) ||
-      !numOption(args, "serve", "shed-watermark", 0, err, shedWatermark) ||
-      !realOption(args, "serve", "theta", 8, err, theta)) {
-    return 2;
-  }
+int cmdServe(const Options& opt, std::ostream& out, std::ostream& err) {
   // Network mode (--listen) replaces the generated preset streams with
-  // socket-fed ones; the two modes' stream options are mutually
-  // exclusive, everything engine-level applies to both.
-  const bool listenMode = args.has("listen");
+  // socket-fed ones; the option table keeps the two modes' stream options
+  // apart, everything engine-level applies to both.
+  const bool listenMode = opt.has("listen");
   // A --fault-plan armed by this run is disarmed on every exit path, so
   // in-process callers (tests) never leak chaos into the next command.
   struct FaultInjectGuard {
@@ -618,11 +501,11 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
     }
   } faultGuard;
   // Named resumable streams (--stream-names a,b,c). Parsed before the
-  // mode checks so the --net-streams default can depend on it: with names
-  // given, anonymous slots default to none.
+  // --net-streams default, which depends on it: with names given,
+  // anonymous slots default to none.
   std::vector<std::string> streamNames;
-  if (args.has("stream-names")) {
-    const std::string namesArg = args.get("stream-names", "");
+  if (opt.has("stream-names")) {
+    const std::string& namesArg = opt.str("stream-names");
     std::size_t pos = 0;
     while (pos <= namesArg.size()) {
       const std::size_t comma = namesArg.find(',', pos);
@@ -645,172 +528,76 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
       pos = comma + 1;
     }
   }
+  long long netStreamsIn = opt.num("net-streams");
   if (listenMode) {
-    for (const char* conflicting : {"streams", "units", "seed"}) {
-      if (args.has(conflicting)) {
-        err << "serve: --" << conflicting
-            << " cannot be combined with --listen\n";
-        return 2;
-      }
-    }
-    if (listenPort < 0 || listenPort > 65535) {
-      err << "serve: --listen wants a port in [0, 65535] (0 = ephemeral)\n";
-      return 2;
-    }
     // Anonymous (positional) slots: default 1, or 0 once named streams
     // are declared — but explicit --net-streams always wins.
-    if (!args.has("net-streams") && !streamNames.empty()) netStreamsIn = 0;
-    if (netStreamsIn < 0 || (netStreamsIn == 0 && streamNames.empty())) {
+    if (!opt.has("net-streams") && !streamNames.empty()) netStreamsIn = 0;
+    if (netStreamsIn == 0 && streamNames.empty()) {
       err << "serve: --net-streams must be positive (0 allowed only with "
              "--stream-names)\n";
       return 2;
     }
-    if (readTimeoutMs <= 0) {
-      err << "serve: --read-timeout-ms must be positive\n";
-      return 2;
-    }
-    if (errorBudget < 0 || junkBudget < 0 || shedWatermark < 0) {
-      err << "serve: --error-budget, --junk-budget and --shed-watermark "
-             "must be >= 0\n";
-      return 2;
-    }
-    if (args.has("fault-plan")) {
+    if (opt.has("fault-plan")) {
       std::string planError;
-      if (!faultinject::arm(args.get("fault-plan", ""), &planError)) {
+      if (!faultinject::arm(opt.str("fault-plan"), &planError)) {
         err << "serve: bad --fault-plan: " << planError << "\n";
         return 2;
       }
       faultGuard.armed = true;
     }
-  } else {
-    for (const char* listenOnly :
-         {"ingest-format", "net-streams", "stream-names", "read-timeout-ms",
-          "error-budget", "junk-budget", "shed-watermark", "fault-plan",
-          "dataset", "hierarchy", "root-name"}) {
-      if (args.has(listenOnly)) {
-        err << "serve: --" << listenOnly << " requires --listen\n";
-        return 2;
-      }
-    }
   }
   SocketSourceOptions socketOpts;
-  socketOpts.readTimeoutMs = static_cast<int>(readTimeoutMs);
-  const std::string formatName = args.get("ingest-format", "auto");
-  if (formatName == "auto") {
-    socketOpts.format = SocketSourceOptions::Format::kAuto;
-  } else if (formatName == "csv") {
+  socketOpts.readTimeoutMs = static_cast<int>(opt.num("read-timeout-ms"));
+  const std::string& formatName = opt.str("ingest-format");
+  if (formatName == "csv") {
     socketOpts.format = SocketSourceOptions::Format::kCsv;
   } else if (formatName == "binary") {
     socketOpts.format = SocketSourceOptions::Format::kBinary;
-  } else {
-    err << "serve: unknown --ingest-format '" << formatName
-        << "' (want auto|csv|binary)\n";
-    return 2;
-  }
-  if ((args.has("anomaly-port") && (anomalyPort < 0 || anomalyPort > 65535)) ||
-      (args.has("stats-port") && (statsPort < 0 || statsPort > 65535))) {
-    err << "serve: --anomaly-port/--stats-port want a port in [0, 65535]\n";
-    return 2;
   }
   // All serving-surface ports are unauthenticated, so offer the obvious
   // containment: one flag restricting every listener to 127.0.0.1.
-  const bool loopback = args.has("loopback");
-  if (loopback && !args.get("loopback", "").empty()) {
-    err << "serve: --loopback takes no value\n";
-    return 2;
-  }
-  if (loopback && !listenMode && !args.has("anomaly-port") &&
-      !args.has("stats-port")) {
+  const bool loopback = opt.has("loopback");
+  if (loopback && !listenMode && !opt.has("anomaly-port") &&
+      !opt.has("stats-port")) {
     err << "serve: --loopback requires --listen, --anomaly-port, or "
            "--stats-port\n";
     return 2;
   }
-  if (maxResident < 0) {
-    err << "serve: --max-resident must be positive (0 = unlimited)\n";
-    return 2;
-  }
-  const std::string hibernateDir = args.get("hibernate-dir", "");
-  if (!hibernateDir.empty() && maxResident == 0) {
-    err << "serve: --hibernate-dir requires --max-resident\n";
-    return 2;
-  }
-  const std::string metricsOut = args.get("metrics-out", "");
-  if (args.has("metrics-every") && metricsOut.empty()) {
-    err << "serve: --metrics-every requires --metrics-out\n";
-    return 2;
-  }
-  if (metricsEvery <= 0) {
-    err << "serve: --metrics-every must be positive\n";
-    return 2;
-  }
-  const std::string checkpointDir = args.get("checkpoint-dir", "");
-  const bool restore = args.has("restore");
-  if (restore && !args.get("restore", "").empty()) {
-    err << "serve: --restore takes no value\n";
-    return 2;
-  }
-  if ((checkpointEvery != 0 || restore) && checkpointDir.empty()) {
-    err << "serve: --checkpoint-every/--restore require --checkpoint-dir\n";
-    return 2;
-  }
-  if (checkpointEvery < 0) {
-    err << "serve: --checkpoint-every must be positive\n";
-    return 2;
-  }
-  if (window <= 0) {
-    err << "serve: --window must be positive\n";
-    return 2;
-  }
-  const auto seed = static_cast<std::uint64_t>(seedIn);
-  if (args.has("shards")) {
-    // The static-shard engine is gone; a shard's dedicated thread pair is
-    // now a worker drawn from the shared pool.
-    long long shardsIn = 0;
-    if (!numOption(args, "serve", "shards", 0, err, shardsIn)) return 2;
-    if (shardsIn <= 0) {
-      err << "serve: --shards must be positive\n";
-      return 2;
-    }
-    if (args.has("workers")) {
-      err << "serve: --shards is deprecated and cannot be combined with "
-             "--workers\n";
-      return 2;
-    }
-    err << "warning: --shards is deprecated; mapping to --workers "
-        << shardsIn << " (the scheduler decouples threads from streams)\n";
-    workersIn = shardsIn;
-  }
-  if (streamsIn <= 0 || units <= 0 || queueIn <= 0 || totalQueueIn <= 0 ||
-      budgetIn <= 0 || ingestIn <= 0 || workersIn < 0) {
-    err << "serve: --streams, --units, --queue, --total-queue, --budget and "
-           "--ingest-threads must be positive (--workers 0 = one per "
-           "hardware thread)\n";
-    return 2;
-  }
+  const long long listenPort = opt.num("listen");
+  const long long anomalyPort = opt.num("anomaly-port");
+  const long long statsPort = opt.num("stats-port");
+  const long long shedWatermark = opt.num("shed-watermark");
+  const long long units = opt.num("units");
+  const auto seed = static_cast<std::uint64_t>(opt.num("seed"));
+  const long long checkpointEvery = opt.num("checkpoint-every");
+  const long long metricsEvery = opt.num("metrics-every");
+  const std::string& checkpointDir = opt.str("checkpoint-dir");
+  const std::string& metricsOut = opt.str("metrics-out");
+  const bool restore = opt.has("restore");
   const std::size_t streams =
       listenMode ? static_cast<std::size_t>(netStreamsIn) + streamNames.size()
-                 : static_cast<std::size_t>(streamsIn);
-  const std::string scaleName = args.get("scale", "test");
-  Scale scale;
-  if (scaleName == "test") {
-    scale = Scale::kTest;
-  } else if (scaleName == "medium") {
-    scale = Scale::kMedium;
-  } else if (scaleName == "paper") {
-    scale = Scale::kPaper;
-  } else {
-    err << "unknown --scale '" << scaleName << "'\n";
-    return 2;
-  }
+                 : static_cast<std::size_t>(opt.num("streams"));
+  const Scale scale = scaleOf(opt.str("scale"));
 
   engine::EngineConfig ecfg;
-  ecfg.workers = static_cast<std::size_t>(workersIn);
-  ecfg.ingestThreads = static_cast<std::size_t>(ingestIn);
-  ecfg.runBudget = static_cast<std::size_t>(budgetIn);
-  ecfg.streamQueueCapacity = static_cast<std::size_t>(queueIn);
-  ecfg.totalQueueCapacity = static_cast<std::size_t>(totalQueueIn);
-  ecfg.maxResidentStreams = static_cast<std::size_t>(maxResident);
-  ecfg.hibernateDir = hibernateDir;
+  ecfg.workers = static_cast<std::size_t>(opt.num("workers"));
+  ecfg.ingestThreads = static_cast<std::size_t>(opt.num("ingest-threads"));
+  ecfg.runBudget = static_cast<std::size_t>(opt.num("budget"));
+  ecfg.streamQueueCapacity = static_cast<std::size_t>(opt.num("queue"));
+  ecfg.totalQueueCapacity = static_cast<std::size_t>(opt.num("total-queue"));
+  ecfg.maxResidentStreams =
+      static_cast<std::size_t>(opt.num("max-resident"));
+  ecfg.hibernateDir = opt.str("hibernate-dir");
+  // Generated and socket-fed streams run the same detector setup.
+  const auto streamConfig = [&opt](const WorkloadSpec& spec) {
+    PipelineConfig cfg;
+    cfg.delta = spec.unit;
+    cfg.detector.theta = opt.real("theta");
+    cfg.detector.windowLength = static_cast<std::size_t>(opt.num("window"));
+    cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
+    return cfg;
+  };
 
   // Streams cycle through the dataset presets (the paper's two CCD
   // hierarchies plus SCD), each with its own seed so workloads differ.
@@ -838,7 +625,7 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
   serve::JsonLineBroadcaster broadcaster;
   std::unordered_map<std::string, const Hierarchy*> streamHier;
   engine::DetectionEngine::ResultSink sink = store.sink();
-  if (args.has("anomaly-port")) {
+  if (opt.has("anomaly-port")) {
     sink = [&store, &broadcaster, &streamHier](const std::string& name,
                                                const InstanceResult& res) {
       store.add(name, res);
@@ -857,7 +644,7 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
   std::vector<const SocketSource*> netSources;
   if (listenMode) {
     WorkloadSpec specIn;
-    if (!parseDataset(args, err, specIn)) return 2;
+    if (!parseDataset(opt, err, specIn)) return 2;
     auto spec = std::make_shared<const WorkloadSpec>(std::move(specIn));
     specs.push_back(spec);
     net::ignoreSigpipe();
@@ -885,23 +672,20 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
       };
     }
     router = std::make_shared<StreamRouter>(ingestListener, ropt);
-    socketOpts.protocolErrorBudget = static_cast<std::size_t>(errorBudget);
-    socketOpts.junkBudgetPerConn = static_cast<std::size_t>(junkBudget);
+    socketOpts.protocolErrorBudget =
+        static_cast<std::size_t>(opt.num("error-budget"));
+    socketOpts.junkBudgetPerConn =
+        static_cast<std::size_t>(opt.num("junk-budget"));
     const auto addNetStream = [&](const std::string& name,
                                   SocketSourceOptions opts,
                                   std::size_t slot) {
-      PipelineConfig cfg;
-      cfg.delta = spec->unit;
-      cfg.detector.theta = theta;
-      cfg.detector.windowLength = static_cast<std::size_t>(window);
-      cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
       store.registerStream(name, spec->hierarchy);
       streamHier.emplace(name, &spec->hierarchy);
       auto src = std::make_unique<SocketSource>(router, slot, spec->hierarchy,
                                                 std::move(opts));
       netSources.push_back(src.get());
-      eng.addStream(name, workload::sharedHierarchy(spec), cfg,
-                    std::move(src));
+      eng.addStream(name, workload::sharedHierarchy(spec),
+                    streamConfig(*spec), std::move(src));
     };
     // Named resumable streams first. The engine stream name is the wire
     // name, so a checkpoint restore matches a reconnecting client's
@@ -944,16 +728,11 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
       const Preset& preset = kPresets[i % std::size(kPresets)];
       const std::shared_ptr<const WorkloadSpec>& spec =
           specs[i % std::size(kPresets)];
-      PipelineConfig cfg;
-      cfg.delta = spec->unit;
-      cfg.detector.theta = theta;
-      cfg.detector.windowLength = static_cast<std::size_t>(window);
-      cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
       const std::string name = std::string(preset.name) + "-" +
                                std::to_string(i);
       store.registerStream(name, spec->hierarchy);
       streamHier.emplace(name, &spec->hierarchy);
-      eng.addStream(name, workload::sharedHierarchy(spec), cfg,
+      eng.addStream(name, workload::sharedHierarchy(spec), streamConfig(*spec),
                     std::make_unique<workload::GeneratorSource>(
                         *spec, 0, units, seed + i));
     }
@@ -991,13 +770,13 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
   // Output-side servers come up before the engine so a script can parse
   // the flushed "serving:" line, subscribe, and only then feed records.
   serve::StatsPollServer statsServer;
-  if (args.has("anomaly-port") &&
+  if (opt.has("anomaly-port") &&
       !broadcaster.start(static_cast<std::uint16_t>(anomalyPort), loopback)) {
     err << "serve: cannot listen on --anomaly-port " << anomalyPort << ": "
         << broadcaster.error() << "\n";
     return 1;
   }
-  if (args.has("stats-port") &&
+  if (opt.has("stats-port") &&
       !statsServer.start(
           static_cast<std::uint16_t>(statsPort),
           [&eng] { return serve::engineStatsJson(eng.stats()); }, loopback)) {
@@ -1005,15 +784,15 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
         << statsServer.error() << "\n";
     return 1;
   }
-  if (listenMode || args.has("anomaly-port") || args.has("stats-port")) {
+  if (listenMode || opt.has("anomaly-port") || opt.has("stats-port")) {
     out << "serving:";
     if (listenMode) {
       out << " ingest=" << ingestListener->port() << " format=" << formatName
           << " net-streams=" << streams;
       if (!streamNames.empty()) out << " named=" << streamNames.size();
     }
-    if (args.has("anomaly-port")) out << " anomaly=" << broadcaster.port();
-    if (args.has("stats-port")) out << " stats=" << statsServer.port();
+    if (opt.has("anomaly-port")) out << " anomaly=" << broadcaster.port();
+    if (opt.has("stats-port")) out << " stats=" << statsServer.port();
     out << std::endl;  // flushed: scripts block on this line
   }
 
@@ -1177,10 +956,10 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
     if (faultinject::armed()) {
       out << " injected-faults=" << faultinject::injectedCount();
     }
-    if (args.has("anomaly-port")) {
+    if (opt.has("anomaly-port")) {
       out << " anomaly-subscribers=" << broadcaster.accepted();
     }
-    if (args.has("stats-port")) {
+    if (opt.has("stats-port")) {
       out << " stats-polls=" << statsServer.served();
     }
     out << "\n";
@@ -1190,15 +969,9 @@ int cmdServe(const CliArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-int cmdSend(const CliArgs& args, std::ostream& out, std::ostream& err) {
-  if (!checkOptions(args, err,
-                    {"to", "trace", "format", "dataset", "scale", "hierarchy",
-                     "root-name", "frame", "timeout-ms", "stream-name",
-                     "retries", "backoff-ms"})) {
-    return 2;
-  }
-  const std::string to = args.get("to", "");
-  const std::string trace = args.get("trace", "");
+int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
+  const std::string& to = opt.str("to");
+  const std::string& trace = opt.str("trace");
   if (to.empty() || trace.empty()) {
     err << "send: --to HOST:PORT and --trace FILE are required\n";
     return 2;
@@ -1220,47 +993,12 @@ int cmdSend(const CliArgs& args, std::ostream& out, std::ostream& err) {
     return 2;
   }
   const std::string host = to.substr(0, colon);
-  const std::string format = args.get("format", "binary");
-  if (format != "binary" && format != "csv") {
-    err << "send: unknown --format '" << format << "' (want binary|csv)\n";
-    return 2;
-  }
-  long long frameIn = 0, timeoutMs = 0, retries = 0, backoffMs = 0;
-  if (!numOption(args, "send", "frame", 8192, err, frameIn) ||
-      !numOption(args, "send", "timeout-ms", 30'000, err, timeoutMs) ||
-      !numOption(args, "send", "retries", 0, err, retries) ||
-      !numOption(args, "send", "backoff-ms", 200, err, backoffMs)) {
-    return 2;
-  }
-  if (frameIn <= 0 ||
-      frameIn > static_cast<long long>(kSocketMaxFrameRecords)) {
-    err << "send: --frame must be in [1, " << kSocketMaxFrameRecords
-        << "]\n";
-    return 2;
-  }
-  if (timeoutMs <= 0) {
-    err << "send: --timeout-ms must be positive\n";
-    return 2;
-  }
-  const std::string streamName = args.get("stream-name", "");
-  if (streamName.size() > kSocketMaxStreamNameBytes ||
-      (args.has("stream-name") && streamName.empty())) {
-    err << "send: --stream-name wants 1.." << kSocketMaxStreamNameBytes
-        << " bytes\n";
-    return 2;
-  }
-  if (retries < 0 || backoffMs <= 0) {
-    err << "send: --retries must be >= 0 and --backoff-ms positive\n";
-    return 2;
-  }
-  if (format == "csv" &&
-      (args.has("stream-name") || args.has("retries") ||
-       args.has("backoff-ms"))) {
-    err << "send: --stream-name/--retries/--backoff-ms require the binary "
-           "format (csv bytes are forwarded verbatim, with no handshake to "
-           "resume from)\n";
-    return 2;
-  }
+  const std::string& format = opt.str("format");
+  const long long frameIn = opt.num("frame");
+  const long long timeoutMs = opt.num("timeout-ms");
+  const long long retries = opt.num("retries");
+  const long long backoffMs = opt.num("backoff-ms");
+  const std::string& streamName = opt.str("stream-name");
 
   net::ignoreSigpipe();
   const auto port = static_cast<std::uint16_t>(portIn);
@@ -1299,7 +1037,7 @@ int cmdSend(const CliArgs& args, std::ostream& out, std::ostream& err) {
   // its records with the hierarchy's own paths as the handshake table
   // (file-id == NodeId, so records pass through unmapped).
   WorkloadSpec spec;
-  if (!parseDataset(args, err, spec)) return 2;
+  if (!parseDataset(opt, err, spec)) return 2;
   const Hierarchy& h = spec.hierarchy;
   std::vector<std::string> paths;
   paths.reserve(h.size());
@@ -1425,6 +1163,222 @@ int cmdSend(const CliArgs& args, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
+struct Command {
+  const char* name;
+  int (*run)(const Options&, std::ostream&, std::ostream&);
+  const char* about;  // usage prose above the generated option lines
+};
+
+constexpr Command kCommands[] = {
+    {"generate", cmdGenerate, "synthesize a CSV trace of a preset workload."},
+    {"convert", cmdConvert,
+     "re-encode a CSV trace as parse-free (path id, timestamp) records;\n"
+     "  junk rows are dropped and counted exactly as the CSV reader does."},
+    {"detect", cmdDetect, "run the detection pipeline over a trace."},
+    {"analyze", cmdAnalyze,
+     "FFT/wavelet seasonality report of a trace's root counts."},
+    {"hierarchy", cmdHierarchy, "print a hierarchy summary."},
+    {"serve", cmdServe,
+     "run generated streams, or TCP-fed ones (--listen: CSV rows or the\n"
+     "  framed protocol of `send`), through the detection engine and print\n"
+     "  per-stream and engine stats. Bound ports are printed on one\n"
+     "  'serving:' line; none is authenticated."},
+    {"send", cmdSend,
+     "stream a trace into a `serve --listen`. binary: records resolve\n"
+     "  against the --dataset/--hierarchy tree (which must match the\n"
+     "  server's) and go out framed; csv: the file's bytes go out verbatim."},
+};
+
+/// Whether `word` is one of the `sep`-separated entries of `list`.
+bool listed(std::string_view list, char sep, std::string_view word) {
+  const std::string padded = sep + std::string(list) + sep;
+  return word.find(sep) == std::string_view::npos &&
+         padded.find(sep + std::string(word) + sep) != std::string::npos;
+}
+
+std::string boundText(double v) {
+  std::ostringstream os;
+  os << std::setprecision(15) << v;  // 65535, not 65535.0 or 6.5535e+04
+  return os.str();
+}
+
+/// A number's bounds in words: "positive", ">= 0", "in [0, 65535]", or
+/// "" when unbounded.
+std::string boundsPhrase(const CliOption& o) {
+  if (o.hi != kUnbounded) {
+    return "in [" + boundText(o.lo) + ", " + boundText(o.hi) + "]";
+  }
+  if (o.lo == (o.kind == Kind::kInt ? 1 : kPositive)) return "positive";
+  return o.lo == -kUnbounded ? "" : ">= " + boundText(o.lo);
+}
+
+/// Whether a row's mode restriction binds under `command`: the listen
+/// modes are `serve`'s, and every binary-only row is a `send` option.
+bool modeApplies(const CliOption& o, std::string_view command) {
+  return o.mode == Mode::kBinaryOnly || command == "serve";
+}
+
+/// One usage line: "  --listen port in [0, 65535]  <help> ...".
+std::string usageLine(const CliOption& o, std::string_view command) {
+  std::string line = "  --" + std::string(o.name);
+  if (o.kind == Kind::kInt || o.kind == Kind::kReal) {
+    const std::string noun =
+        *o.value ? o.value : o.kind == Kind::kInt ? "int" : "real";
+    const std::string bounds = boundsPhrase(o);
+    line += bounds.empty()           ? " " + noun
+            : bounds == "positive" ? " positive " + noun
+                                   : " " + noun + " " + bounds;
+  } else if (o.kind == Kind::kString && o.lo > 0) {
+    line += " " + std::string(o.value) + " of " + boundText(o.lo) + ".." +
+            boundText(o.hi) + " bytes";
+  } else if (*o.value) {
+    line += " " + std::string(o.value);
+  }
+  line.resize(std::max<std::size_t>(line.size() + 2, 38), ' ');
+  line += o.help;
+  if (*o.def) line += " (default " + std::string(o.def) + ")";
+  if (o.kind == Kind::kRepeated) line += " [repeatable]";
+  if (o.needs) line += " [needs --" + std::string(o.needs) + "]";
+  constexpr const char* kModeNote[] = {"", " [needs --listen]",
+                                       " [not with --listen]",
+                                       " [not with --format csv]"};
+  if (modeApplies(o, command)) line += kModeNote[static_cast<int>(o.mode)];
+  return line;
+}
+
+/// Usage of one command, or of all of them when `only` is empty.
+void printUsage(std::ostream& os, std::string_view only) {
+  os << "usage: tiresias_cli " << (only.empty() ? "<command>" : only)
+     << " [options]\n";
+  for (const Command& c : kCommands) {
+    if (!only.empty() && only != c.name) continue;
+    os << "\n" << c.name << ": " << c.about << "\n";
+    for (const CliOption& o : kOptions) {
+      if (listed(o.commands, ' ', c.name)) os << usageLine(o, c.name) << "\n";
+    }
+  }
+  if (only.empty()) {
+    os << "\nUnknown, repeated or out-of-range options are usage errors "
+          "(exit 2).\n";
+  }
+}
+
+/// Checks one value (the command-line text, else the default) against its
+/// row and stores it typed. Returns the problem, or "" if there is none.
+std::string checkValue(const CliOption& o, Options::Value& v) {
+  const std::string name = "--" + std::string(o.name);
+  const std::string& text = v.text;
+  switch (o.kind) {
+    case Kind::kFlag:
+      return text.empty() ? "" : name + " takes no value";
+    case Kind::kEnum:
+      if (listed(o.value, '|', text)) return "";
+      return "unknown " + name + " '" + text + "' (want " + o.value + ")";
+    case Kind::kString: {
+      const auto bytes = static_cast<double>(text.size());
+      if (bytes >= o.lo && bytes <= o.hi) return "";
+      return name + " wants " + boundText(o.lo) + ".." + boundText(o.hi) +
+             " bytes";
+    }
+    case Kind::kRepeated:
+      return "";
+    case Kind::kInt:
+    case Kind::kReal:
+      break;
+  }
+  // Full-field parse: empty text, trailing garbage and overflow are usage
+  // errors, never an uncaught std::sto* exception.
+  double x = 0;
+  bool parsed = false;
+  try {
+    std::size_t pos = 0;
+    if (o.kind == Kind::kInt) {
+      v.num = std::stoll(text, &pos);
+      x = static_cast<double>(v.num);
+    } else {
+      x = v.real = std::stod(text, &pos);
+    }
+    parsed = pos == text.size();
+  } catch (const std::exception&) {
+  }
+  if (!parsed) return "bad numeric value '" + text + "' for " + name;
+  if (!std::isfinite(x)) return name + " must be finite (got '" + text + "')";
+  if (x < o.lo || x > o.hi) {
+    return name + " must be " + boundsPhrase(o) + " (got '" + text + "')";
+  }
+  return "";
+}
+
+/// Checks `args` against the table rows `command` accepts and returns
+/// their typed values; on a usage error, explains it on `err` and returns
+/// nullopt. Only rules spanning two values stay in the commands.
+std::optional<Options> parseOptions(std::string_view command,
+                                    const CliArgs& args, std::ostream& err) {
+  if (!args.positional.empty()) {
+    err << command << ": unexpected argument '" << args.positional[0]
+        << "'\n";
+    printUsage(err, command);
+    return std::nullopt;
+  }
+  Options opt;
+  for (const CliOption& o : kOptions) {
+    if (listed(o.commands, ' ', command)) opt.values[o.name].row = &o;
+  }
+  for (const auto& [key, text] : args.options) {
+    const auto it = opt.values.find(key);
+    if (it == opt.values.end()) {
+      err << command << ": unknown option '--" << key << "'\n";
+      printUsage(err, command);
+      return std::nullopt;
+    }
+    Options::Value& v = it->second;
+    if (v.given && v.row->kind != Kind::kRepeated) {
+      const auto times = std::count_if(
+          args.options.begin(), args.options.end(),
+          [&key = key](const auto& kv) { return kv.first == key; });
+      err << command << ": option '--" << key << "' given " << times
+          << " times\n";
+      return std::nullopt;
+    }
+    v.given = true;
+    v.text = text;
+    v.all.push_back(text);
+  }
+  for (auto& [name, v] : opt.values) {
+    if (!v.given) v.text = v.row->def;
+    if (!v.given && v.text.empty()) continue;
+    if (const std::string problem = checkValue(*v.row, v); !problem.empty()) {
+      err << command << ": " << problem << "\n"
+          << usageLine(*v.row, command) << "\n";
+      return std::nullopt;
+    }
+  }
+  for (const auto& [name, v] : opt.values) {
+    if (!v.given) continue;
+    const CliOption& o = *v.row;
+    const bool bound = modeApplies(o, command);
+    std::string problem;
+    if (o.needs && !opt.has(o.needs)) {
+      problem = "requires --" + std::string(o.needs);
+    } else if (bound && o.mode == Mode::kListenOnly && !opt.has("listen")) {
+      problem = "requires --listen";
+    } else if (bound && o.mode == Mode::kGeneratedOnly && opt.has("listen")) {
+      problem = "cannot be combined with --listen";
+    } else if (bound && o.mode == Mode::kBinaryOnly &&
+               opt.str("format") == "csv") {
+      problem =
+          "cannot be used with --format csv (resume options require the "
+          "binary format: csv bytes are forwarded verbatim, with no "
+          "handshake to resume from)";
+    }
+    if (!problem.empty()) {
+      err << command << ": --" << name << " " << problem << "\n";
+      return std::nullopt;
+    }
+  }
+  return opt;
+}
+
 }  // namespace
 
 std::string CliArgs::get(const std::string& name,
@@ -1465,21 +1419,22 @@ CliArgs parseArgs(const std::vector<std::string>& argv) {
   return args;
 }
 
+std::span<const CliOption> cliOptions() { return kOptions; }
+
 int runCli(const std::vector<std::string>& argv, std::ostream& out,
            std::ostream& err) {
   const CliArgs args = parseArgs(argv);
   if (args.command.empty() || args.command == "help") {
-    out << kUsage;
+    printUsage(out, "");
     return args.command.empty() ? 2 : 0;
   }
-  if (args.command == "generate") return cmdGenerate(args, out, err);
-  if (args.command == "convert") return cmdConvert(args, out, err);
-  if (args.command == "detect") return cmdDetect(args, out, err);
-  if (args.command == "analyze") return cmdAnalyze(args, out, err);
-  if (args.command == "hierarchy") return cmdHierarchy(args, out, err);
-  if (args.command == "serve") return cmdServe(args, out, err);
-  if (args.command == "send") return cmdSend(args, out, err);
-  err << "unknown command '" << args.command << "'\n" << kUsage;
+  for (const Command& c : kCommands) {
+    if (args.command != c.name) continue;
+    const std::optional<Options> opt = parseOptions(c.name, args, err);
+    return opt ? c.run(*opt, out, err) : 2;
+  }
+  err << "unknown command '" << args.command << "'\n";
+  printUsage(err, "");
   return 2;
 }
 

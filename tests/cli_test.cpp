@@ -1,9 +1,11 @@
-// Tests for the tiresias_cli front end (generate / detect / analyze /
-// hierarchy), driven in-process through runCli.
+// Tests for the tiresias_cli front end and its option table, driven
+// in-process through runCli.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iomanip>
 #include <sstream>
 
 #include "common/faultinject.h"
@@ -217,6 +219,14 @@ TEST(Cli, ServeValidatesNetworkFlags) {
                 &err),
             2);
   EXPECT_NE(err.find("--net-streams must be positive"), std::string::npos);
+  // Flags take no value; dependent options need their anchor option.
+  EXPECT_EQ(run({"serve", "--listen", "0", "--loopback", "yes"}, nullptr,
+                &err),
+            2);
+  EXPECT_NE(err.find("--loopback takes no value"), std::string::npos);
+  EXPECT_EQ(run({"serve", "--restore"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("--restore requires --checkpoint-dir"),
+            std::string::npos);
 }
 
 TEST(Cli, ServeValidatesFaultToleranceFlags) {
@@ -426,30 +436,16 @@ TEST(Cli, ServeRejectsZeroStreams) {
   EXPECT_NE(err.find("must be positive"), std::string::npos);
 }
 
-TEST(Cli, ServeMapsDeprecatedShardsToWorkers) {
-  std::string out, err;
-  ASSERT_EQ(run({"serve", "--streams", "2", "--shards", "3", "--units", "24",
-                 "--window", "8"},
-                &out, &err),
-            0);
-  EXPECT_NE(err.find("--shards is deprecated"), std::string::npos);
-  EXPECT_NE(out.find("engine: 2 streams, 3 workers"), std::string::npos);
-  // The mapping is a bridge, not an alias: combining both is an error.
-  EXPECT_EQ(run({"serve", "--streams", "2", "--shards", "3", "--workers",
-                 "2"},
-                nullptr, &err),
-            2);
-  EXPECT_NE(err.find("cannot be combined"), std::string::npos);
-}
-
-/// Typos must fail loudly: unknown options were previously ignored, so
-/// `--shard 4` (for --shards, itself now deprecated) silently ran with
-/// defaults.
+/// Typos must fail loudly: unknown options were once ignored, so
+/// `--shard 4` silently ran with defaults.
 TEST(Cli, RejectsUnknownOptions) {
   std::string err;
   EXPECT_EQ(run({"serve", "--shard", "4"}, nullptr, &err), 2);
   EXPECT_NE(err.find("unknown option '--shard'"), std::string::npos);
   EXPECT_NE(err.find("usage:"), std::string::npos);
+  // The removed static-shard flag is an unknown option like any other.
+  EXPECT_EQ(run({"serve", "--shards", "3"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("unknown option '--shards'"), std::string::npos);
   EXPECT_EQ(run({"generate", "--dataset", "ccd-net", "--out", "/tmp/x.csv",
                  "--sede", "7"},
                 nullptr, &err),
@@ -508,6 +504,101 @@ TEST(Cli, RejectsNonNumericOptionValues) {
                 nullptr, &err),
             2);
   EXPECT_NE(err.find("--unit-minutes must be positive"), std::string::npos);
+  // Detector parameters outside the detector's domain used to reach its
+  // preconditions and abort the process.
+  for (const char* cmd : {"detect", "serve"}) {
+    for (const auto& [name, value] :
+         std::vector<std::pair<std::string, std::string>>{
+             {"window", "1"}, {"theta", "0"}, {"theta", "-2"},
+             {"theta", "nan"}}) {
+      EXPECT_EQ(run({cmd, "--" + name, value}, nullptr, &err), 2)
+          << cmd << " --" << name << " " << value;
+      EXPECT_NE(err.find("--" + name), std::string::npos) << err;
+    }
+  }
+  // --algo is a closed set: a typo no longer silently runs ADA.
+  for (const char* algo : {"bogus", "STA"}) {
+    EXPECT_EQ(run({"detect", "--trace", "t.csv", "--algo", algo}, nullptr,
+                  &err),
+              2)
+        << algo;
+    EXPECT_NE(err.find("unknown --algo"), std::string::npos) << err;
+  }
+}
+
+/// Every numeric option with a lower bound, under every command that
+/// accepts it, rejects a value just below the bound (and above an upper
+/// bound) and `nan` with a usage error naming the option — so an option
+/// added without a range fails here instead of aborting a server.
+TEST(Cli, TableBoundsAreEnforcedForEveryCommand) {
+  using Kind = CliOption::Kind;
+  std::size_t checked = 0;
+  for (const CliOption& o : cliOptions()) {
+    if (o.kind != Kind::kInt && o.kind != Kind::kReal) continue;
+    const std::string flag = "--" + std::string(o.name);
+    if (*o.def) {  // defaults honor their own bounds
+      const double def = std::stod(o.def);
+      EXPECT_TRUE(def >= o.lo && def <= o.hi) << flag;
+    }
+    if (o.lo == -CliOption::kUnbounded) {
+      // Only values the code takes whole may go unbounded: any seed, any
+      // finite split threshold.
+      EXPECT_TRUE(flag == "--seed" || flag == "--rt" || flag == "--dt")
+          << flag << " needs bounds";
+      continue;
+    }
+    const auto text = [&o](double v) {
+      std::ostringstream os;
+      if (o.kind == Kind::kInt) {
+        os << static_cast<long long>(v);
+      } else {
+        os << std::setprecision(17) << v;
+      }
+      return os.str();
+    };
+    std::vector<std::string> bad = {
+        text(o.kind == Kind::kInt
+                 ? o.lo - 1
+                 : std::nextafter(o.lo, -CliOption::kUnbounded)),
+        "nan"};
+    if (o.hi != CliOption::kUnbounded) {
+      bad.push_back(text(o.kind == Kind::kInt
+                             ? o.hi + 1
+                             : std::nextafter(o.hi, CliOption::kUnbounded)));
+    }
+    std::istringstream commands(o.commands);
+    std::string cmd;
+    while (commands >> cmd) {
+      for (const std::string& value : bad) {
+        std::string err;
+        EXPECT_EQ(run({cmd, flag, value}, nullptr, &err), 2)
+            << cmd << " " << flag << " " << value;
+        EXPECT_NE(err.find(flag), std::string::npos)
+            << cmd << " " << flag << " " << value << ": " << err;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_GE(checked, 60u);
+}
+
+/// The generated usage lists, for each command, every option it accepts.
+TEST(Cli, HelpListsEveryTableOption) {
+  std::string out;
+  ASSERT_EQ(run({"help"}, &out), 0);
+  for (const CliOption& o : cliOptions()) {
+    std::istringstream commands(o.commands);
+    std::string cmd;
+    while (commands >> cmd) {
+      const std::size_t section = out.find("\n" + cmd + ": ");
+      ASSERT_NE(section, std::string::npos) << cmd;
+      const std::size_t next = out.find("\n\n", section + 1);
+      const std::string body = out.substr(section, next - section);
+      EXPECT_NE(body.find("\n  --" + std::string(o.name) + " "),
+                std::string::npos)
+          << cmd << " --" << o.name;
+    }
+  }
 }
 
 TEST(Cli, RejectsStrayPositionalArguments) {

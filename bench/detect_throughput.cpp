@@ -20,12 +20,7 @@
 //     detector was rewritten in place; its outputs are pinned by the
 //     equivalence property tests instead).
 //
-//  4. SIMD dispatch: the same warm STA/ADA observe loops under the best
-//     available instruction set vs simd::forceScalar(true). Outputs are
-//     asserted identical first (bit-identity is the SIMD layer's hard
-//     contract); the timing delta is reported per algorithm.
-//
-// Written to BENCH_detect.json (schema tiresias_bench_detect/v2) — the
+// Written to BENCH_detect.json (schema tiresias_bench_detect/v3) — the
 // committed before/after baseline for the flat detection hot path. All
 // measurements are single-threaded; no parallel-speedup claims are made,
 // so nothing here needs a hardware_concurrency gate.
@@ -38,7 +33,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/simd.h"
 #include "common/timer.h"
 #include "core/shhh_reference.h"
 #include "timeseries/ewma.h"
@@ -264,77 +258,6 @@ int main(int argc, char** argv) {
   ok &= bench::check(ada.unitsPerSec() >= 0.5 * staAfter.unitsPerSec(),
                      "ADA observe stays within 2x of the incremental STA");
 
-  // ---- 4. SIMD dispatch: forced-scalar vs best available ISA ----
-  // Same warm observe loops as above, but toggling the simd:: dispatch
-  // table. Equivalence first: the SIMD layer's contract is bit-identical
-  // output, so the scalar run must reproduce the SIMD run exactly.
-  const std::string isa = simd::activeIsa();
-  bool simdEqual = true;
-  for (const bool useAda : {false, true}) {
-    std::vector<std::optional<InstanceResult>> simdSteps, scalarSteps;
-    for (const bool scalar : {false, true}) {
-      const bool prev = simd::forceScalar(scalar);
-      auto& steps = scalar ? scalarSteps : simdSteps;
-      if (useAda) {
-        AdaDetector det(spec.hierarchy, detectorConfig(window, theta));
-        for (const auto& batch : batches) steps.push_back(det.step(batch));
-      } else {
-        StaDetector det(spec.hierarchy, detectorConfig(window, theta));
-        for (const auto& batch : batches) steps.push_back(det.step(batch));
-      }
-      simd::forceScalar(prev);
-    }
-    for (std::size_t u = 0; u < simdSteps.size(); ++u) {
-      simdEqual &= sameResult(simdSteps[u], scalarSteps[u]);
-    }
-  }
-  ok &= bench::check(simdEqual,
-                     "STA and ADA step results are identical under " + isa +
-                         " and forced-scalar dispatch");
-
-  auto timeObserve = [&](bool useAda, bool scalar) {
-    const bool prev = simd::forceScalar(scalar);
-    Timing t;
-    while (t.seconds < minSeconds) {
-      std::unique_ptr<Detector> det;
-      if (useAda) {
-        det = std::make_unique<AdaDetector>(spec.hierarchy,
-                                            detectorConfig(window, theta));
-      } else {
-        det = std::make_unique<StaDetector>(spec.hierarchy,
-                                            detectorConfig(window, theta));
-      }
-      for (std::size_t u = 0; u < warm; ++u) det->step(batches[u]);
-      Stopwatch watch;
-      for (std::size_t u = warm; u < batches.size(); ++u) {
-        det->step(batches[u]);
-        t.units += 1;
-        t.records += batches[u].records.size();
-      }
-      t.seconds += watch.elapsedSeconds();
-    }
-    simd::forceScalar(prev);
-    return t;
-  };
-  const Timing staScalar = timeObserve(false, true);
-  const Timing staSimd = timeObserve(false, false);
-  const Timing adaScalar = timeObserve(true, true);
-  const Timing adaSimd = timeObserve(true, false);
-  const double staSimdSpeedup = staSimd.unitsPerSec() / staScalar.unitsPerSec();
-  const double adaSimdSpeedup = adaSimd.unitsPerSec() / adaScalar.unitsPerSec();
-  std::printf("\nSIMD dispatch (active ISA: %s):\n", isa.c_str());
-  printTiming("  STA forced scalar", staScalar);
-  printTiming(("  STA " + isa).c_str(), staSimd);
-  std::printf("  STA simd-vs-scalar: %.2fx\n", staSimdSpeedup);
-  printTiming("  ADA forced scalar", adaScalar);
-  printTiming(("  ADA " + isa).c_str(), adaSimd);
-  std::printf("  ADA simd-vs-scalar: %.2fx\n", adaSimdSpeedup);
-  // No speedup CHECK here: the observe path is dominated by hierarchy
-  // bookkeeping and the vector kernels are element-wise by contract
-  // (bit-identity forbids FMA/reassociation), so the delta is modest and
-  // noisy on small machines. The committed >=2x delta for this PR is the
-  // binary-vs-csv ingest check in bench/engine_throughput.cpp.
-
   // ---- Machine-readable baseline ----
   std::FILE* f = std::fopen(jsonPath.c_str(), "w");
   if (!f) {
@@ -342,7 +265,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"tiresias_bench_detect/v2\",\n");
+  std::fprintf(f, "  \"schema\": \"tiresias_bench_detect/v3\",\n");
   std::fprintf(f, "  \"workload\": \"ccd-net/medium\",\n");
   std::fprintf(f, "  \"hardware_threads\": %u,\n",
                std::thread::hardware_concurrency());
@@ -363,16 +286,8 @@ int main(int argc, char** argv) {
   std::fprintf(f,
                "    \"stage_seconds\": {\"updating_hierarchies\": %.6f, "
                "\"creating_time_series\": %.6f, \"detecting_anomalies\": "
-               "%.6f}\n  },\n",
+               "%.6f}\n  }\n",
                stageUpdate, stageSeries, stageDetect);
-  std::fprintf(f, "  \"simd\": {\n");
-  std::fprintf(f, "    \"active_isa\": \"%s\",\n", isa.c_str());
-  jsonTiming(f, "sta_scalar", staScalar, true);
-  jsonTiming(f, "sta_simd", staSimd, true);
-  std::fprintf(f, "    \"sta_simd_vs_scalar\": %.2f,\n", staSimdSpeedup);
-  jsonTiming(f, "ada_scalar", adaScalar, true);
-  jsonTiming(f, "ada_simd", adaSimd, true);
-  std::fprintf(f, "    \"ada_simd_vs_scalar\": %.2f\n  }\n", adaSimdSpeedup);
   std::fprintf(f, "}\n");
   std::fclose(f);
   std::printf("wrote %s\n", jsonPath.c_str());

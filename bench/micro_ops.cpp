@@ -1,15 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the hot operations behind
 // Tables III/IV: the bottom-up SHHH pass, one ADA step, one STA step,
-// split/merge-heavy steps, Holt-Winters updates, ring pushes, the FFT,
-// and the simd:: primitive kernels (masked accumulate, SoA slot sweep)
-// under both the best dispatch table and the forced-scalar fallback.
+// split/merge-heavy steps, Holt-Winters updates, ring pushes and the FFT.
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 #include <vector>
 
-#include "common/rng.h"
-#include "common/simd.h"
 #include "core/ada.h"
 #include "core/shhh.h"
 #include "core/sta.h"
@@ -105,73 +101,6 @@ void BM_RingPush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RingPush);
-
-// ---- simd:: primitive kernels ------------------------------------------
-// Range 0 is the element count, range 1 selects the dispatch table
-// (0 = best available ISA, 1 = forced scalar); the label records which
-// table actually ran so A/B pairs read off the same report.
-
-/// The epoch-masked accumulate primitive over a stamped workspace plane:
-/// dst[i] += src[i] on lanes whose stamp matches the current generation,
-/// old bits kept on the rest.
-void BM_SimdAccumulateStamped(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const bool scalar = state.range(1) != 0;
-  const std::uint32_t gen = 7;
-  Rng rng(17);
-  std::vector<double> dst(n), src(n);
-  std::vector<std::uint32_t> stamp(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    dst[i] = static_cast<double>(rng.below(1000));
-    src[i] = static_cast<double>(rng.below(1000)) * 0.25;
-    stamp[i] = rng.below(2) ? gen : 0;  // ~half the lanes live
-  }
-  const bool prev = simd::forceScalar(scalar);
-  for (auto _ : state) {
-    simd::accumulateStamped(dst.data(), src.data(), stamp.data(), gen, n);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  simd::forceScalar(prev);
-  state.SetLabel(scalar ? "scalar" : simd::activeIsa());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
-}
-BENCHMARK(BM_SimdAccumulateStamped)
-    ->Args({256, 0})
-    ->Args({256, 1})
-    ->Args({4096, 0})
-    ->Args({4096, 1});
-
-/// The holder-table slot sweep shape: the STA/ADA SoA layouts walk
-/// contiguous per-slot lanes and retire a departing unit from each
-/// (dst[i] -= src[i], one short run per slot).
-void BM_SimdSlotSweep(benchmark::State& state) {
-  const auto slots = static_cast<std::size_t>(state.range(0));
-  const bool scalar = state.range(1) != 0;
-  const std::size_t width = 64;  // one detection window per slot
-  Rng rng(29);
-  std::vector<double> plane(slots * width);
-  std::vector<double> departing(width);
-  for (auto& v : plane) v = static_cast<double>(rng.below(1000));
-  for (auto& v : departing) v = static_cast<double>(rng.below(4)) * 0.5;
-  const bool prev = simd::forceScalar(scalar);
-  for (auto _ : state) {
-    for (std::size_t s = 0; s < slots; ++s) {
-      simd::sub(plane.data() + s * width, departing.data(), width);
-    }
-    benchmark::DoNotOptimize(plane.data());
-    benchmark::ClobberMemory();
-  }
-  simd::forceScalar(prev);
-  state.SetLabel(scalar ? "scalar" : simd::activeIsa());
-  state.SetItemsProcessed(
-      static_cast<std::int64_t>(state.iterations() * slots * width));
-}
-BENCHMARK(BM_SimdSlotSweep)
-    ->Args({64, 0})
-    ->Args({64, 1})
-    ->Args({1024, 0})
-    ->Args({1024, 1});
 
 void BM_Fft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

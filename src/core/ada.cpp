@@ -4,7 +4,6 @@
 #include <set>
 
 #include "common/expect.h"
-#include "common/simd.h"
 #include "core/state_io.h"
 
 namespace tiresias {
@@ -401,31 +400,18 @@ std::optional<InstanceResult> AdaDetector::adaptiveInstance(
     }
 
     // Append the fresh W_n and advance forecasts (lines 26-29). The root
-    // appends even when not a member so its series stays current. The
-    // holders' fresh weights come out of the workspace in one epoch-masked
-    // SIMD gather (the bulk form of modifiedOrZero — a pure copy-or-zero,
-    // so the staged values are the exact scalar reads); only the
-    // inherently sequential model updates remain per-holder.
-    weightScratch_.resize(holders_.size());
-    simd::gatherStampedOrZero(weightScratch_.data(), w.modifiedData(),
-                              w.valueEpochData(), w.valueGeneration(),
-                              holders_.data(), holders_.size());
-    for (std::size_t i = 0; i < holders_.size(); ++i) {
-      auto& st = stateOf(holders_[i]);
-      const double weight = weightScratch_[i];
+    // appends even when not a member so its series stays current.
+    for (NodeId n : holders_) {
+      auto& st = stateOf(n);
+      const double weight = w.modifiedOrZero(n);
       st.forecastSeries.push(st.model->forecast());
       st.actual.push(weight);
       st.model->update(weight);
     }
-    // Reference series track raw aggregates unconditionally (same bulk
-    // gather, over the raw plane).
-    weightScratch_.resize(refNodes_.size());
-    simd::gatherStampedOrZero(weightScratch_.data(), w.rawData(),
-                              w.valueEpochData(), w.valueGeneration(),
-                              refNodes_.data(), refNodes_.size());
+    // Reference series track raw aggregates unconditionally.
     for (std::size_t i = 0; i < refNodes_.size(); ++i) {
       auto& ref = refStates_[i];
-      const double a = weightScratch_[i];
+      const double a = w.rawOrZero(refNodes_[i]);
       ref.forecastSeries.push(ref.model->forecast());
       ref.actual.push(a);
       ref.model->update(a);

@@ -151,10 +151,6 @@ class AdaDetector final : public Detector {
   std::vector<NodeId> receivedNodes_;
   ShhhResult shhhScratch_;                // reused across units
   std::size_t lastTouched_ = 0;           // |touched| of the last instance
-  /// SoA staging for the series-append sweeps: the holders' fresh W_n and
-  /// the reference nodes' fresh A_n are gathered (epoch-masked) from the
-  /// workspace planes in bulk before the sequential model updates run.
-  std::vector<double> weightScratch_;
 
   std::size_t splitCount_ = 0;
   std::size_t mergeCount_ = 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/expect.h"
-#include "common/simd.h"
 
 namespace tiresias {
 
@@ -135,9 +134,7 @@ std::vector<double> SplitRuleEngine::ratios(
     for (auto& r : out) r = u;
     return out;
   }
-  // Element-wise true division (not a reciprocal multiply), so the
-  // normalized ratios match the scalar `r /= total` bit for bit.
-  simd::divide(out.data(), total, out.size());
+  for (auto& r : out) r /= total;
   return out;
 }
 

@@ -4,7 +4,6 @@
 #include <map>
 
 #include "common/expect.h"
-#include "common/simd.h"
 #include "core/state_io.h"
 
 namespace tiresias {
@@ -130,9 +129,9 @@ void StaDetector::rebuildSeries() {
   // Fixed-membership cut: every member's raw series is subtracted from its
   // nearest member ancestor (or the root), leaving each output node with
   // exactly the weight that accrues to it under the fixed set. All values
-  // are integer counts, so the regrouped sums are exact. Element-wise
-  // subtraction over the two contiguous ring runs: the SIMD sweep performs
-  // the identical per-age subtract the rotated scalar loop did.
+  // are integer counts, so the regrouped sums are exact. The subtraction
+  // runs over the two contiguous ring runs and is element-wise, so
+  // vectorizing it performs exactly the per-age scalar subtract.
   DetectWorkspace& w = ws();
   w.beginMarks(DetectWorkspace::kMemberPlane);
   for (NodeId n : shhh_) w.mark(DetectWorkspace::kMemberPlane, n);
@@ -145,9 +144,12 @@ void StaDetector::rebuildSeries() {
            !w.isMarked(DetectWorkspace::kMemberPlane, a)) {
       a = hierarchy_.parent(a);
     }
-    auto& target = resultSeries_[static_cast<std::size_t>(resultIndex_[a])];
-    simd::sub(target.data(), ring + base, firstRun);
-    simd::sub(target.data() + firstRun, ring, base);
+    double* const target =
+        resultSeries_[static_cast<std::size_t>(resultIndex_[a])].data();
+#pragma omp simd
+    for (std::size_t k = 0; k < firstRun; ++k) target[k] -= ring[base + k];
+#pragma omp simd
+    for (std::size_t k = 0; k < base; ++k) target[firstRun + k] -= ring[k];
   }
 
   // Refit the forecasting model over each reconstructed series, recording

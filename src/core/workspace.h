@@ -77,15 +77,6 @@ class DetectWorkspace {
     return valueEpoch_[n] == valueGen_ ? modified_[n] : 0.0;
   }
 
-  // Bulk plane access for the SIMD kernels (simd::gatherStampedOrZero is
-  // the vector form of rawOrZero/modifiedOrZero over a node-id list).
-  // Every slot is initialized at bind(), so gathering stale lanes is
-  // well-defined; the stamp mask zeroes them exactly like the scalar read.
-  const double* rawData() const { return raw_.data(); }
-  const double* modifiedData() const { return modified_.data(); }
-  const std::uint32_t* valueEpochData() const { return valueEpoch_.data(); }
-  std::uint32_t valueGeneration() const { return valueGen_; }
-
   // --- mark planes -----------------------------------------------------
   void beginMarks(Plane p) { bump(markGen_[p], markEpoch_[p]); }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/expect.h"
-#include "common/simd.h"
 
 namespace tiresias {
 
@@ -39,11 +38,16 @@ void RingSeries::set(std::size_t i, double v) {
 
 void RingSeries::scale(double factor) {
   // The live values occupy at most two contiguous runs of the backing
-  // array; scaling is element-wise, so the vector kernel over each run is
-  // bit-identical to the rotated scalar loop.
+  // array. The loop body is element-wise (no reduction, no reassociation),
+  // so vectorizing it is bit-identical to the rotated scalar loop.
   const std::size_t first = std::min(size_, buf_.size() - head_);
-  simd::scale(buf_.data() + head_, factor, first);
-  simd::scale(buf_.data(), factor, size_ - first);
+  double* const run = buf_.data() + head_;
+  double* const wrapped = buf_.data();
+  const std::size_t rest = size_ - first;
+#pragma omp simd
+  for (std::size_t k = 0; k < first; ++k) run[k] *= factor;
+#pragma omp simd
+  for (std::size_t k = 0; k < rest; ++k) wrapped[k] *= factor;
 }
 
 void RingSeries::addFrom(const RingSeries& other) {
@@ -51,14 +55,17 @@ void RingSeries::addFrom(const RingSeries& other) {
                   "merge requires equal-length series");
   // Both rings are rotated (independently), so logical position i is
   // contiguous on each side until one of them wraps: at most three runs
-  // where both sides are flat, each handled by the vector kernel.
+  // where both sides are flat, each an element-wise vectorizable add.
   std::size_t i = 0;
   while (i < size_) {
     const std::size_t dstAt = index(i);
     const std::size_t srcAt = other.index(i);
     const std::size_t len = std::min(
         {size_ - i, buf_.size() - dstAt, other.buf_.size() - srcAt});
-    simd::add(buf_.data() + dstAt, other.buf_.data() + srcAt, len);
+    double* const dst = buf_.data() + dstAt;
+    const double* const src = other.buf_.data() + srcAt;
+#pragma omp simd
+    for (std::size_t k = 0; k < len; ++k) dst[k] += src[k];
     i += len;
   }
 }

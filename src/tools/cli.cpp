@@ -17,6 +17,7 @@
 #include <random>
 #include <sstream>
 #include <string_view>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -57,6 +58,9 @@ constexpr double kUnbounded = CliOption::kUnbounded;
 constexpr double kPositive = std::numeric_limits<double>::denorm_min();
 constexpr double kMaxPort = 65535;
 constexpr double kMaxMs = std::numeric_limits<int>::max();
+/// Ceiling of a thread-pool size: far above any useful pool, low enough
+/// that a typo cannot ask the host for a million threads.
+constexpr double kMaxThreads = 1024;
 constexpr const char* kTreeCommands =
     "generate detect analyze hierarchy serve send";
 
@@ -111,9 +115,10 @@ constexpr CliOption kOptions[] = {
     {.name = "units", .commands = "serve", .kind = Kind::kInt, .def = "96",
      .lo = 1, .mode = Mode::kGeneratedOnly, .help = "timeunits per stream"},
     {.name = "workers", .commands = "serve", .kind = Kind::kInt, .def = "0",
-     .lo = 0, .help = "shared workers; 0 = one per hardware thread"},
+     .lo = 0, .hi = kMaxThreads,
+     .help = "shared workers; 0 = one per hardware thread"},
     {.name = "ingest-threads", .commands = "serve", .kind = Kind::kInt,
-     .def = "1", .lo = 1, .help = "ingest pool size"},
+     .def = "1", .lo = 1, .hi = kMaxThreads, .help = "ingest pool size"},
     {.name = "queue", .commands = "serve", .kind = Kind::kInt,
      .value = "units", .def = "16", .lo = 1, .help = "per-stream queue bound"},
     {.name = "total-queue", .commands = "serve", .kind = Kind::kInt,
@@ -796,8 +801,19 @@ int cmdServe(const Options& opt, std::ostream& out, std::ostream& err) {
     out << std::endl;  // flushed: scripts block on this line
   }
 
-  eng.start();
-  if (router) router->start();
+  // A host that cannot honour the thread counts (RLIMIT_AS, RLIMIT_NPROC)
+  // is an error, not an abort; the engine's destructor joins whatever
+  // threads did start.
+  try {
+    eng.start();
+    if (router) router->start();
+  } catch (const std::system_error& e) {
+    const engine::EngineStats stats = eng.stats();
+    err << "serve: cannot start "
+        << stats.scheduler.workers + stats.ingestThreads
+        << " threads: " << e.what() << "\n";
+    return 1;
+  }
 
   // Periodic checkpointer: snapshot whenever another --checkpoint-every
   // units have been processed. Runs beside drain(); the engine quiesces

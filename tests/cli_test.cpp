@@ -1,6 +1,9 @@
 // Tests for the tiresias_cli front end and its option table, driven
 // in-process through runCli.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdio>
@@ -10,6 +13,16 @@
 
 #include "common/faultinject.h"
 #include "tools/cli.h"
+
+// ASan and TSan reserve terabytes of shadow address space, so a process
+// under them cannot run with a small RLIMIT_AS at all.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define TIRESIAS_SHADOW_MEMORY 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define TIRESIAS_SHADOW_MEMORY 1
+#endif
+#endif
 
 namespace tiresias::tools {
 namespace {
@@ -438,6 +451,55 @@ TEST(Cli, ServeRejectsZeroStreams) {
 
 /// Typos must fail loudly: unknown options were once ignored, so
 /// `--shard 4` silently ran with defaults.
+// Thread counts the host cannot honour end in exit 1 with a message, not
+// in an uncaught std::system_error. The child caps its address space a
+// little above what it already maps, so thread stacks run out long before
+// the --workers ceiling is reached.
+TEST(Cli, ServeFailsCleanlyWhenThreadsCannotStart) {
+#ifdef TIRESIAS_SHADOW_MEMORY
+  GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan/TSan";
+#endif
+  std::string maxWorkers;
+  for (const CliOption& o : cliOptions()) {
+    if (std::string_view(o.name) == "workers") {
+      maxWorkers = std::to_string(static_cast<long long>(o.hi));
+    }
+  }
+  ASSERT_FALSE(maxWorkers.empty());
+  std::fflush(nullptr);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    long pages = 0;
+    std::FILE* statm = std::fopen("/proc/self/statm", "r");
+    if (statm == nullptr || std::fscanf(statm, "%ld", &pages) != 1) _exit(99);
+    std::fclose(statm);
+    const rlim_t mapped = static_cast<rlim_t>(pages) *
+                          static_cast<rlim_t>(sysconf(_SC_PAGESIZE));
+    const rlim_t limit = mapped + (rlim_t{256} << 20);
+    const rlimit cap{limit, limit};
+    if (setrlimit(RLIMIT_AS, &cap) != 0) _exit(98);
+    // The child must never return into gtest: an escaping exception
+    // exits 96, an exit 1 without the message 97.
+    std::ostringstream out, err;
+    int rc = 96;
+    try {
+      rc = runCli({"serve", "--streams", "1", "--units", "4", "--workers",
+                   maxWorkers},
+                  out, err);
+    } catch (...) {
+    }
+    std::fputs(err.str().c_str(), stderr);
+    const bool named = err.str().find("serve: cannot start") == 0;
+    _exit(rc == 1 && !named ? 97 : rc);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+
 TEST(Cli, RejectsUnknownOptions) {
   std::string err;
   EXPECT_EQ(run({"serve", "--shard", "4"}, nullptr, &err), 2);

@@ -9,7 +9,6 @@
 #include <algorithm>
 
 #include "common/rng.h"
-#include "common/simd.h"
 #include "core/shhh.h"
 #include "core/shhh_reference.h"
 #include "hierarchy/builder.h"
@@ -66,15 +65,6 @@ TEST_P(FixedSetProperty, MatchesBruteForceAndConservesMass) {
   }
 
   const auto series = modifiedSeriesFixedSet(h, stream, fixedSet);
-
-  // 0a. The SIMD and forced-scalar dispatch paths agree exactly (the
-  //     values are positive finite sums, so == here means same bits).
-  {
-    const bool prev = simd::forceScalar(true);
-    const auto scalarSeries = modifiedSeriesFixedSet(h, stream, fixedSet);
-    simd::forceScalar(prev);
-    EXPECT_EQ(scalarSeries, series);
-  }
 
   // 0. Bit-identical to the retained map-based reference implementation
   //    (not merely close: the flat path must compute the same FP sums).
@@ -155,36 +145,25 @@ TEST_P(FixedSetProperty, ComputeShhhMatchesReferenceBitForBit) {
   const auto h = b.build();
   const double theta = 1.0 + static_cast<double>(rng.below(6));
 
-  // Pre-generate the count stream so the SIMD and forced-scalar passes
-  // see identical inputs; both must match the reference bit for bit.
-  std::vector<CountMap> rounds(24);
-  for (auto& counts : rounds) {
+  DetectWorkspace ws;  // reused across units, like the detectors do
+  ShhhResult flat;
+  for (int round = 0; round < 24; ++round) {
+    CountMap counts;
     const std::size_t events = rng.below(40);
     for (std::size_t e = 0; e < events; ++e) {
       counts[static_cast<NodeId>(rng.below(h.size()))] +=
           1.0 + static_cast<double>(rng.below(4));
     }
-  }
-
-  for (const bool scalar : {false, true}) {
-    const bool prev = simd::forceScalar(scalar);
-    DetectWorkspace ws;  // reused across units, like the detectors do
-    ShhhResult flat;
-    for (std::size_t round = 0; round < rounds.size(); ++round) {
-      const CountMap& counts = rounds[round];
-      const ShhhResult ref = reference::computeShhh(h, counts, theta);
-      computeShhh(h, counts, theta, ws, flat);
-      EXPECT_EQ(flat.shhh, ref.shhh)
-          << "round " << round << " scalar=" << scalar;
-      ASSERT_EQ(flat.touched.size(), ref.touched.size()) << "round " << round;
-      for (std::size_t i = 0; i < ref.touched.size(); ++i) {
-        EXPECT_EQ(flat.touched[i].node, ref.touched[i].node);
-        EXPECT_EQ(flat.touched[i].raw, ref.touched[i].raw);
-        EXPECT_EQ(flat.touched[i].modified, ref.touched[i].modified);
-        EXPECT_EQ(flat.touched[i].heavy, ref.touched[i].heavy);
-      }
+    const ShhhResult ref = reference::computeShhh(h, counts, theta);
+    computeShhh(h, counts, theta, ws, flat);
+    EXPECT_EQ(flat.shhh, ref.shhh) << "round " << round;
+    ASSERT_EQ(flat.touched.size(), ref.touched.size()) << "round " << round;
+    for (std::size_t i = 0; i < ref.touched.size(); ++i) {
+      EXPECT_EQ(flat.touched[i].node, ref.touched[i].node);
+      EXPECT_EQ(flat.touched[i].raw, ref.touched[i].raw);
+      EXPECT_EQ(flat.touched[i].modified, ref.touched[i].modified);
+      EXPECT_EQ(flat.touched[i].heavy, ref.touched[i].heavy);
     }
-    simd::forceScalar(prev);
   }
 }
 

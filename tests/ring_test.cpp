@@ -1,6 +1,8 @@
 // Unit tests for the RingSeries buffer.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "timeseries/ring.h"
 
 namespace tiresias {
@@ -79,6 +81,68 @@ TEST(Ring, ClearKeepsCapacity) {
   EXPECT_EQ(r.capacity(), 2u);
   r.push(5);
   EXPECT_DOUBLE_EQ(r.latest(), 5.0);
+}
+
+// A ring of `capacity` holding `size` values whose oldest value sits at
+// backing index `rotation`: filling it and pushing `rotation` more moves
+// the head that far. Values are inexact (k/3, k/7, ...), so any change in
+// operation order would show in the low bits.
+RingSeries makeRing(std::size_t capacity, std::size_t size,
+                    std::size_t rotation, double step) {
+  RingSeries r(capacity);
+  const std::size_t pushes = size < capacity ? size : capacity + rotation;
+  for (std::size_t k = 0; k < pushes; ++k) {
+    r.push(step * static_cast<double>(k + 1));
+  }
+  return r;
+}
+
+// scale and addFrom split the live values into contiguous runs of the
+// backing array (addFrom at every wrap of either ring). For every capacity,
+// fill level and independent rotation of destination and source, both must
+// equal the per-index scalar result exactly.
+TEST(Ring, ScaleAndAddMatchScalarAtEveryRotation) {
+  std::vector<std::size_t> capacities;
+  for (std::size_t c = 1; c <= 17; ++c) capacities.push_back(c);
+  capacities.push_back(288);
+  const double factor = 1.0 / 3.0;
+  for (const std::size_t cap : capacities) {
+    // (size, rotation) layouts: every partial fill (head at 0), then the
+    // full ring at every rotation.
+    std::vector<std::pair<std::size_t, std::size_t>> layouts;
+    for (std::size_t n = 0; n < cap; ++n) layouts.emplace_back(n, 0);
+    for (std::size_t rot = 0; rot < cap; ++rot) layouts.emplace_back(cap, rot);
+
+    for (const auto& [size, dstRot] : layouts) {
+      const RingSeries dst = makeRing(cap, size, dstRot, 1.0 / 7.0);
+      const std::vector<double> before = dst.toVector();
+      const std::string where = "capacity " + std::to_string(cap) +
+                                " size " + std::to_string(size) +
+                                " dst rotation " + std::to_string(dstRot);
+
+      RingSeries scaled = dst;
+      scaled.scale(factor);
+      std::vector<double> want(size);
+      for (std::size_t i = 0; i < size; ++i) want[i] = before[i] * factor;
+      const std::vector<double> got = scaled.toVector();
+      for (std::size_t i = 0; i < size; ++i) {
+        ASSERT_EQ(got[i], want[i]) << where << " scale index " << i;
+      }
+
+      const std::size_t srcRotations = size == cap ? cap : 1;
+      for (std::size_t srcRot = 0; srcRot < srcRotations; ++srcRot) {
+        const RingSeries src = makeRing(cap, size, srcRot, 1.0 / 3.0);
+        const std::vector<double> addend = src.toVector();
+        RingSeries sum = dst;
+        sum.addFrom(src);
+        const std::vector<double> total = sum.toVector();
+        for (std::size_t i = 0; i < size; ++i) {
+          ASSERT_EQ(total[i], before[i] + addend[i])
+              << where << " src rotation " << srcRot << " add index " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

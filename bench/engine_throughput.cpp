@@ -32,8 +32,8 @@
 //     the BENCH_engine.json "residency" section.
 //
 //  5. Socket ingest: the same materialized trace streamed over loopback
-//     TCP in the framed binary protocol into a SocketSource-fed engine
-//     stream. Reports end-to-end records/sec plus the ingest-latency
+//     TCP in the framed binary protocol, through a StreamRouter's
+//     anonymous slot, into a SocketSource-fed engine stream. Reports end-to-end records/sec plus the ingest-latency
 //     percentiles (p50/p90/p99 of engine.unit_latency — queue entry to
 //     detection done). Written to the BENCH_engine.json "socket_ingest"
 //     section.
@@ -54,6 +54,7 @@
 #include "net/tcp.h"
 #include "stream/binary_source.h"
 #include "stream/socket_source.h"
+#include "stream/stream_router.h"
 #include "timeseries/ewma.h"
 #include "workload/generator.h"
 
@@ -468,21 +469,23 @@ int main(int argc, char** argv) {
                          residencyCap + residencyWorkers,
                      "resident streams stay within the best-effort cap");
 
-  // ---- Socket ingest: loopback TCP -> SocketSource -> engine ----
+  // ---- Socket ingest: loopback TCP -> StreamRouter -> SocketSource ->
+  // engine ----
   // The materialized trace, framed with the binary stream protocol and
-  // pushed over a real loopback socket by a writer thread. One stream,
+  // pushed over a real loopback socket by a writer thread into the one
+  // anonymous slot of a router, as `serve --listen` wires it. One stream,
   // one worker: the figure is the serving surface's single-connection
   // ingest path, and the unit-latency histogram (queue entry to detection
   // done) is the committed ingest-latency percentile baseline.
   std::printf("\nsocket ingest (loopback, framed binary, 1 stream):\n");
-  std::vector<std::uint8_t> socketWire;
+  std::vector<std::uint8_t> socketHello, socketWire;
   {
     std::vector<std::string> paths;
     paths.reserve(spec.hierarchy.size());
     for (std::size_t n = 0; n < spec.hierarchy.size(); ++n) {
       paths.push_back(spec.hierarchy.path(static_cast<NodeId>(n)));
     }
-    socketWire = encodeSocketHandshake(paths);
+    socketHello = encodeSocketHandshakeV2(paths, /*streamName=*/"", 0);
     constexpr std::size_t kFrame = 8192;
     for (std::size_t at = 0; at < records.size(); at += kFrame) {
       appendSocketFrame(socketWire, records.data() + at,
@@ -493,10 +496,17 @@ int main(int argc, char** argv) {
   auto socketListener = std::make_shared<net::TcpListener>();
   ok &= bench::check(socketListener->listen(0, /*loopbackOnly=*/true),
                      "loopback listener binds an ephemeral port");
+  auto socketRouter =
+      std::make_shared<StreamRouter>(socketListener, StreamRouter::Options{});
+  const std::size_t socketSlot = socketRouter->addAnonymousSlot();
+  socketRouter->start();
   std::thread socketWriter(
-      [port = socketListener->port(), &socketWire] {
+      [port = socketListener->port(), &socketHello, &socketWire] {
         net::TcpConn conn = net::connectLoopback(port, 30'000);
-        if (conn.valid()) {
+        SocketResumeReply reply;
+        if (conn.valid() &&
+            conn.writeAll(socketHello.data(), socketHello.size()) &&
+            readSocketResumeReply(conn, 30'000, reply)) {
           conn.writeAll(socketWire.data(), socketWire.size());
         }
       });
@@ -512,8 +522,8 @@ int main(int argc, char** argv) {
     DetectionEngine eng(cfg, nullptr);
     SocketSourceOptions sopt;
     sopt.format = SocketSourceOptions::Format::kBinary;
-    auto src = std::make_unique<SocketSource>(socketListener, spec.hierarchy,
-                                              sopt);
+    auto src = std::make_unique<SocketSource>(socketRouter, socketSlot,
+                                              spec.hierarchy, sopt);
     const SocketSource* view = src.get();
     eng.addStream("net-0", borrowHierarchy(spec.hierarchy),
                   pipelineConfig(spec), std::move(src));
@@ -522,6 +532,7 @@ int main(int argc, char** argv) {
     socketProtocolErrors = view->protocolErrors();
   }
   socketWriter.join();
+  socketRouter->stop();
   const obs::StageStats* socketLatency =
       socketStats.metrics.stage(obs::Stage::kUnitLatency);
   std::printf("%-22s %12zu records %10.3fs %14.0f records/sec\n",
@@ -623,7 +634,8 @@ int main(int argc, char** argv) {
                  res.stats.hibernateWakes);
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"socket_ingest\": {\n");
-    std::fprintf(f, "    \"transport\": \"loopback tcp, framed binary\",\n");
+    std::fprintf(f, "    \"transport\": \"loopback tcp, framed binary, "
+                    "router anonymous slot\",\n");
     std::fprintf(f, "    \"streams\": 1,\n");
     std::fprintf(f, "    \"frame_records\": 8192,\n");
     std::fprintf(f, "    \"records\": %zu,\n", socketStats.recordsProcessed);

@@ -6,6 +6,7 @@
 #include <unordered_map>
 
 #include "common/expect.h"
+#include "persist/le.h"
 #include "persist/snapshot.h"
 
 namespace tiresias {
@@ -13,6 +14,10 @@ namespace tiresias {
 namespace {
 
 using persist::Deserializer;
+using persist::le32;
+using persist::le64;
+using persist::putLe32;
+using persist::putLe64;
 using persist::Serializer;
 using persist::SnapshotError;
 
@@ -21,32 +26,6 @@ constexpr std::size_t kPrologueBytes = 24;
 /// Converter block size: large enough that the u32 count prefix is noise,
 /// small enough that the reader's block buffer stays cache-friendly.
 constexpr std::size_t kConvertBlockRecords = 8192;
-
-// Byte-assembly little-endian codecs: GCC folds these to single moves on
-// LE targets, and they are alignment- and endianness-correct everywhere.
-std::uint32_t le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t le64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(le32(p)) |
-         (static_cast<std::uint64_t>(le32(p + 4)) << 32);
-}
-
-void putLe32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void putLe64(std::uint8_t* p, std::uint64_t v) {
-  putLe32(p, static_cast<std::uint32_t>(v));
-  putLe32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
 
 }  // namespace
 

@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/timeutil.h"
+#include "persist/le.h"
 #include "persist/snapshot.h"
 #include "stream/stream_router.h"
 
@@ -15,6 +16,10 @@ namespace {
 
 using net::IoStatus;
 using persist::Deserializer;
+using persist::le32;
+using persist::le64;
+using persist::putLe32;
+using persist::putLe64;
 using persist::Serializer;
 using persist::SnapshotError;
 
@@ -29,32 +34,6 @@ int elapsedMs(Clock::time_point since) {
                               .count());
 }
 
-// Byte-assembly little-endian codecs (same idiom as binary_source.cpp:
-// single moves on LE targets, correct everywhere).
-std::uint32_t le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-std::uint64_t le64(const std::uint8_t* p) {
-  return static_cast<std::uint64_t>(le32(p)) |
-         (static_cast<std::uint64_t>(le32(p + 4)) << 32);
-}
-
-void putLe32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void putLe64(std::uint8_t* p, std::uint64_t v) {
-  putLe32(p, static_cast<std::uint32_t>(v));
-  putLe32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
 }  // namespace
 
 struct SocketSource::Impl {
@@ -64,8 +43,7 @@ struct SocketSource::Impl {
   /// (between connections or frames — see SocketSourceOptions::pullIdleMs).
   enum class Pull : std::uint8_t { kData, kIdle, kDone };
 
-  std::shared_ptr<net::TcpListener> listener;  // null when conn was adopted
-  std::shared_ptr<StreamRouter> router;        // null unless routed
+  std::shared_ptr<StreamRouter> router;
   std::size_t slot = 0;
   net::TcpConn conn;
   const Hierarchy& hierarchy;
@@ -81,12 +59,7 @@ struct SocketSource::Impl {
   /// that run backwards are skipped here.
   Timestamp lastTime = std::numeric_limits<Timestamp>::min();
 
-  // Handshake prefix the router (or a reconnect reset) left for us to
-  // replay before reading the socket.
-  std::vector<std::uint8_t> preread;
-  std::size_t prereadPos = 0;
-  bool prereadEof = false;
-  bool hadConn = false;  // a later accept is a *re*connect
+  bool hadConn = false;  // a later connection is a *re*connect
 
   // Bounded-idle bookkeeping. A pull blocks at most pullIdleMs per call
   // (pullDeadline); idleAccumMs tracks *contiguous* idleness across calls
@@ -123,11 +96,10 @@ struct SocketSource::Impl {
   std::vector<Record> pending;
   std::size_t pendingPos = 0;
 
-  Impl(std::shared_ptr<net::TcpListener> l, std::shared_ptr<StreamRouter> r,
-       std::size_t routerSlot, net::TcpConn c, const Hierarchy& h,
-       SocketSourceOptions o)
-      : listener(std::move(l)), router(std::move(r)), slot(routerSlot),
-        conn(std::move(c)), hierarchy(h), opt(std::move(o)), pathCache(h) {
+  Impl(std::shared_ptr<StreamRouter> r, std::size_t routerSlot,
+       const Hierarchy& h, SocketSourceOptions o)
+      : router(std::move(r)), slot(routerSlot), hierarchy(h),
+        opt(std::move(o)), pathCache(h) {
     net::ignoreSigpipe();
   }
 
@@ -143,8 +115,8 @@ struct SocketSource::Impl {
     return idleAccumMs >= opt.readTimeoutMs;
   }
 
-  /// Milliseconds a single idle-type wait (accept, await, first byte of
-  /// the next protocol element) may block right now: the remaining pull
+  /// Milliseconds a single idle-type wait (await, first byte of the next
+  /// protocol element) may block right now: the remaining pull
   /// budget, capped by the stream's remaining patience.
   int idleWaitMs() const {
     int budget = std::max(opt.readTimeoutMs - idleAccumMs, 1);
@@ -157,16 +129,11 @@ struct SocketSource::Impl {
     return budget;
   }
 
-  // ---- reads: drain the pre-read prefix, then the socket ----
-
   /// Bounded wait for the first byte of the next protocol element. Bytes
   /// reset the idle clock; a timeout charges it. On kTimeout the caller
   /// checks idlePatienceExhausted(): exhausted means the old full-timeout
   /// expiry, otherwise it simply returns so fillPending() can yield.
-  IoStatus readIdleW(void* dst, std::size_t n, std::size_t& got) {
-    if (prereadPos < preread.size() || prereadEof) {
-      return readSomeW(dst, n, got);
-    }
+  IoStatus readIdle(void* dst, std::size_t n, std::size_t& got) {
     const auto t0 = Clock::now();
     const IoStatus st = conn.readSome(dst, n, got, idleWaitMs());
     if (st == IoStatus::kOk) {
@@ -177,41 +144,9 @@ struct SocketSource::Impl {
     return st;
   }
 
-  IoStatus readSomeW(void* dst, std::size_t n, std::size_t& got) {
-    if (prereadPos < preread.size()) {
-      got = std::min(n, preread.size() - prereadPos);
-      std::memcpy(dst, preread.data() + prereadPos, got);
-      prereadPos += got;
-      return IoStatus::kOk;
-    }
-    if (prereadEof) {
-      got = 0;
-      return IoStatus::kEof;
-    }
-    return conn.readSome(dst, n, got, opt.readTimeoutMs);
-  }
-
-  /// readExact over the wrapped reader: kEof only before the first byte,
-  /// EOF mid-buffer degrades to kError (TcpConn::readExact semantics).
-  IoStatus readExactW(void* dst, std::size_t n) {
-    auto* p = static_cast<std::uint8_t*>(dst);
-    std::size_t have = 0;
-    while (have < n) {
-      std::size_t got = 0;
-      const IoStatus st = readSomeW(p + have, n - have, got);
-      if (st == IoStatus::kOk) {
-        have += got;
-        continue;
-      }
-      if (st == IoStatus::kEof && have == 0) return IoStatus::kEof;
-      return st == IoStatus::kEof ? IoStatus::kError : st;
-    }
-    return IoStatus::kOk;
-  }
-
   // ---- failure / lifecycle ----
 
-  /// Unrecoverable failure (accept window elapsed, budget exhausted):
+  /// Unrecoverable failure (no connection in time, budget exhausted):
   /// count it, drop the connection, end the stream.
   void fail() {
     ++protocolErrors;
@@ -245,9 +180,6 @@ struct SocketSource::Impl {
     csvBuf.clear();
     csvPos = 0;
     csvEof = false;
-    preread.clear();
-    prereadPos = 0;
-    prereadEof = false;
     fileIdToNode.clear();
     connSkipped = 0;
   }
@@ -324,128 +256,46 @@ struct SocketSource::Impl {
     }
   }
 
-  /// Accept (when listening/routed) and detect the wire format. Leaves
-  /// state at kBinary/kCsv/kDone — or back at kStart after a recoverable
-  /// connection failure on a resumable stream.
+  /// Await the next routed connection and take it in the format the
+  /// router sniffed. Leaves state at kBinary/kCsv/kDone — or back at
+  /// kStart while waiting, or after a recoverable connection failure on a
+  /// resumable stream.
   void negotiate() {
-    if (!conn.valid()) {
-      const auto t0 = Clock::now();
-      if (router != nullptr) {
-        auto routed = router->await(slot, idleWaitMs());
-        if (!routed || !routed->conn.valid()) {
-          idleAccumMs += std::max(elapsedMs(t0), 1);
-          // Nobody (re)connected yet: give up only once the patience the
-          // unbounded wait had is spent, otherwise yield to the caller.
-          if (idlePatienceExhausted()) fail();
-          return;
-        }
-        conn = std::move(routed->conn);
-        preread = std::move(routed->head);
-        prereadPos = 0;
-        prereadEof = routed->headEof;
-      } else if (listener != nullptr && listener->valid()) {
-        conn = listener->accept(idleWaitMs());
-        if (!conn.valid()) {
-          idleAccumMs += std::max(elapsedMs(t0), 1);
-          if (idlePatienceExhausted()) fail();
-          return;
-        }
-      } else {
-        fail();
-        return;
-      }
-      idleAccumMs = 0;  // a connection arrived
-      if (hadConn) reconnectCount.fetch_add(1, std::memory_order_relaxed);
+    const auto t0 = Clock::now();
+    auto routed = router->await(slot, idleWaitMs());
+    if (!routed || !routed->conn.valid()) {
+      idleAccumMs += std::max(elapsedMs(t0), 1);
+      // Nobody (re)connected yet: give up only once the patience the
+      // unbounded wait had is spent, otherwise yield to the caller.
+      if (idlePatienceExhausted()) fail();
+      return;
     }
+    conn = std::move(routed->conn);
+    idleAccumMs = 0;  // a connection arrived
+    if (hadConn) reconnectCount.fetch_add(1, std::memory_order_relaxed);
     hadConn = true;
-    if (opt.format == SocketSourceOptions::Format::kCsv) {
-      state = State::kCsv;
+    if (routed->binary) {
+      readTable();
       return;
     }
-    // Sniff the full magic + version (eight bytes): kAuto and kBinary
-    // both need them, and requiring the *whole* prefix to match is what
-    // keeps a CSV path that merely starts with "TSRS" out of the binary
-    // lane.
-    std::uint8_t head[8];
-    std::size_t have = 0;
-    while (have < 8) {
-      std::size_t got = 0;
-      // Before the first byte the connection is merely idle (bounded
-      // wait, yielding); once the sniff started, a stall is a protocol
-      // failure like any other truncation.
-      const IoStatus st = have == 0 ? readIdleW(head, 8, got)
-                                    : readSomeW(head + have, 8 - have, got);
-      if (st == IoStatus::kOk) {
-        have += got;
-        continue;
-      }
-      if (st == IoStatus::kEof) break;
-      if (st == IoStatus::kTimeout && have == 0 && !idlePatienceExhausted()) {
-        return;  // still kStart with a valid conn: the sniff resumes later
-      }
-      failConn();  // timeout or socket error before the stream started
+    csvBuf.assign(routed->head.begin(), routed->head.end());
+    csvEof = routed->headEof;
+    // Closing without a byte is an empty stream under any format.
+    if (opt.format == SocketSourceOptions::Format::kBinary &&
+        !(csvBuf.empty() && csvEof)) {
+      failConn();  // binary required, but this is no v2 handshake
       return;
     }
-    if (have == 0) {
-      endClean();  // connected and closed without a byte: empty stream
-      return;
-    }
-    std::uint32_t version = 0;
-    if (have == 8 && le32(head) == kSocketStreamMagic) {
-      const std::uint32_t v = le32(head + 4);
-      if (v == kSocketStreamVersion || v == kSocketStreamVersion2) {
-        version = v;
-      }
-    }
-    if (version != 0) {
-      binaryHandshake(version);
-      return;
-    }
-    if (opt.format == SocketSourceOptions::Format::kBinary) {
-      failConn();  // binary required but the magic/version is wrong
-      return;
-    }
-    // Auto + no full magic/version match: those bytes are the first CSV
-    // payload (any remaining pre-read bytes drain through readSomeW).
-    csvBuf.assign(reinterpret_cast<const char*>(head), have);
-    csvEof = have < 8;  // EOF already seen mid-sniff
     state = State::kCsv;
   }
 
-  /// Post-sniff binary handshake: (v2: name + resume token,) table
-  /// length, path table, (v2: resume reply).
-  void binaryHandshake(std::uint32_t version) {
-    if (version == kSocketStreamVersion2) {
-      std::uint8_t lenBuf[4];
-      if (readExactW(lenBuf, sizeof(lenBuf)) != IoStatus::kOk) {
-        failConn();
-        return;
-      }
-      const std::uint32_t nameLen = le32(lenBuf);
-      if (nameLen == 0 || nameLen > kSocketMaxStreamNameBytes) {
-        failConn();
-        return;
-      }
-      std::string peerName(nameLen, '\0');
-      if (readExactW(peerName.data(), nameLen) != IoStatus::kOk) {
-        failConn();
-        return;
-      }
-      std::uint8_t tokenBuf[8];
-      if (readExactW(tokenBuf, sizeof(tokenBuf)) != IoStatus::kOk) {
-        failConn();
-        return;
-      }
-      // The token is informational (client-chosen session id); the name
-      // is the identity — and on a named slot it must be *our* name (the
-      // router guarantees it; direct wiring gets the same check).
-      if (!opt.streamName.empty() && peerName != opt.streamName) {
-        failConn();
-        return;
-      }
-    }
+  /// Binary handshake after the router's identity prefix: table length,
+  /// path table, then the resume reply.
+  void readTable() {
     std::uint8_t sizeBuf[8];
-    if (readExactW(sizeBuf, sizeof(sizeBuf)) != IoStatus::kOk) {
+    std::size_t got = 0;
+    if (conn.readExact(sizeBuf, sizeof(sizeBuf), got, opt.readTimeoutMs) !=
+        IoStatus::kOk) {
       failConn();
       return;
     }
@@ -455,7 +305,8 @@ struct SocketSource::Impl {
       return;
     }
     std::vector<std::uint8_t> table(static_cast<std::size_t>(tableBytes));
-    if (readExactW(table.data(), table.size()) != IoStatus::kOk) {
+    if (conn.readExact(table.data(), table.size(), got, opt.readTimeoutMs) !=
+        IoStatus::kOk) {
       failConn();
       return;
     }
@@ -475,25 +326,24 @@ struct SocketSource::Impl {
       failConn();  // table framing corrupt — connection-level, no throw
       return;
     }
-    if (version == kSocketStreamVersion2) {
-      // Answer with the replay point before any frame flows, so the
-      // client knows which prefix to skip.
-      std::uint8_t reply[12];
-      putLe32(reply, kSocketResumeOk);
-      putLe64(reply + 4, static_cast<std::uint64_t>(committedTime));
-      if (!conn.writeAll(reply, sizeof(reply), opt.readTimeoutMs)) {
-        failConn();
-        return;
-      }
-      if (committedTime != kSocketNoCommit) {
-        resumeCount.fetch_add(1, std::memory_order_relaxed);
-      }
+    // Answer with the replay point before any frame flows, so the client
+    // knows which prefix to skip. Only a named stream has one.
+    const Timestamp replay = resumable() ? committedTime : kSocketNoCommit;
+    std::uint8_t reply[12];
+    putLe32(reply, kSocketResumeOk);
+    putLe64(reply + 4, static_cast<std::uint64_t>(replay));
+    if (!conn.writeAll(reply, sizeof(reply), opt.readTimeoutMs)) {
+      failConn();
+      return;
+    }
+    if (replay != kSocketNoCommit) {
+      resumeCount.fetch_add(1, std::memory_order_relaxed);
     }
     state = State::kBinary;
   }
 
   /// Read and decode one record frame. Sets kDone at the end-of-stream
-  /// marker or a clean EOF (positional streams); a resumable stream
+  /// marker or a clean EOF (anonymous streams); a resumable stream
   /// treats every EOS-less connection end as a crash and awaits the
   /// reconnect instead.
   void pullBinaryFrame(std::size_t& skipped) {
@@ -504,8 +354,9 @@ struct SocketSource::Impl {
       // Between frames the stream is just idle (bounded wait, yielding);
       // a stall inside the prefix is truncation.
       const IoStatus st =
-          have == 0 ? readIdleW(prefix, sizeof(prefix), got)
-                    : readSomeW(prefix + have, sizeof(prefix) - have, got);
+          have == 0 ? readIdle(prefix, sizeof(prefix), got)
+                    : conn.readSome(prefix + have, sizeof(prefix) - have, got,
+                                    opt.readTimeoutMs);
       if (st == IoStatus::kOk) {
         have += got;
         continue;
@@ -534,7 +385,9 @@ struct SocketSource::Impl {
       return;
     }
     frame.resize(static_cast<std::size_t>(count) * kRecordBytes);
-    if (readExactW(frame.data(), frame.size()) != IoStatus::kOk) {
+    std::size_t got = 0;
+    if (conn.readExact(frame.data(), frame.size(), got, opt.readTimeoutMs) !=
+        IoStatus::kOk) {
       failConn();  // truncated frame (peer died or stalled mid-frame)
       return;
     }
@@ -607,7 +460,7 @@ struct SocketSource::Impl {
         return;
       }
       std::size_t got = 0;
-      const IoStatus st = readIdleW(readBuf.data(), readBuf.size(), got);
+      const IoStatus st = readIdle(readBuf.data(), readBuf.size(), got);
       if (st == IoStatus::kOk) {
         csvBuf.append(readBuf.data(), got);
       } else if (st == IoStatus::kEof) {
@@ -622,23 +475,10 @@ struct SocketSource::Impl {
   }
 };
 
-SocketSource::SocketSource(std::shared_ptr<net::TcpListener> listener,
-                           const Hierarchy& hierarchy,
-                           SocketSourceOptions options)
-    : impl_(std::make_unique<Impl>(std::move(listener), nullptr, 0,
-                                   net::TcpConn(), hierarchy,
-                                   std::move(options))) {}
-
-SocketSource::SocketSource(net::TcpConn conn, const Hierarchy& hierarchy,
-                           SocketSourceOptions options)
-    : impl_(std::make_unique<Impl>(nullptr, nullptr, 0, std::move(conn),
-                                   hierarchy, std::move(options))) {}
-
 SocketSource::SocketSource(std::shared_ptr<StreamRouter> router,
                            std::size_t slot, const Hierarchy& hierarchy,
                            SocketSourceOptions options)
-    : impl_(std::make_unique<Impl>(nullptr, std::move(router), slot,
-                                   net::TcpConn(), hierarchy,
+    : impl_(std::make_unique<Impl>(std::move(router), slot, hierarchy,
                                    std::move(options))) {}
 
 SocketSource::~SocketSource() = default;
@@ -704,19 +544,6 @@ std::size_t SocketSource::nextBatch(std::vector<Record>& out,
     im.pendingPos += take;
   }
   return out.size();
-}
-
-std::vector<std::uint8_t> encodeSocketHandshake(
-    const std::vector<std::string>& paths) {
-  Serializer table;
-  table.u64(paths.size());
-  for (const std::string& p : paths) table.str(p);
-  std::vector<std::uint8_t> out(16 + table.size());
-  putLe32(out.data(), kSocketStreamMagic);
-  putLe32(out.data() + 4, kSocketStreamVersion);
-  putLe64(out.data() + 8, table.size());
-  std::memcpy(out.data() + 16, table.data().data(), table.size());
-  return out;
 }
 
 std::vector<std::uint8_t> encodeSocketHandshakeV2(

@@ -3,35 +3,41 @@
 // A SocketSource is a RecordSource whose records arrive over TCP instead
 // of a file, so a registered engine stream can sit in front of live
 // traffic while everything downstream (TimeUnitBatcher, scheduler
-// backpressure, checkpointing, metrics) stays unchanged. Two wire
-// formats, auto-detected per connection by the first eight bytes:
+// backpressure, checkpointing, metrics) stays unchanged. Connections come
+// only from a StreamRouter slot; the router sniffs each one and decides
+// its format, so the source only decodes. Two wire formats:
 //
 //   binary ("TSRS" stream framing — the `.tsrb` record encoding, framed
-//   for a stream that has no length up front):
-//     handshake v1:  magic "TSRS" u32 | version u32 (=1) | tableBytes u64,
-//                    then the path table in TSNP Serializer framing
-//                    (u64 pathCount, then pathCount × str) — identical to
-//                    a `.tsrb` file's table; a path's file-id is its index.
-//     handshake v2:  magic | version u32 (=2) | nameLen u32 | name bytes |
-//                    resumeToken u64 | tableBytes u64 | table. The name
-//                    binds the connection to a logical stream, so a
-//                    reconnecting client resumes *its* stream instead of
-//                    minting a fresh positional one. After reading the
-//                    table the server replies with 12 bytes:
-//                    status u32 (0 ok, 1 unknown stream, 2 shed) |
-//                    committedTime i64 — the earliest timestamp the
-//                    server still needs; the client skips everything
-//                    before it (kSocketNoCommit = nothing committed).
-//     frames:        u32 count | count × { u32 fileId, i64 timestamp }
-//                    (12 bytes per record, little-endian, same as `.tsrb`
-//                    blocks). count == 0 is the explicit end-of-stream
-//                    marker; a clean EOF at a frame boundary also ends
-//                    the stream (v1) or awaits a reconnect (resumable v2).
+//   for a stream that has no length up front), one handshake version:
+//     handshake:  magic "TSRS" u32 | version u32 (=2) | nameLen u32 |
+//                 name bytes | resumeToken u64 | tableBytes u64 | table.
+//                 The table is in TSNP Serializer framing (u64 pathCount,
+//                 then pathCount × str), identical to a `.tsrb` file's
+//                 table; a path's file-id is its index. A non-empty name
+//                 binds the connection to a logical stream, so a
+//                 reconnecting client resumes *its* stream; an empty name
+//                 is an anonymous, positional stream. The router consumes
+//                 everything up to and including resumeToken, so the
+//                 source starts reading at tableBytes.
+//     reply:      after the table the server always answers with 12
+//                 bytes: status u32 (0 ok, 1 unknown stream) |
+//                 committedTime i64 — the earliest timestamp the server
+//                 still needs; the client skips everything before it
+//                 (kSocketNoCommit = nothing committed, always the answer
+//                 on an anonymous stream).
+//     frames:     u32 count | count × { u32 fileId, i64 timestamp }
+//                 (12 bytes per record, little-endian, same as `.tsrb`
+//                 blocks). count == 0 is the explicit end-of-stream
+//                 marker; a clean EOF at a frame boundary also ends an
+//                 anonymous stream or awaits a reconnect (named streams).
+//     The version-1 handshake (no name, token or reply) is no longer
+//     accepted: under kAuto its bytes are read as CSV junk rows, under
+//     kBinary it is a protocol error.
 //   csv: newline-separated "<category-path>,<timestamp>" rows, exactly
 //     CsvSource's accept/skip semantics (shared parseCsvTraceRow +
 //     PathCache), so `nc server port < trace.csv` just works. The sniff
-//     requires all eight magic+version bytes to match a known version, so
-//     a CSV row that merely starts with the literal "TSRS" is CSV.
+//     requires all eight magic+version bytes to match, so a CSV row that
+//     merely starts with the literal "TSRS" is CSV.
 //
 // Hardening (the engine's ingest loop has no exception handling and
 // TIRESIAS_EXPECT aborts, so network input must never reach either):
@@ -77,9 +83,7 @@ class StreamRouter;
 
 /// "TSRS": the stream variant of the "TSRB" trace magic.
 inline constexpr std::uint32_t kSocketStreamMagic = 0x53525354;
-inline constexpr std::uint32_t kSocketStreamVersion = 1;
-/// v2 adds the stream-name + resume-token handshake fields and the
-/// server's resume reply.
+/// The one handshake version: stream name, resume token, resume reply.
 inline constexpr std::uint32_t kSocketStreamVersion2 = 2;
 /// Per-frame record ceiling (16 MiB payload), same bound as a `.tsrb`
 /// block: a corrupted count must never drive the frame buffer allocation.
@@ -89,16 +93,15 @@ inline constexpr std::uint32_t kSocketMaxFrameRecords = 1u << 20;
 /// real hierarchy).
 inline constexpr std::uint64_t kSocketMaxTableBytes = std::uint64_t{64}
                                                       << 20;
-/// v2 stream-name ceiling: a name is an identifier, not a payload.
+/// Stream-name ceiling: a name is an identifier, not a payload.
 inline constexpr std::uint32_t kSocketMaxStreamNameBytes = 256;
 /// CSV mode: a line longer than this (no newline in 1 MiB) is structural
 /// corruption, not a record.
 inline constexpr std::size_t kSocketMaxCsvLineBytes = std::size_t{1} << 20;
 
-/// v2 resume-reply status codes.
+/// Resume-reply status codes.
 inline constexpr std::uint32_t kSocketResumeOk = 0;
 inline constexpr std::uint32_t kSocketResumeUnknownStream = 1;
-inline constexpr std::uint32_t kSocketResumeShed = 2;
 /// committedTime sentinel: the server has committed nothing yet — send
 /// the stream from the beginning.
 inline constexpr Timestamp kSocketNoCommit =
@@ -106,21 +109,22 @@ inline constexpr Timestamp kSocketNoCommit =
 
 struct SocketSourceOptions {
   enum class Format : std::uint8_t { kAuto = 0, kCsv, kBinary };
-  /// Wire format. kAuto sniffs the first eight bytes per connection: the
-  /// "TSRS" magic followed by a known version selects binary, anything
-  /// else (including a CSV category path that happens to start with the
-  /// literal "TSRS") is treated as the first CSV bytes.
+  /// Wire format. kAuto takes each connection as the router sniffed it:
+  /// binary for a v2 handshake, CSV for anything else. kBinary fails a
+  /// connection the router did not see as binary; kCsv reads every
+  /// connection as CSV (set the router's format to match).
   Format format = Format::kAuto;
-  /// Bound on every blocking step: the accept, each read. A connection
-  /// idle past this is considered dead and dropped (protocol error).
+  /// Bound on every blocking step: the wait for a connection, each read.
+  /// A connection idle past this is considered dead and dropped (protocol
+  /// error).
   int readTimeoutMs = 30'000;
   /// Timeunit width for resumable streams (> 0 enables unit-granular
   /// commit staging; must match the stream's pipeline delta). 0 = deliver
   /// records as they decode (non-resumable behavior).
   Duration unitDelta = 0;
-  /// Expected v2 stream name. Non-empty marks the source *resumable*: a
-  /// lost connection waits for the named client to reconnect instead of
-  /// ending the stream, and v2 handshakes carrying a different name fail.
+  /// The stream name of the router slot this source serves. Non-empty
+  /// marks the source *resumable*: a lost connection waits for the named
+  /// client to reconnect instead of ending the stream.
   std::string streamName;
   /// Resumable streams: how many connection-scoped protocol errors (and
   /// EOS-less disconnects) to survive before giving the stream up.
@@ -143,17 +147,10 @@ struct SocketSourceOptions {
 
 class SocketSource final : public RecordSource {
  public:
-  /// Serve the next connection accepted from `listener` (lazily, on the
-  /// first pull). The listener is shared so several sources can split
-  /// one ingest port.
-  SocketSource(std::shared_ptr<net::TcpListener> listener,
-               const Hierarchy& hierarchy, SocketSourceOptions options = {});
-  /// Serve an already-connected socket (tests, ad-hoc wiring).
-  SocketSource(net::TcpConn conn, const Hierarchy& hierarchy,
-               SocketSourceOptions options = {});
-  /// Serve connections routed to `slot` of a StreamRouter (the serve
-  /// --listen wiring). With options.streamName set the source is
-  /// resumable: every reconnect of that named stream lands back here.
+  /// Serve connections routed to `slot` of a StreamRouter, lazily, from
+  /// the first pull. With options.streamName set (the slot's name) the
+  /// source is resumable: every reconnect of that named stream lands back
+  /// here.
   SocketSource(std::shared_ptr<StreamRouter> router, std::size_t slot,
                const Hierarchy& hierarchy, SocketSourceOptions options = {});
   ~SocketSource() override;
@@ -176,15 +173,15 @@ class SocketSource final : public RecordSource {
 
   /// Structural failures that ended (or, on a resumable stream,
   /// interrupted) a connection: framing corruption, timeouts, truncation,
-  /// a failed accept. 0 after a clean end of stream.
+  /// no connection within readTimeoutMs. 0 after a clean end of stream.
   std::size_t protocolErrors() const;
   /// Handshake table paths that did not resolve against the reader's
   /// hierarchy (records referencing them land in skippedRecords()).
   std::size_t unresolvedPaths() const;
-  /// Connections accepted beyond the first (live gauges read these from
+  /// Connections received beyond the first (live gauges read these from
   /// other threads, hence atomics underneath).
   std::size_t reconnects() const;
-  /// v2 handshakes answered with a real committed position (the client
+  /// Handshakes answered with a real committed position (the client
   /// actually had a prefix to skip).
   std::size_t resumes() const;
 
@@ -196,10 +193,7 @@ class SocketSource final : public RecordSource {
 
 /// Client-side framing helpers (tests, the bench writer, `tiresias_cli
 /// send`). Records' `category` field is the file-id — the index into the
-/// handshake path list.
-std::vector<std::uint8_t> encodeSocketHandshake(
-    const std::vector<std::string>& paths);
-/// v2: same table, preceded by the stream name + resume token.
+/// handshake path list. An empty `streamName` opens an anonymous stream.
 std::vector<std::uint8_t> encodeSocketHandshakeV2(
     const std::vector<std::string>& paths, const std::string& streamName,
     std::uint64_t resumeToken);
@@ -207,12 +201,12 @@ void appendSocketFrame(std::vector<std::uint8_t>& out, const Record* records,
                        std::size_t count);
 void appendSocketEndOfStream(std::vector<std::uint8_t>& out);
 
-/// The server's answer to a v2 handshake.
+/// The server's answer to a handshake.
 struct SocketResumeReply {
   std::uint32_t status = 0;
   Timestamp committedTime = kSocketNoCommit;
 };
-/// Read the 12-byte v2 resume reply. False on timeout, EOF, or error.
+/// Read the 12-byte resume reply. False on timeout, EOF, or error.
 bool readSocketResumeReply(net::TcpConn& conn, int timeoutMs,
                            SocketResumeReply& out);
 

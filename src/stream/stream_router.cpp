@@ -2,30 +2,16 @@
 
 #include <chrono>
 
+#include "persist/le.h"
+
 namespace tiresias {
 
 namespace {
 
 using net::IoStatus;
-
-std::uint32_t le32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-void putLe32(std::uint8_t* p, std::uint32_t v) {
-  p[0] = static_cast<std::uint8_t>(v);
-  p[1] = static_cast<std::uint8_t>(v >> 8);
-  p[2] = static_cast<std::uint8_t>(v >> 16);
-  p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void putLe64(std::uint8_t* p, std::uint64_t v) {
-  putLe32(p, static_cast<std::uint32_t>(v));
-  putLe32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
+using persist::le32;
+using persist::putLe32;
+using persist::putLe64;
 
 int remainingMs(int totalMs, std::chrono::steady_clock::time_point start) {
   if (totalMs < 0) return -1;
@@ -99,8 +85,8 @@ void StreamRouter::routeOne(net::TcpConn conn) {
     deliverAnonymous(std::move(routed));
     return;
   }
-  // Sniff the magic + version — just enough to route. Everything consumed
-  // lands in `head` so the source can replay it.
+  // Sniff the magic + version. Requiring all eight bytes to match is what
+  // keeps a CSV path that merely starts with "TSRS" out of the binary lane.
   const auto start = std::chrono::steady_clock::now();
   std::uint8_t head[8];
   std::size_t have = 0;
@@ -121,44 +107,38 @@ void StreamRouter::routeOne(net::TcpConn conn) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  routed.head.assign(head, head + have);
-  const bool v2 = have == 8 && le32(head) == kSocketStreamMagic &&
-                  le32(head + 4) == kSocketStreamVersion2;
-  if (!v2) {
-    // v1 binary, CSV, or junk — all positional; the source sorts it out.
+  if (have < 8 || le32(head) != kSocketStreamMagic ||
+      le32(head + 4) != kSocketStreamVersion2) {
+    // CSV or junk, positional: the sniffed bytes are its first payload.
+    routed.head.assign(head, head + have);
     routed.conn = std::move(conn);
     deliverAnonymous(std::move(routed));
     return;
   }
-  // v2: the name decides the slot. Read nameLen | name | token, keeping
-  // every byte in head for the source's own handshake parse.
+  // v2: consume nameLen | name | resumeToken. The name decides the slot;
+  // the token is informational (a client-chosen session id).
+  const auto readField = [&](void* dst, std::size_t n) {
+    std::size_t got = 0;
+    return conn.readExact(dst, n, got,
+                          remainingMs(opt_.handshakeTimeoutMs, start)) ==
+           IoStatus::kOk;
+  };
   std::uint8_t fixed[8];
-  std::size_t got = 0;
-  if (conn.readExact(fixed, 4, got, remainingMs(opt_.handshakeTimeoutMs,
-                                                start)) != IoStatus::kOk) {
+  if (!readField(fixed, 4) || le32(fixed) > kSocketMaxStreamNameBytes) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  routed.head.insert(routed.head.end(), fixed, fixed + 4);
-  const std::uint32_t nameLen = le32(fixed);
-  if (nameLen == 0 || nameLen > kSocketMaxStreamNameBytes) {
+  std::string name(le32(fixed), '\0');
+  if (!readField(name.data(), name.size()) || !readField(fixed, 8)) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  std::string name(nameLen, '\0');
-  if (conn.readExact(name.data(), nameLen, got,
-                     remainingMs(opt_.handshakeTimeoutMs, start)) !=
-      IoStatus::kOk) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
+  routed.binary = true;
+  if (name.empty()) {
+    routed.conn = std::move(conn);
+    deliverAnonymous(std::move(routed));
     return;
   }
-  routed.head.insert(routed.head.end(), name.begin(), name.end());
-  if (conn.readExact(fixed, 8, got, remainingMs(opt_.handshakeTimeoutMs,
-                                                start)) != IoStatus::kOk) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  routed.head.insert(routed.head.end(), fixed, fixed + 8);
   const auto it = byName_.find(name);  // immutable after start(): no lock
   if (it == byName_.end()) {
     // Tell the client this is fatal (wrong name, not a flaky network) so

@@ -1,23 +1,23 @@
 // StreamRouter — one accept loop that routes incoming ingest connections
-// to the right SocketSource slot.
+// to the right SocketSource slot, and the only reader of a TSRS
+// handshake's identity prefix.
 //
-// PR 9's serving surface had K sources racing to accept from one shared
-// listener, which made stream identity *positional*: whichever source won
-// the race became that client's stream. That is fine for one-shot feeds
-// but fatally wrong for reconnects — a client that drops and dials again
-// would land on an arbitrary fresh slot. The router fixes identity:
+// Stream identity is fixed at accept time, not by which source happens to
+// read a connection first, so a client that drops and dials again lands
+// on the same slot and its SocketSource can resume the logical stream:
 //
-//   - one background thread accepts every connection and reads just
-//     enough of the handshake to route it (at most the 8 sniff bytes,
-//     plus name + token for v2);
-//   - v2 connections carrying a stream name go to that name's slot — the
-//     same slot on every reconnect, so the SocketSource behind it can
-//     resume the logical stream;
-//   - v1 binary and CSV connections go to a shared first-come FIFO that
-//     anonymous slots (`--net-streams K`, the PR 9 behavior) drain;
-//   - everything the router consumed is handed to the source as a
-//     pre-read prefix, so the source's own negotiation logic runs
-//     unchanged — the router routes, it does not parse tables.
+//   - one background thread accepts every connection and sniffs its
+//     first eight bytes;
+//   - "TSRS" + version 2 is binary: the router reads nameLen | name |
+//     resumeToken and consumes them. A non-empty name goes to that name's
+//     slot (the same slot on every reconnect); an empty name goes to the
+//     shared first-come FIFO that anonymous slots (`--net-streams K`)
+//     drain. Either way the connection reaches the source positioned at
+//     tableBytes, with nothing to replay;
+//   - anything else (CSV rows, junk, and the retired v1 prologue) goes to
+//     the anonymous FIFO as CSV, with the sniffed bytes handed over in
+//     Routed::head because they are the first CSV payload;
+//   - Format::kCsv skips the sniff: every connection is CSV from byte 0.
 //
 // Graceful degradation hooks live here too, because accept time is the
 // cheapest place to refuse work: a shed predicate (the CLI wires it to
@@ -59,13 +59,14 @@ class StreamRouter {
     std::function<bool()> shedPredicate;
   };
 
-  /// One routed connection: the socket plus whatever handshake prefix the
-  /// router consumed to route it (the source replays `head` before
-  /// reading the socket, so no byte is lost).
+  /// One routed connection. Binary: the identity prefix is consumed and
+  /// `conn` is positioned at tableBytes (`head` empty). CSV: `head` holds
+  /// the sniffed bytes, the first of the stream.
   struct Routed {
     net::TcpConn conn;
     std::vector<std::uint8_t> head;
     bool headEof = false;  // EOF already seen while sniffing
+    bool binary = false;   // a v2 handshake, identity prefix consumed
   };
 
   StreamRouter(std::shared_ptr<net::TcpListener> listener, Options options);
@@ -76,7 +77,8 @@ class StreamRouter {
 
   /// Register slots before start(). A named slot receives every v2
   /// connection carrying `name` (newest wins if one is already waiting);
-  /// anonymous slots share one first-come FIFO of v1/CSV connections.
+  /// anonymous slots share one first-come FIFO of empty-name v2 and CSV
+  /// connections.
   std::size_t addNamedSlot(std::string name);
   std::size_t addAnonymousSlot();
 

@@ -12,6 +12,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <new>
 #include <optional>
 #include <ostream>
 #include <random>
@@ -61,6 +62,11 @@ constexpr double kMaxMs = std::numeric_limits<int>::max();
 /// Ceiling of a thread-pool size: far above any useful pool, low enough
 /// that a typo cannot ask the host for a million threads.
 constexpr double kMaxThreads = 1024;
+/// Ceilings of the stream counts: the engine's residency layer makes a
+/// million generated streams cheap, while every socket-fed stream holds a
+/// 64 KiB read buffer from the start.
+constexpr double kMaxStreams = 1'000'000;
+constexpr double kMaxNetStreams = 4096;
 constexpr const char* kTreeCommands =
     "generate detect analyze hierarchy serve send";
 
@@ -111,7 +117,8 @@ constexpr CliOption kOptions[] = {
      .def = "15", .lo = 1, .help = "timeunit length in minutes"},
     // serve: generated streams and the engine.
     {.name = "streams", .commands = "serve", .kind = Kind::kInt, .def = "4",
-     .lo = 1, .mode = Mode::kGeneratedOnly, .help = "streams, cycling presets"},
+     .lo = 1, .hi = kMaxStreams, .mode = Mode::kGeneratedOnly,
+     .help = "streams, cycling presets"},
     {.name = "units", .commands = "serve", .kind = Kind::kInt, .def = "96",
      .lo = 1, .mode = Mode::kGeneratedOnly, .help = "timeunits per stream"},
     {.name = "workers", .commands = "serve", .kind = Kind::kInt, .def = "0",
@@ -151,7 +158,7 @@ constexpr CliOption kOptions[] = {
      .value = "auto|csv|binary", .def = "auto", .mode = Mode::kListenOnly,
      .help = "wire format (auto: sniffed per connection)"},
     {.name = "net-streams", .commands = "serve", .kind = Kind::kInt,
-     .def = "1", .lo = 0, .mode = Mode::kListenOnly,
+     .def = "1", .lo = 0, .hi = kMaxNetStreams, .mode = Mode::kListenOnly,
      .help = "anonymous streams; 0 if only --stream-names"},
     {.name = "stream-names", .commands = "serve", .kind = Kind::kString,
      .value = "a,b,...", .mode = Mode::kListenOnly,
@@ -647,100 +654,108 @@ int cmdServe(const Options& opt, std::ostream& out, std::ostream& err) {
   // Borrowed views of the engine-owned sources, for post-drain protocol
   // accounting; valid for the engine's lifetime.
   std::vector<const SocketSource*> netSources;
-  if (listenMode) {
-    WorkloadSpec specIn;
-    if (!parseDataset(opt, err, specIn)) return 2;
-    auto spec = std::make_shared<const WorkloadSpec>(std::move(specIn));
-    specs.push_back(spec);
-    net::ignoreSigpipe();
-    ingestListener = std::make_shared<net::TcpListener>();
-    if (!ingestListener->listen(static_cast<std::uint16_t>(listenPort),
-                                loopback)) {
-      err << "serve: cannot listen on port " << listenPort << ": "
-          << ingestListener->lastError() << "\n";
-      return 1;
-    }
-    // One router thread accepts every ingest connection: v2 handshakes
-    // carrying a name land on that name's slot (every reconnect included),
-    // everything else fills the anonymous slots first-come. The run ends
-    // after every stream ends.
-    StreamRouter::Options ropt;
-    ropt.format = socketOpts.format;
-    ropt.handshakeTimeoutMs = socketOpts.readTimeoutMs;
-    if (shedWatermark > 0) {
-      // Accept-time load shedding: refuse new connections while the
-      // engine is this many units behind (checked on the router thread,
-      // stats() is thread-safe).
-      ropt.shedPredicate = [&eng,
-                            mark = static_cast<std::size_t>(shedWatermark)] {
-        return eng.stats().queueLagUnits() >= mark;
+  // Registration allocates per stream (the engine stream, a socket
+  // source's read buffer); a count the host cannot hold is an error.
+  try {
+    if (listenMode) {
+      WorkloadSpec specIn;
+      if (!parseDataset(opt, err, specIn)) return 2;
+      auto spec = std::make_shared<const WorkloadSpec>(std::move(specIn));
+      specs.push_back(spec);
+      net::ignoreSigpipe();
+      ingestListener = std::make_shared<net::TcpListener>();
+      if (!ingestListener->listen(static_cast<std::uint16_t>(listenPort),
+                                  loopback)) {
+        err << "serve: cannot listen on port " << listenPort << ": "
+            << ingestListener->lastError() << "\n";
+        return 1;
+      }
+      // One router thread accepts every ingest connection: v2 handshakes
+      // carrying a name land on that name's slot (every reconnect included),
+      // everything else fills the anonymous slots first-come. The run ends
+      // after every stream ends.
+      StreamRouter::Options ropt;
+      ropt.format = socketOpts.format;
+      ropt.handshakeTimeoutMs = socketOpts.readTimeoutMs;
+      if (shedWatermark > 0) {
+        // Accept-time load shedding: refuse new connections while the
+        // engine is this many units behind (checked on the router thread,
+        // stats() is thread-safe).
+        ropt.shedPredicate = [&eng,
+                              mark = static_cast<std::size_t>(shedWatermark)] {
+          return eng.stats().queueLagUnits() >= mark;
+        };
+      }
+      router = std::make_shared<StreamRouter>(ingestListener, ropt);
+      socketOpts.protocolErrorBudget =
+          static_cast<std::size_t>(opt.num("error-budget"));
+      socketOpts.junkBudgetPerConn =
+          static_cast<std::size_t>(opt.num("junk-budget"));
+      const auto addNetStream = [&](const std::string& name,
+                                    SocketSourceOptions opts,
+                                    std::size_t slot) {
+        store.registerStream(name, spec->hierarchy);
+        streamHier.emplace(name, &spec->hierarchy);
+        auto src = std::make_unique<SocketSource>(router, slot, spec->hierarchy,
+                                                  std::move(opts));
+        netSources.push_back(src.get());
+        eng.addStream(name, workload::sharedHierarchy(spec),
+                      streamConfig(*spec), std::move(src));
       };
+      // Named resumable streams first. The engine stream name is the wire
+      // name, so a checkpoint restore matches a reconnecting client's
+      // stream by the same identity.
+      for (const std::string& name : streamNames) {
+        SocketSourceOptions opts = socketOpts;
+        opts.streamName = name;
+        opts.unitDelta = spec->unit;
+        addNetStream(name, std::move(opts), router->addNamedSlot(name));
+      }
+      for (long long i = 0; i < netStreamsIn; ++i) {
+        addNetStream("net-" + std::to_string(i), socketOpts,
+                     router->addAnonymousSlot());
+      }
+      // Fold the serving-surface counters into the sampled gauges the
+      // stats endpoint serves. Captures by value: the sampler thread stops
+      // inside the engine's own teardown, before either the sources (engine
+      // owned) or the router (shared_ptr) can die.
+      eng.setGaugeSampler(
+          [sources = netSources, router](obs::MetricsRegistry& reg) {
+            std::size_t reconnects = 0, resumes = 0;
+            for (const SocketSource* s : sources) {
+              reconnects += s->reconnects();
+              resumes += s->resumes();
+            }
+            reg.recordValue(obs::Gauge::kNetReconnects, reconnects);
+            reg.recordValue(obs::Gauge::kNetResumes, resumes);
+            reg.recordValue(obs::Gauge::kNetShedConnections,
+                            router->shedConnections());
+            reg.recordValue(obs::Gauge::kNetInjectedFaults,
+                            faultinject::injectedCount());
+          });
+    } else {
+      specs.reserve(std::size(kPresets));
+      for (const Preset& preset : kPresets) {
+        specs.push_back(
+            std::make_shared<const WorkloadSpec>(preset.make(scale)));
+      }
+      for (std::size_t i = 0; i < streams; ++i) {
+        const Preset& preset = kPresets[i % std::size(kPresets)];
+        const std::shared_ptr<const WorkloadSpec>& spec =
+            specs[i % std::size(kPresets)];
+        const std::string name = std::string(preset.name) + "-" +
+                                 std::to_string(i);
+        store.registerStream(name, spec->hierarchy);
+        streamHier.emplace(name, &spec->hierarchy);
+        eng.addStream(name, workload::sharedHierarchy(spec),
+                      streamConfig(*spec),
+                      std::make_unique<workload::GeneratorSource>(
+                          *spec, 0, units, seed + i));
+      }
     }
-    router = std::make_shared<StreamRouter>(ingestListener, ropt);
-    socketOpts.protocolErrorBudget =
-        static_cast<std::size_t>(opt.num("error-budget"));
-    socketOpts.junkBudgetPerConn =
-        static_cast<std::size_t>(opt.num("junk-budget"));
-    const auto addNetStream = [&](const std::string& name,
-                                  SocketSourceOptions opts,
-                                  std::size_t slot) {
-      store.registerStream(name, spec->hierarchy);
-      streamHier.emplace(name, &spec->hierarchy);
-      auto src = std::make_unique<SocketSource>(router, slot, spec->hierarchy,
-                                                std::move(opts));
-      netSources.push_back(src.get());
-      eng.addStream(name, workload::sharedHierarchy(spec),
-                    streamConfig(*spec), std::move(src));
-    };
-    // Named resumable streams first. The engine stream name is the wire
-    // name, so a checkpoint restore matches a reconnecting client's
-    // stream by the same identity.
-    for (const std::string& name : streamNames) {
-      SocketSourceOptions opts = socketOpts;
-      opts.streamName = name;
-      opts.unitDelta = spec->unit;
-      addNetStream(name, std::move(opts), router->addNamedSlot(name));
-    }
-    for (long long i = 0; i < netStreamsIn; ++i) {
-      addNetStream("net-" + std::to_string(i), socketOpts,
-                   router->addAnonymousSlot());
-    }
-    // Fold the serving-surface counters into the sampled gauges the
-    // stats endpoint serves. Captures by value: the sampler thread stops
-    // inside the engine's own teardown, before either the sources (engine
-    // owned) or the router (shared_ptr) can die.
-    eng.setGaugeSampler(
-        [sources = netSources, router](obs::MetricsRegistry& reg) {
-          std::size_t reconnects = 0, resumes = 0;
-          for (const SocketSource* s : sources) {
-            reconnects += s->reconnects();
-            resumes += s->resumes();
-          }
-          reg.recordValue(obs::Gauge::kNetReconnects, reconnects);
-          reg.recordValue(obs::Gauge::kNetResumes, resumes);
-          reg.recordValue(obs::Gauge::kNetShedConnections,
-                          router->shedConnections());
-          reg.recordValue(obs::Gauge::kNetInjectedFaults,
-                          faultinject::injectedCount());
-        });
-  } else {
-    specs.reserve(std::size(kPresets));
-    for (const Preset& preset : kPresets) {
-      specs.push_back(
-          std::make_shared<const WorkloadSpec>(preset.make(scale)));
-    }
-    for (std::size_t i = 0; i < streams; ++i) {
-      const Preset& preset = kPresets[i % std::size(kPresets)];
-      const std::shared_ptr<const WorkloadSpec>& spec =
-          specs[i % std::size(kPresets)];
-      const std::string name = std::string(preset.name) + "-" +
-                               std::to_string(i);
-      store.registerStream(name, spec->hierarchy);
-      streamHier.emplace(name, &spec->hierarchy);
-      eng.addStream(name, workload::sharedHierarchy(spec), streamConfig(*spec),
-                    std::make_unique<workload::GeneratorSource>(
-                        *spec, 0, units, seed + i));
-    }
+  } catch (const std::bad_alloc&) {
+    err << "serve: cannot allocate " << streams << " streams\n";
+    return 1;
   }
 
   const std::string checkpointPath =
@@ -1094,37 +1109,34 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
       lastError = "cannot connect to " + to;
       continue;
     }
+    // An empty --stream-name opens an anonymous stream.
     std::vector<std::uint8_t> wire =
-        streamName.empty()
-            ? encodeSocketHandshake(paths)
-            : encodeSocketHandshakeV2(paths, streamName, token);
+        encodeSocketHandshakeV2(paths, streamName, token);
     if (!conn.writeAll(wire.data(), wire.size(), ioTimeout)) {
       lastError = "connection lost during handshake";
       continue;
     }
-    // Named streams: the server answers with the position it has already
-    // committed; everything before it is skipped instead of re-sent.
-    Timestamp committed = kSocketNoCommit;
-    if (!streamName.empty()) {
-      SocketResumeReply reply;
-      if (!readSocketResumeReply(conn, ioTimeout, reply)) {
-        lastError = "no resume reply from server";
-        continue;
-      }
-      if (reply.status == kSocketResumeUnknownStream) {
-        err << "send: server does not serve a stream named '" << streamName
-            << "'\n";
-        return 1;
-      }
-      if (reply.status != kSocketResumeOk) {
-        lastError = "server shed the connection (overloaded)";
-        continue;
-      }
-      committed = reply.committedTime;
-      if (committed != kSocketNoCommit && attempt > 0) {
-        err << "send: resuming '" << streamName << "' from t=" << committed
-            << "\n";
-      }
+    // The server answers with the position it has already committed
+    // (named streams only); everything before it is skipped, not re-sent.
+    SocketResumeReply reply;
+    if (!readSocketResumeReply(conn, ioTimeout, reply)) {
+      lastError = "no resume reply from server";
+      continue;
+    }
+    if (reply.status == kSocketResumeUnknownStream) {
+      err << "send: server does not serve a stream named '" << streamName
+          << "'\n";
+      return 1;
+    }
+    if (reply.status != kSocketResumeOk) {
+      lastError = "unexpected resume reply status " +
+                  std::to_string(reply.status);
+      continue;
+    }
+    const Timestamp committed = reply.committedTime;
+    if (committed != kSocketNoCommit && attempt > 0) {
+      err << "send: resuming '" << streamName << "' from t=" << committed
+          << "\n";
     }
     // The trace reopens on every attempt; the committed prefix is
     // dropped record by record and the rest re-framed.

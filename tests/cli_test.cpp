@@ -446,29 +446,28 @@ TEST(Cli, ServeMetricsEveryRequiresMetricsOut) {
 TEST(Cli, ServeRejectsZeroStreams) {
   std::string err;
   EXPECT_EQ(run({"serve", "--streams", "0"}, nullptr, &err), 2);
-  EXPECT_NE(err.find("must be positive"), std::string::npos);
+  EXPECT_NE(err.find("must be in [1, 1000000]"), std::string::npos);
 }
 
-/// Typos must fail loudly: unknown options were once ignored, so
-/// `--shard 4` silently ran with defaults.
-// Thread counts the host cannot honour end in exit 1 with a message, not
-// in an uncaught std::system_error. The child caps its address space a
-// little above what it already maps, so thread stacks run out long before
-// the --workers ceiling is reached.
-TEST(Cli, ServeFailsCleanlyWhenThreadsCannotStart) {
-#ifdef TIRESIAS_SHADOW_MEMORY
-  GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan/TSan";
-#endif
-  std::string maxWorkers;
+/// The ceiling of a bounded numeric option, as an argument.
+std::string optionCeiling(std::string_view name) {
   for (const CliOption& o : cliOptions()) {
-    if (std::string_view(o.name) == "workers") {
-      maxWorkers = std::to_string(static_cast<long long>(o.hi));
+    if (std::string_view(o.name) == name) {
+      return std::to_string(static_cast<long long>(o.hi));
     }
   }
-  ASSERT_FALSE(maxWorkers.empty());
+  return "";
+}
+
+/// Run `args` in a forked child whose address space is capped 256 MiB
+/// above what it already maps, and return its wait status. The child
+/// never returns into gtest: an exception escaping runCli exits 96, and
+/// an exit 1 whose stderr does not start with `message` exits 97.
+int runUnderAddressCap(const std::vector<std::string>& args,
+                       std::string_view message) {
   std::fflush(nullptr);
   const pid_t pid = fork();
-  ASSERT_GE(pid, 0);
+  if (pid < 0) return -1;
   if (pid == 0) {
     long pages = 0;
     std::FILE* statm = std::fopen("/proc/self/statm", "r");
@@ -479,27 +478,56 @@ TEST(Cli, ServeFailsCleanlyWhenThreadsCannotStart) {
     const rlim_t limit = mapped + (rlim_t{256} << 20);
     const rlimit cap{limit, limit};
     if (setrlimit(RLIMIT_AS, &cap) != 0) _exit(98);
-    // The child must never return into gtest: an escaping exception
-    // exits 96, an exit 1 without the message 97.
     std::ostringstream out, err;
     int rc = 96;
     try {
-      rc = runCli({"serve", "--streams", "1", "--units", "4", "--workers",
-                   maxWorkers},
-                  out, err);
+      rc = runCli(args, out, err);
     } catch (...) {
     }
     std::fputs(err.str().c_str(), stderr);
-    const bool named = err.str().find("serve: cannot start") == 0;
+    const bool named = err.str().find(message) == 0;
     _exit(rc == 1 && !named ? 97 : rc);
   }
   int status = 0;
-  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  return waitpid(pid, &status, 0) == pid ? status : -1;
+}
+
+// Thread counts the host cannot honour end in exit 1 with a message, not
+// in an uncaught std::system_error: thread stacks run out under the cap
+// long before the --workers ceiling is reached.
+TEST(Cli, ServeFailsCleanlyWhenThreadsCannotStart) {
+#ifdef TIRESIAS_SHADOW_MEMORY
+  GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan/TSan";
+#endif
+  const std::string maxWorkers = optionCeiling("workers");
+  ASSERT_FALSE(maxWorkers.empty());
+  const int status = runUnderAddressCap(
+      {"serve", "--streams", "1", "--units", "4", "--workers", maxWorkers},
+      "serve: cannot start");
   ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
                                  << WTERMSIG(status);
   EXPECT_EQ(WEXITSTATUS(status), 1);
 }
 
+// Likewise a stream count the host cannot hold ends in exit 1, not in an
+// uncaught std::bad_alloc: registering the --streams ceiling needs far
+// more than the cap.
+TEST(Cli, ServeFailsCleanlyWhenStreamsCannotBeAllocated) {
+#ifdef TIRESIAS_SHADOW_MEMORY
+  GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan/TSan";
+#endif
+  const std::string maxStreams = optionCeiling("streams");
+  ASSERT_FALSE(maxStreams.empty());
+  const int status = runUnderAddressCap(
+      {"serve", "--streams", maxStreams, "--units", "1", "--workers", "1"},
+      "serve: cannot allocate");
+  ASSERT_TRUE(WIFEXITED(status)) << "child killed by signal "
+                                 << WTERMSIG(status);
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+}
+
+/// Typos must fail loudly: unknown options were once ignored, so
+/// `--shard 4` silently ran with defaults.
 TEST(Cli, RejectsUnknownOptions) {
   std::string err;
   EXPECT_EQ(run({"serve", "--shard", "4"}, nullptr, &err), 2);

@@ -1,6 +1,7 @@
-// Socket-fed ingest: a SocketSource draining a loopback connection must
-// be indistinguishable from the equivalent in-memory source (identical
-// record sequences, identical skip accounting, per-record and batched),
+// Socket-fed ingest: a SocketSource draining a loopback connection that a
+// StreamRouter routed to it must be indistinguishable from the equivalent
+// in-memory source (identical record sequences, identical skip
+// accounting, per-record and batched),
 // must survive slow writers, mid-frame disconnects and arbitrary byte
 // corruption without ever crashing or throwing (the engine's ingest loop
 // has no exception handling), and must account structural failures in
@@ -20,6 +21,7 @@
 #include "net/tcp.h"
 #include "stream/socket_source.h"
 #include "stream/source.h"
+#include "stream/stream_router.h"
 
 namespace tiresias {
 namespace {
@@ -49,15 +51,44 @@ std::shared_ptr<net::TcpListener> loopbackListener() {
   return listener;
 }
 
-/// Connect to `port` and write `bytes`, then close (a clean FIN). The
-/// returned thread must be joined before the test ends.
+/// A source on its own router: the anonymous slot, or the slot named
+/// opt.streamName — the `serve --listen` wiring.
+SocketSource routedSource(std::shared_ptr<net::TcpListener> listener,
+                          const Hierarchy& h, SocketSourceOptions opt = {}) {
+  StreamRouter::Options ropt;
+  ropt.format = opt.format;
+  ropt.handshakeTimeoutMs = opt.readTimeoutMs;
+  auto router = std::make_shared<StreamRouter>(std::move(listener), ropt);
+  const std::size_t slot = opt.streamName.empty()
+                               ? router->addAnonymousSlot()
+                               : router->addNamedSlot(opt.streamName);
+  router->start();
+  return SocketSource(std::move(router), slot, h, std::move(opt));
+}
+
+/// End a client's stream with a FIN, then read until the server closes.
+/// A binary client must consume the server's resume reply: closing with
+/// it unread resets the connection, which can discard bytes the server
+/// has not read yet.
+void finishClient(net::TcpConn& conn) {
+  conn.shutdownWrite();
+  char sink[64];
+  std::size_t got = 0;
+  while (conn.readSome(sink, sizeof(sink), got, kTestTimeoutMs) ==
+         net::IoStatus::kOk) {
+  }
+}
+
+/// Connect to `port`, write `bytes`, then finishClient(). The returned
+/// thread must be joined before the test ends.
 std::thread writeAsync(std::uint16_t port, std::vector<std::uint8_t> bytes) {
   return std::thread([port, bytes = std::move(bytes)] {
     net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    EXPECT_TRUE(conn.valid());
-    if (conn.valid() && !bytes.empty()) {
+    ASSERT_TRUE(conn.valid());
+    if (!bytes.empty()) {
       EXPECT_TRUE(conn.writeAll(bytes.data(), bytes.size()));
     }
+    finishClient(conn);
   });
 }
 
@@ -83,12 +114,18 @@ std::vector<Record> sampleRecords(const Hierarchy& h, std::size_t count) {
   return records;
 }
 
-/// Full binary wire image: handshake + the records split across frames
-/// of `frameLen` + the end-of-stream marker.
+/// Anonymous-stream handshake: a v2 handshake with an empty name.
+std::vector<std::uint8_t> anonymousHello(
+    const std::vector<std::string>& paths) {
+  return encodeSocketHandshakeV2(paths, /*streamName=*/"", /*resumeToken=*/0);
+}
+
+/// Full binary wire image: anonymous handshake + the records split across
+/// frames of `frameLen` + the end-of-stream marker.
 std::vector<std::uint8_t> binaryWire(const Hierarchy& h,
                                      const std::vector<Record>& records,
                                      std::size_t frameLen) {
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
   for (std::size_t at = 0; at < records.size(); at += frameLen) {
     appendSocketFrame(wire, records.data() + at,
                       std::min(frameLen, records.size() - at));
@@ -105,7 +142,7 @@ TEST(SocketSource, BinaryRoundTripPerRecordAndBatched) {
   {
     auto listener = loopbackListener();
     std::thread writer = writeAsync(listener->port(), wire);
-    SocketSource src(listener, h);
+    SocketSource src = routedSource(listener, h);
     EXPECT_EQ(drainPerRecord(src), want);
     EXPECT_EQ(src.skippedRecords(), 0u);
     EXPECT_EQ(src.protocolErrors(), 0u);
@@ -115,7 +152,7 @@ TEST(SocketSource, BinaryRoundTripPerRecordAndBatched) {
   for (std::size_t max : {1u, 3u, 64u, 4096u}) {
     auto listener = loopbackListener();
     std::thread writer = writeAsync(listener->port(), wire);
-    SocketSource src(listener, h);
+    SocketSource src = routedSource(listener, h);
     EXPECT_EQ(drainBatched(src, max), want) << "max=" << max;
     EXPECT_EQ(src.skippedRecords(), 0u) << "max=" << max;
     EXPECT_EQ(src.protocolErrors(), 0u) << "max=" << max;
@@ -124,7 +161,7 @@ TEST(SocketSource, BinaryRoundTripPerRecordAndBatched) {
   {  // Mixing next() and nextBatch() must not lose records.
     auto listener = loopbackListener();
     std::thread writer = writeAsync(listener->port(), wire);
-    SocketSource src(listener, h);
+    SocketSource src = routedSource(listener, h);
     std::vector<Record> got, chunk;
     const auto first = src.next();
     ASSERT_TRUE(first);
@@ -166,7 +203,7 @@ TEST(SocketSource, CsvMatchesCsvSourceSemantics) {
   auto listener = loopbackListener();
   std::thread writer = writeAsync(
       listener->port(), std::vector<std::uint8_t>(csv.begin(), csv.end()));
-  SocketSource src(listener, h);  // kAuto: no magic -> CSV
+  SocketSource src = routedSource(listener, h);  // kAuto: no magic -> CSV
   EXPECT_EQ(drainPerRecord(src), want);
   EXPECT_EQ(src.skippedRecords(), reference.skippedRecords());
   EXPECT_EQ(src.protocolErrors(), 0u);
@@ -190,8 +227,9 @@ TEST(SocketSource, SlowWriterDeliversEverything) {
           conn.writeAll(wire.data() + at, std::min<std::size_t>(7, wire.size() - at)));
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
+    finishClient(conn);
   });
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   EXPECT_EQ(drainBatched(src, 64), want);
   EXPECT_EQ(src.protocolErrors(), 0u);
   writer.join();
@@ -201,7 +239,7 @@ TEST(SocketSource, EmptyConnectionIsEmptyStream) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   auto listener = loopbackListener();
   std::thread writer = writeAsync(listener->port(), {});
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   EXPECT_EQ(src.next(), std::nullopt);
   EXPECT_EQ(src.protocolErrors(), 0u);  // closing without a byte is clean
   writer.join();
@@ -212,7 +250,7 @@ TEST(SocketSource, AcceptTimeoutIsProtocolError) {
   auto listener = loopbackListener();
   SocketSourceOptions opt;
   opt.readTimeoutMs = 50;
-  SocketSource src(listener, h, opt);  // nobody connects
+  SocketSource src = routedSource(listener, h, opt);  // nobody connects
   EXPECT_EQ(src.next(), std::nullopt);
   EXPECT_EQ(src.protocolErrors(), 1u);
 }
@@ -220,13 +258,13 @@ TEST(SocketSource, AcceptTimeoutIsProtocolError) {
 TEST(SocketSource, MidFrameDisconnectEndsStreamCleanly) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 10);
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
   appendSocketFrame(wire, want.data(), want.size());
   wire.resize(wire.size() - 5);  // peer dies mid-record
 
   auto listener = loopbackListener();
   std::thread writer = writeAsync(listener->port(), wire);
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   EXPECT_EQ(drainBatched(src, 64).size(), 0u);  // frame never completed
   EXPECT_EQ(src.protocolErrors(), 1u);
   writer.join();
@@ -235,12 +273,12 @@ TEST(SocketSource, MidFrameDisconnectEndsStreamCleanly) {
 TEST(SocketSource, EofAtFrameBoundaryIsCleanWithoutMarker) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 24);
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
   appendSocketFrame(wire, want.data(), want.size());
   // No end-of-stream marker: the FIN lands exactly on a frame boundary.
   auto listener = loopbackListener();
   std::thread writer = writeAsync(listener->port(), wire);
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   EXPECT_EQ(drainBatched(src, 64), want);
   EXPECT_EQ(src.protocolErrors(), 0u);
   writer.join();
@@ -254,13 +292,13 @@ TEST(SocketSource, BackwardsTimestampsAreSkippedNotFatal) {
       {leaves[1], 200}, {leaves[2], 150},  // backwards again: skipped
       {leaves[2], 200},
   };
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
   appendSocketFrame(wire, sent.data(), sent.size());
   appendSocketEndOfStream(wire);
 
   auto listener = loopbackListener();
   std::thread writer = writeAsync(listener->port(), wire);
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   const std::vector<Record> want = {
       {leaves[0], 100}, {leaves[1], 200}, {leaves[2], 200}};
   EXPECT_EQ(drainBatched(src, 64), want);
@@ -276,13 +314,13 @@ TEST(SocketSource, UnresolvablePathsSkipTheirRecords) {
   const auto ghost = static_cast<NodeId>(paths.size() - 1);
   const std::vector<Record> sent = {
       {h.leaves()[0], 100}, {ghost, 150}, {h.leaves()[1], 200}};
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(paths);
+  std::vector<std::uint8_t> wire = anonymousHello(paths);
   appendSocketFrame(wire, sent.data(), sent.size());
   appendSocketEndOfStream(wire);
 
   auto listener = loopbackListener();
   std::thread writer = writeAsync(listener->port(), wire);
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   const std::vector<Record> want = {{h.leaves()[0], 100},
                                     {h.leaves()[1], 200}};
   EXPECT_EQ(drainBatched(src, 64), want);
@@ -296,12 +334,12 @@ TEST(SocketSource, FileIdOutsideTableIsProtocolError) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const std::vector<Record> sent = {{h.leaves()[0], 100},
                                     {static_cast<NodeId>(9999), 150}};
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
   appendSocketFrame(wire, sent.data(), sent.size());
 
   auto listener = loopbackListener();
   std::thread writer = writeAsync(listener->port(), wire);
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   // The record before the desync is still delivered; then the stream
   // ends as a protocol error.
   EXPECT_EQ(drainBatched(src, 64),
@@ -318,7 +356,7 @@ TEST(SocketSource, ForcedBinaryRejectsCsvBytes) {
       listener->port(), std::vector<std::uint8_t>(csv.begin(), csv.end()));
   SocketSourceOptions opt;
   opt.format = SocketSourceOptions::Format::kBinary;
-  SocketSource src(listener, h, opt);
+  SocketSource src = routedSource(listener, h, opt);
   EXPECT_EQ(src.next(), std::nullopt);
   EXPECT_EQ(src.protocolErrors(), 1u);
   writer.join();
@@ -331,24 +369,10 @@ TEST(SocketSource, ForcedCsvTreatsBinaryBytesAsJunkRows) {
   std::thread writer = writeAsync(listener->port(), wire);
   SocketSourceOptions opt;
   opt.format = SocketSourceOptions::Format::kCsv;
-  SocketSource src(listener, h, opt);
+  SocketSource src = routedSource(listener, h, opt);
   // Binary bytes are not CSV rows: everything skips or the line cap
   // trips; either way no records and no crash.
   EXPECT_EQ(drainBatched(src, 64).size(), 0u);
-  writer.join();
-}
-
-TEST(SocketSource, AdoptedConnectionWorksWithoutListener) {
-  const auto h = HierarchyBuilder::balanced({3, 2});
-  const auto want = sampleRecords(h, 12);
-  const auto wire = binaryWire(h, want, 5);
-  auto listener = loopbackListener();
-  std::thread writer = writeAsync(listener->port(), wire);
-  net::TcpConn accepted = listener->accept(kTestTimeoutMs);
-  ASSERT_TRUE(accepted.valid());
-  SocketSource src(std::move(accepted), h);
-  EXPECT_EQ(drainPerRecord(src), want);
-  EXPECT_EQ(src.protocolErrors(), 0u);
   writer.join();
 }
 
@@ -371,7 +395,7 @@ TEST(SocketSource, AutoSniffCsvRowStartingWithMagicIsCsv) {
   auto listener = loopbackListener();
   std::thread writer = writeAsync(
       listener->port(), std::vector<std::uint8_t>(csv.begin(), csv.end()));
-  SocketSource src(listener, h);  // kAuto
+  SocketSource src = routedSource(listener, h);  // kAuto
   EXPECT_EQ(drainPerRecord(src),
             (std::vector<Record>{{a, 100}, {b, 200}}));
   EXPECT_EQ(src.skippedRecords(), 0u);
@@ -389,7 +413,7 @@ TEST(SocketSource, AutoSniffTinyCsvUnderEightBytesIsCsv) {
   auto listener = loopbackListener();
   std::thread writer = writeAsync(
       listener->port(), std::vector<std::uint8_t>(csv.begin(), csv.end()));
-  SocketSource src(listener, h);
+  SocketSource src = routedSource(listener, h);
   EXPECT_EQ(drainPerRecord(src), (std::vector<Record>{{a, 7}}));
   EXPECT_EQ(src.protocolErrors(), 0u);
   writer.join();
@@ -420,29 +444,11 @@ TEST(SocketSource, V2HandshakeRepliesAndDelivers) {
   SocketSourceOptions opt;
   opt.streamName = "s0";
   opt.unitDelta = 10;
-  SocketSource src(listener, h, opt);
+  SocketSource src = routedSource(listener, h, opt);
   EXPECT_EQ(drainBatched(src, 64), want);
   EXPECT_EQ(src.protocolErrors(), 0u);
   EXPECT_EQ(src.reconnects(), 0u);
   EXPECT_EQ(src.resumes(), 0u);
-  client.join();
-}
-
-TEST(SocketSource, V2WrongNameIsProtocolError) {
-  const auto h = HierarchyBuilder::balanced({3, 2});
-  auto listener = loopbackListener();
-  std::thread client([port = listener->port(), &h] {
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    const auto hs = encodeSocketHandshakeV2(allPaths(h), "intruder", 1);
-    EXPECT_TRUE(conn.writeAll(hs.data(), hs.size()));
-  });
-  SocketSourceOptions opt;
-  opt.streamName = "s0";
-  opt.protocolErrorBudget = 0;  // fail hard instead of awaiting reconnect
-  SocketSource src(listener, h, opt);
-  EXPECT_EQ(src.next(), std::nullopt);
-  EXPECT_EQ(src.protocolErrors(), 1u);
   client.join();
 }
 
@@ -492,7 +498,7 @@ TEST(SocketSource, V2ReconnectResumesFromCommittedUnit) {
   SocketSourceOptions opt;
   opt.streamName = "s0";
   opt.unitDelta = 10;
-  SocketSource src(listener, h, opt);
+  SocketSource src = routedSource(listener, h, opt);
   // Bit-identical: the replayed partial unit is delivered exactly once.
   EXPECT_EQ(drainBatched(src, 64), want);
   EXPECT_EQ(src.protocolErrors(), 1u);  // the EOS-less disconnect
@@ -522,7 +528,7 @@ TEST(SocketSource, NoteResumePointSeedsTheFirstReply) {
   SocketSourceOptions opt;
   opt.streamName = "s0";
   opt.unitDelta = 10;
-  SocketSource src(listener, h, opt);
+  SocketSource src = routedSource(listener, h, opt);
   // What the engine does after --restore, before the first pull.
   src.noteResumePoint(500);
   EXPECT_EQ(drainBatched(src, 64),
@@ -541,7 +547,7 @@ TEST(SocketSource, JunkBudgetDropsGarbageConnections) {
   for (int i = 0; i < 50; ++i) {
     garbage.push_back(Record{ghost, static_cast<Timestamp>(100 + i)});
   }
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(paths);
+  std::vector<std::uint8_t> wire = anonymousHello(paths);
   appendSocketFrame(wire, garbage.data(), garbage.size());
   appendSocketEndOfStream(wire);
 
@@ -549,7 +555,7 @@ TEST(SocketSource, JunkBudgetDropsGarbageConnections) {
   std::thread writer = writeAsync(listener->port(), wire);
   SocketSourceOptions opt;
   opt.junkBudgetPerConn = 10;
-  SocketSource src(listener, h, opt);
+  SocketSource src = routedSource(listener, h, opt);
   EXPECT_EQ(drainBatched(src, 64).size(), 0u);
   EXPECT_EQ(src.protocolErrors(), 1u);  // dropped at the 11th junk record
   EXPECT_EQ(src.skippedRecords(), 11u);
@@ -567,13 +573,21 @@ TEST(SocketSourceFuzz, RandomByteFlipsNeverCrash) {
   const auto wire = binaryWire(h, sampleRecords(h, 30), 10);
   SocketSourceOptions opt;
   opt.readTimeoutMs = 2000;  // corrupt counts may stall the reader briefly
+  // One router for every round: each round's source takes the one
+  // connection of that round from the anonymous slot (a router stops only
+  // on its next accept tick, too slow to pay once per round).
+  auto listener = loopbackListener();
+  StreamRouter::Options ropt;
+  ropt.handshakeTimeoutMs = opt.readTimeoutMs;
+  auto router = std::make_shared<StreamRouter>(listener, ropt);
+  const std::size_t slot = router->addAnonymousSlot();
+  router->start();
   for (std::size_t at = 0; at < wire.size();
        at += std::max<std::size_t>(1, wire.size() / 97)) {
     auto mutated = wire;
     mutated[at] ^= 0x5A;
-    auto listener = loopbackListener();
     std::thread writer = writeAsync(listener->port(), mutated);
-    SocketSource src(listener, h, opt);
+    SocketSource src(router, slot, h, opt);
     const auto got = drainBatched(src, 64);
     // Accounting sanity: a failed stream is counted, a clean one is not.
     EXPECT_LE(src.protocolErrors(), 1u) << "at=" << at;

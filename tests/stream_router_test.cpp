@@ -1,5 +1,6 @@
 // StreamRouter: one accept thread must route v2 named connections to
-// their slot, v1/CSV connections to the shared anonymous FIFO, refuse
+// their slot, empty-name v2 and CSV connections to the shared anonymous
+// FIFO (a retired v1 prologue is CSV junk, never binary), refuse
 // unknown names with a fatal reply, shed under the overload predicate,
 // and reject anonymous overflow — always by closing the socket, never by
 // wedging a slot or crashing.
@@ -54,6 +55,20 @@ std::vector<Record> drainPerRecord(RecordSource& src) {
   return out;
 }
 
+/// Write `wire`, half-close, and read until the server closes, so any
+/// resume reply is consumed before the socket goes away.
+void sendAndFinish(std::uint16_t port, const std::vector<std::uint8_t>& wire) {
+  net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
+  ASSERT_TRUE(conn.valid());
+  EXPECT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
+  conn.shutdownWrite();
+  char sink[64];
+  std::size_t got = 0;
+  while (conn.readSome(sink, sizeof(sink), got, kTestTimeoutMs) ==
+         net::IoStatus::kOk) {
+  }
+}
+
 /// Routing is asynchronous: poll a counter until it reaches `want`.
 template <typename Fn>
 bool waitFor(Fn&& fn, int timeoutMs = kTestTimeoutMs) {
@@ -66,30 +81,78 @@ bool waitFor(Fn&& fn, int timeoutMs = kTestTimeoutMs) {
   return true;
 }
 
-TEST(StreamRouter, V1BinaryLandsOnAnAnonymousSlot) {
+TEST(StreamRouter, EmptyNameV2LandsOnAnAnonymousSlot) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 64);
-  std::vector<std::uint8_t> wire = encodeSocketHandshake(allPaths(h));
-  appendSocketFrame(wire, want.data(), want.size());
-  appendSocketEndOfStream(wire);
+  const auto hello = encodeSocketHandshakeV2(allPaths(h), "", 0);
 
   auto listener = loopbackListener();
   auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
+  router->addNamedSlot("s0");  // must NOT receive the anonymous connection
   const std::size_t slot = router->addAnonymousSlot();
   router->start();
 
-  std::thread client([port = listener->port(), wire] {
+  std::thread client([port = listener->port(), hello, &want] {
     net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
     ASSERT_TRUE(conn.valid());
-    EXPECT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
+    ASSERT_TRUE(conn.writeAll(hello.data(), hello.size(), kTestTimeoutMs));
+    SocketResumeReply reply;
+    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
+    EXPECT_EQ(reply.status, kSocketResumeOk);
+    EXPECT_EQ(reply.committedTime, kSocketNoCommit);
+    std::vector<std::uint8_t> frames;
+    appendSocketFrame(frames, want.data(), want.size());
+    appendSocketEndOfStream(frames);
+    EXPECT_TRUE(conn.writeAll(frames.data(), frames.size(), kTestTimeoutMs));
   });
   SocketSource src(router, slot, h);
   EXPECT_EQ(drainPerRecord(src), want);
   EXPECT_EQ(src.protocolErrors(), 0u);
+  EXPECT_EQ(src.resumes(), 0u);
   client.join();
   EXPECT_EQ(router->accepted(), 1u);
   EXPECT_EQ(router->rejected(), 0u);
   router->stop();
+}
+
+TEST(StreamRouter, V1PrologueIsNotBinary) {
+  const auto h = HierarchyBuilder::balanced({3, 2});
+  const auto records = sampleRecords(h, 16);
+  // The retired v1 handshake: magic | version 1 | tableBytes | table. An
+  // empty-name v2 handshake is magic | 2 | nameLen 0 | token | tableBytes
+  // | table: drop nameLen and token, patch the version.
+  std::vector<std::uint8_t> wire = encodeSocketHandshakeV2(allPaths(h), "", 0);
+  wire.erase(wire.begin() + 8, wire.begin() + 20);
+  wire[4] = 1;
+  appendSocketFrame(wire, records.data(), records.size());
+  appendSocketEndOfStream(wire);
+
+  for (const auto format : {SocketSourceOptions::Format::kAuto,
+                            SocketSourceOptions::Format::kBinary}) {
+    const bool pinned = format == SocketSourceOptions::Format::kBinary;
+    auto listener = loopbackListener();
+    StreamRouter::Options ropt;
+    ropt.format = format;
+    auto router = std::make_shared<StreamRouter>(listener, ropt);
+    const std::size_t slot = router->addAnonymousSlot();
+    router->start();
+    std::thread client(sendAndFinish, listener->port(), wire);
+    SocketSourceOptions opt;
+    opt.format = format;
+    SocketSource src(router, slot, h, opt);
+    // kAuto: CSV junk rows, each skipped; kBinary: one protocol error.
+    EXPECT_EQ(drainPerRecord(src).size(), 0u) << "pinned=" << pinned;
+    if (pinned) {
+      EXPECT_EQ(src.protocolErrors(), 1u);
+      EXPECT_EQ(src.skippedRecords(), 0u);
+    } else {
+      EXPECT_EQ(src.protocolErrors(), 0u);
+      EXPECT_GT(src.skippedRecords(), 0u);
+    }
+    client.join();
+    EXPECT_EQ(router->rejected(), 0u) << "pinned=" << pinned;
+    router->stop();
+  }
 }
 
 TEST(StreamRouter, CsvLandsOnAnAnonymousSlot) {
@@ -198,7 +261,7 @@ TEST(StreamRouter, AnonymousOverflowIsRejected) {
   router->addNamedSlot("s0");  // no anonymous capacity at all
   router->start();
 
-  const auto wire = encodeSocketHandshake(allPaths(h));
+  const auto wire = encodeSocketHandshakeV2(allPaths(h), "", 0);
   net::TcpConn conn = net::connectLoopback(listener->port(), kTestTimeoutMs);
   ASSERT_TRUE(conn.valid());
   ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));

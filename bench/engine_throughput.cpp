@@ -3,16 +3,11 @@
 // Five measurements, all over the CCD-network workload:
 //
 //  1. Ingest layer in isolation (source -> timeunit batching, no
-//     detection): the seed's per-record path — one virtual next() per
-//     record, per-record floor divisions, a fresh batch vector per unit,
-//     and for CSV a full split + hierarchy walk per row — against the
-//     batched fast path (RecordSource::nextBatch, boundary comparisons,
-//     reused buffers, CSV path cache). Measured for csv, vector,
-//     generated and binary (converted trace, parse-free memcpy decode)
-//     sources; the committed baseline must show >= 2x for the batched
-//     path, and batched binary ingest must beat batched CSV ingest by
-//     >= 2x (the binary-format headline). Written to BENCH_ingest.json
-//     (schema v3).
+//     detection): RecordSource::nextBatch under the TimeUnitBatcher for
+//     csv, vector, generated and binary (converted trace, parse-free
+//     memcpy decode) sources. Batched binary ingest must beat batched CSV
+//     ingest by >= 2x (the binary-format headline). Written to
+//     BENCH_ingest.json (schema v4).
 //
 //  2. Worker grid: aggregate detection throughput of the task-scheduled
 //     engine for 8 uniform generated streams at 1/2/4/8 workers. Written
@@ -47,7 +42,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/expect.h"
 #include "common/timer.h"
 #include "core/workspace.h"
 #include "engine/engine.h"
@@ -68,56 +62,6 @@ using workload::GeneratorSource;
 using workload::Scale;
 using workload::WorkloadSpec;
 
-/// Seed-faithful replica of the pre-batching TimeUnitBatcher: one virtual
-/// next() per record, two timeUnitOf divisions per record, a fresh batch
-/// vector per unit. This is the "per-record next() path" the batched
-/// ingest is measured against.
-class LegacyBatcher {
- public:
-  LegacyBatcher(RecordSource& source, Duration delta, Timestamp startTime)
-      : source_(source),
-        delta_(delta),
-        nextUnit_(timeUnitOf(startTime, delta)) {}
-
-  std::optional<TimeUnitBatch> next() {
-    while (!pending_ && !sourceDone_) {
-      pending_ = source_.next();
-      if (!pending_) {
-        sourceDone_ = true;
-        break;
-      }
-      if (timeUnitOf(pending_->time, delta_) < nextUnit_) pending_.reset();
-    }
-    if (sourceDone_ && !pending_) return std::nullopt;
-    TimeUnitBatch batch;
-    batch.unit = nextUnit_;
-    while (true) {
-      if (!pending_) {
-        if (sourceDone_) break;
-        pending_ = source_.next();
-        if (!pending_) {
-          sourceDone_ = true;
-          break;
-        }
-        TIRESIAS_EXPECT(timeUnitOf(pending_->time, delta_) >= nextUnit_,
-                        "records must arrive in non-decreasing time order");
-      }
-      if (timeUnitOf(pending_->time, delta_) != nextUnit_) break;
-      batch.records.push_back(*pending_);
-      pending_.reset();
-    }
-    ++nextUnit_;
-    return batch;
-  }
-
- private:
-  RecordSource& source_;
-  Duration delta_;
-  TimeUnit nextUnit_;
-  std::optional<Record> pending_;
-  bool sourceDone_ = false;
-};
-
 struct PathStats {
   std::size_t records = 0;
   double seconds = 0.0;
@@ -129,19 +73,14 @@ using SourceFactory = std::function<std::unique_ptr<RecordSource>()>;
 /// Repeats full passes over a fresh source until enough records have been
 /// ingested for a stable records/sec figure.
 PathStats measureIngest(const SourceFactory& make, Duration delta,
-                        bool batched, std::size_t targetRecords) {
+                        std::size_t targetRecords) {
   PathStats out;
   while (out.records < targetRecords) {
     auto src = make();
     Stopwatch watch;
-    if (batched) {
-      TimeUnitBatcher batcher(*src, delta, 0);
-      TimeUnitBatch batch;
-      while (batcher.next(batch)) out.records += batch.records.size();
-    } else {
-      LegacyBatcher batcher(*src, delta, 0);
-      while (auto b = batcher.next()) out.records += b->records.size();
-    }
+    TimeUnitBatcher batcher(*src, delta, 0);
+    TimeUnitBatch batch;
+    while (batcher.next(batch)) out.records += batch.records.size();
     out.seconds += watch.elapsedSeconds();
   }
   out.recordsPerSec =
@@ -244,15 +183,6 @@ ResidencyResult runResidency(std::size_t streams, std::size_t workers,
   return out;
 }
 
-void jsonPathStats(std::FILE* f, const char* key, const PathStats& s,
-                   bool trailingComma) {
-  std::fprintf(f,
-               "      \"%s\": {\"records\": %zu, \"seconds\": %.6f, "
-               "\"records_per_sec\": %.0f}%s\n",
-               key, s.records, s.seconds, s.recordsPerSec,
-               trailingComma ? "," : "");
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -268,7 +198,7 @@ int main(int argc, char** argv) {
 
   bench::banner("ingest fast path + task-scheduled engine (src/stream, "
                 "src/engine)",
-                "batched vs per-record ingest; aggregate records/sec of 8 "
+                "batched ingest per source; aggregate records/sec of 8 "
                 "uniform streams at 1/2/4/8 workers");
   const unsigned cores = std::thread::hardware_concurrency();
   bench::note("hardware threads: " + std::to_string(cores));
@@ -319,24 +249,15 @@ int main(int argc, char** argv) {
   const SourceFactory factories[] = {makeCsv, makeVector, makeGenerated,
                                      makeBinary};
 
-  // ---- Ingest layer: per-record vs batched ----
+  // ---- Ingest layer ----
   const std::size_t targetRecords = 2'000'000;
-  PathStats perRecord[kKinds], batched[kKinds];
-  double speedup[kKinds];
-  std::printf("\ningest layer (no detection), %zu+ records per path:\n",
+  PathStats batched[kKinds];
+  std::printf("\ningest layer (no detection), %zu+ records per source:\n",
               targetRecords);
-  std::printf("%-10s %14s %14s %9s\n", "source", "per-record/s", "batched/s",
-              "speedup");
+  std::printf("%-10s %14s\n", "source", "batched/s");
   for (int k = 0; k < kKinds; ++k) {
-    perRecord[k] =
-        measureIngest(factories[k], spec.unit, false, targetRecords);
-    batched[k] = measureIngest(factories[k], spec.unit, true, targetRecords);
-    speedup[k] = perRecord[k].recordsPerSec > 0
-                     ? batched[k].recordsPerSec / perRecord[k].recordsPerSec
-                     : 0.0;
-    std::printf("%-10s %14.0f %14.0f %8.2fx\n", kinds[k],
-                perRecord[k].recordsPerSec, batched[k].recordsPerSec,
-                speedup[k]);
+    batched[k] = measureIngest(factories[k], spec.unit, targetRecords);
+    std::printf("%-10s %14.0f\n", kinds[k], batched[k].recordsPerSec);
   }
 
   bool ok = true;
@@ -560,7 +481,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"tiresias_bench_ingest/v3\",\n");
+    std::fprintf(f, "  \"schema\": \"tiresias_bench_ingest/v4\",\n");
     std::fprintf(f, "  \"workload\": \"ccd-net/medium\",\n");
     std::fprintf(f, "  \"units_per_stream\": %lld,\n",
                  static_cast<long long>(units));
@@ -568,11 +489,11 @@ int main(int argc, char** argv) {
     std::fprintf(f, "  \"hardware_threads\": %u,\n", cores);
     std::fprintf(f, "  \"ingest\": {\n");
     for (int k = 0; k < kKinds; ++k) {
-      std::fprintf(f, "    \"%s\": {\n", kinds[k]);
-      jsonPathStats(f, "per_record", perRecord[k], true);
-      jsonPathStats(f, "batched", batched[k], true);
-      std::fprintf(f, "      \"speedup\": %.2f\n", speedup[k]);
-      std::fprintf(f, "    }%s\n", k < kKinds - 1 ? "," : "");
+      std::fprintf(f,
+                   "    \"%s\": {\"batched\": {\"records\": %zu, "
+                   "\"seconds\": %.6f, \"records_per_sec\": %.0f}}%s\n",
+                   kinds[k], batched[k].records, batched[k].seconds,
+                   batched[k].recordsPerSec, k < kKinds - 1 ? "," : "");
     }
     std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"binary_vs_csv_batched\": %.2f\n", binaryVsCsv);

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "obs/metrics.h"
@@ -23,11 +22,6 @@ class InstrumentedSource final : public RecordSource {
   InstrumentedSource(std::unique_ptr<RecordSource> inner,
                      MetricsRegistry* registry)
       : inner_(std::move(inner)), registry_(registry) {}
-
-  std::optional<Record> next() override {
-    StageSpan span(registry_, Stage::kSourceFetch);
-    return inner_->next();
-  }
 
   std::size_t nextBatch(std::vector<Record>& out, std::size_t max) override {
     StageSpan span(registry_, Stage::kSourceFetch);

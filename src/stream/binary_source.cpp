@@ -5,7 +5,6 @@
 #include <fstream>
 #include <unordered_map>
 
-#include "common/expect.h"
 #include "persist/le.h"
 #include "persist/snapshot.h"
 
@@ -127,28 +126,6 @@ BinarySource::~BinarySource() = default;
 
 std::size_t BinarySource::unresolvedPaths() const {
   return impl_->unresolved;
-}
-
-std::optional<Record> BinarySource::next() {
-  Impl& im = *impl_;
-  for (;;) {
-    if (im.blockPos >= im.blockRecords && !im.loadBlock()) {
-      return std::nullopt;
-    }
-    const std::uint8_t* rec = im.block.data() + im.blockPos * kRecordBytes;
-    ++im.blockPos;
-    ++im.decodedTotal;
-    const std::uint32_t fileId = le32(rec);
-    if (fileId >= im.fileIdToNode.size()) {
-      throw SnapshotError("binary trace: file id outside path table");
-    }
-    const NodeId node = im.fileIdToNode[fileId];
-    if (node == kInvalidNode) {
-      ++skipped_;
-      continue;
-    }
-    return Record{node, static_cast<Timestamp>(le64(rec + 4))};
-  }
 }
 
 std::size_t BinarySource::nextBatch(std::vector<Record>& out,
@@ -315,7 +292,7 @@ std::unique_ptr<RecordSource> openTraceSource(const std::string& path,
   std::uint8_t head[4] = {0, 0, 0, 0};
   {
     std::ifstream probe(path, std::ios::binary);
-    TIRESIAS_EXPECT(static_cast<bool>(probe), "cannot open trace file");
+    if (!probe) throw SnapshotError("trace: cannot open file");
     probe.read(reinterpret_cast<char*>(head), 4);
     if (probe.gcount() != 4) {
       // Shorter than any binary prologue: treat as (tiny) CSV.

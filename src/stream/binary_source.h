@@ -46,14 +46,13 @@ inline constexpr std::uint32_t kBinaryTraceMaxBlockRecords = 1u << 20;
 
 /// Streams records from a binary trace file. The header (including the
 /// full path table resolution) is processed in the constructor, which
-/// throws persist::SnapshotError on malformed input; the pull APIs throw
-/// it lazily when they reach a corrupt or truncated block.
+/// throws persist::SnapshotError on malformed input; nextBatch() throws
+/// it lazily when it reaches a corrupt or truncated block.
 class BinarySource final : public RecordSource {
  public:
   BinarySource(std::string path, const Hierarchy& hierarchy);
   ~BinarySource() override;
 
-  std::optional<Record> next() override;
   std::size_t nextBatch(std::vector<Record>& out, std::size_t max) override;
 
   std::size_t skippedRecords() const override { return skipped_; }
@@ -88,7 +87,9 @@ BinaryConvertStats convertCsvTraceToBinary(const std::string& csvPath,
                                            const std::string& binaryPath);
 
 /// Open a trace file as the right RecordSource: binary traces are
-/// recognized by their magic, anything else is treated as CSV.
+/// recognized by their magic, anything else is treated as CSV. Throws
+/// persist::SnapshotError when the file cannot be opened or a binary
+/// header is malformed.
 std::unique_ptr<RecordSource> openTraceSource(const std::string& path,
                                               const Hierarchy& hierarchy);
 

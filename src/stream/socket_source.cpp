@@ -92,7 +92,7 @@ struct SocketSource::Impl {
   std::vector<std::string> quotedScratch;
   std::vector<char> readBuf = std::vector<char>(kCsvReadChunk);
 
-  /// Decoded records awaiting delivery through next()/nextBatch().
+  /// Decoded records awaiting delivery through nextBatch().
   std::vector<Record> pending;
   std::size_t pendingPos = 0;
 
@@ -509,20 +509,6 @@ void SocketSource::noteResumePoint(Timestamp time) {
 
 bool SocketSource::idle() const {
   return impl_->state != Impl::State::kDone;
-}
-
-std::optional<Record> SocketSource::next() {
-  Impl& im = *impl_;
-  for (;;) {
-    switch (im.fillPending(skipped_)) {
-      case Impl::Pull::kData:
-        return im.pending[im.pendingPos++];
-      case Impl::Pull::kDone:
-        return std::nullopt;
-      case Impl::Pull::kIdle:
-        continue;  // next() keeps the block-until-record semantics
-    }
-  }
 }
 
 std::size_t SocketSource::nextBatch(std::vector<Record>& out,

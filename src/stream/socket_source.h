@@ -41,7 +41,7 @@
 //
 // Hardening (the engine's ingest loop has no exception handling and
 // TIRESIAS_EXPECT aborts, so network input must never reach either):
-//   - the pull paths never throw: every structural problem — bad magic or
+//   - nextBatch() never throws: every structural problem — bad magic or
 //     version, an implausible table/frame size, a truncated frame, a
 //     file-id outside the table, a read timeout, a CSV line past the
 //     length cap — drops the connection cleanly and counts it in
@@ -141,7 +141,7 @@ struct SocketSourceOptions {
   /// idleness still accumulates against readTimeoutMs, which keeps the
   /// overall give-up semantics. <= 0 disables the bound (a pull blocks up
   /// to readTimeoutMs, the pre-idle behavior). next() always blocks until
-  /// a record or end of stream regardless.
+  /// a record or end of stream regardless (it retries while idle()).
   int pullIdleMs = 200;
 };
 
@@ -155,7 +155,6 @@ class SocketSource final : public RecordSource {
                const Hierarchy& hierarchy, SocketSourceOptions options = {});
   ~SocketSource() override;
 
-  std::optional<Record> next() override;
   std::size_t nextBatch(std::vector<Record>& out, std::size_t max) override;
 
   /// Record-level junk: unknown categories, junk CSV rows, out-of-order

@@ -9,18 +9,16 @@
 
 #include "common/csv.h"
 #include "common/expect.h"
+#include "persist/snapshot.h"
 
 namespace tiresias {
 
-std::size_t RecordSource::nextBatch(std::vector<Record>& out,
-                                    std::size_t max) {
-  out.clear();
-  while (out.size() < max) {
-    auto r = next();
-    if (!r) break;
-    out.push_back(*r);
+std::optional<Record> RecordSource::next() {
+  std::vector<Record> one;
+  while (nextBatch(one, 1) == 0) {
+    if (!idle()) return std::nullopt;
   }
-  return out.size();
+  return one.front();
 }
 
 VectorSource::VectorSource(std::vector<Record> records)
@@ -29,11 +27,6 @@ VectorSource::VectorSource(std::vector<Record> records)
     TIRESIAS_EXPECT(records_[i - 1].time <= records_[i].time,
                     "VectorSource requires time-ordered records");
   }
-}
-
-std::optional<Record> VectorSource::next() {
-  if (pos_ >= records_.size()) return std::nullopt;
-  return records_[pos_++];
 }
 
 std::size_t VectorSource::nextBatch(std::vector<Record>& out,
@@ -61,19 +54,17 @@ NodeId PathCache::resolve(std::string_view rawPath) {
 
 struct CsvSource::Impl {
   std::ifstream in;
-  /// Chunked file reader shared by both pull paths (so they can be mixed
-  /// on one source): lines are string_views into the read buffer, copied
-  /// into `spill` only when they straddle a chunk boundary.
+  /// Chunked file reader: lines are string_views into the read buffer,
+  /// copied into `spill` only when they straddle a chunk boundary.
   std::vector<char> buf;
   std::size_t bufPos = 0;
   std::size_t bufLen = 0;
   std::string spill;
-  std::string lineCopy;  // next()'s owned copy for csvSplit
   PathCache pathCache;
 
   Impl(const std::string& path, const Hierarchy& h)
       : in(path), buf(std::size_t{64} << 10), pathCache(h) {
-    TIRESIAS_EXPECT(static_cast<bool>(in), "cannot open trace file");
+    if (!in) throw persist::SnapshotError("trace: cannot open file");
   }
 
   bool fill() {
@@ -134,43 +125,13 @@ std::size_t CsvSource::pathCacheHits() const {
   return impl_->pathCache.hits();
 }
 
-std::optional<Record> CsvSource::next() {
-  std::string_view lineView;
-  while (impl_->readLine(lineView)) {
-    if (lineView.empty()) continue;
-    const std::string& line = impl_->lineCopy.assign(lineView);
-    const auto fields = csvSplit(line);
-    if (fields.size() != 2) {
-      ++skipped_;
-      continue;
-    }
-    // Resolve through the shared path cache (not a direct hierarchy
-    // walk): next() and nextBatch() must pay the same per-record cost on
-    // repeated categories, and mixing the pull paths on one source must
-    // keep warming one cache.
-    const NodeId node = impl_->pathCache.resolve(fields[0]);
-    if (node == kInvalidNode) {
-      ++skipped_;
-      continue;
-    }
-    char* end = nullptr;
-    const long long t = std::strtoll(fields[1].c_str(), &end, 10);
-    if (end == fields[1].c_str() || *end != '\0') {
-      ++skipped_;
-      continue;
-    }
-    return Record{node, static_cast<Timestamp>(t)};
-  }
-  return std::nullopt;
-}
-
 namespace {
 
-/// strtoll-equivalent full-field parse for the batched fast path:
-/// from_chars covers the common "[-]digits" case without needing a
-/// NUL-terminated copy; every other shape (leading spaces, '+',
-/// out-of-range clamping, trailing junk, embedded NULs) falls back to
-/// strtoll on a copy so accept/skip decisions match next() bit for bit.
+/// strtoll-equivalent full-field parse: from_chars covers the common
+/// "[-]digits" case without needing a NUL-terminated copy; every other
+/// shape (leading spaces, '+', out-of-range clamping, trailing junk,
+/// embedded NULs) falls back to strtoll on a copy, so accept/skip
+/// decisions are strtoll's exactly.
 bool parseTimeField(std::string_view field, Timestamp& t) {
   std::int64_t value = 0;
   const char* first = field.data();

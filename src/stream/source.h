@@ -4,14 +4,10 @@
 // in-memory trace; CsvSource streams a trace file (category-path,timestamp);
 // sources produced by workload generators live in src/workload.
 //
-// Sources expose two pull APIs:
-//   next()      — one record per virtual call; the simple reference path.
-//   nextBatch() — appends up to `max` records into a caller-owned buffer.
-//                 The default adapts next(); hot sources override it
-//                 natively so the ingest loop is non-virtual per record and
-//                 allocation-free (buffers are reused across calls).
-// Both paths must yield the identical record sequence and the identical
-// skippedRecords() accounting — the batched-ingest tests assert this.
+// Every source implements one pull, nextBatch(): it appends up to `max`
+// records into a caller-owned buffer, so the ingest loop is non-virtual
+// per record and allocation-free (buffers are reused across calls).
+// next() is a one-record convenience built on it, for tests and tools.
 #pragma once
 
 #include <functional>
@@ -30,14 +26,17 @@ class RecordSource {
  public:
   virtual ~RecordSource() = default;
 
-  /// Next record in non-decreasing time order, or nullopt at end of stream.
-  virtual std::optional<Record> next() = 0;
-
   /// Pull up to `max` records (max > 0) into `out`, clearing it first but
-  /// keeping its capacity. Returns out.size(); 0 means end of stream.
-  /// The default loops over next(); overrides must produce the same
-  /// sequence and skip accounting.
-  virtual std::size_t nextBatch(std::vector<Record>& out, std::size_t max);
+  /// keeping its capacity, in non-decreasing time order. Returns
+  /// out.size(); 0 means end of stream, unless idle() is true.
+  virtual std::size_t nextBatch(std::vector<Record>& out,
+                                std::size_t max) = 0;
+
+  /// Next record, or nullopt at end of stream: nextBatch(…, 1), retried
+  /// while idle(), so a live source blocks until a record or the end.
+  /// Nothing in src/ overrides it; it stays virtual only for the
+  /// forwarding wrappers under benchmark/ that still mark it `override`.
+  virtual std::optional<Record> next();
 
   /// Rows the source consumed but could not turn into records (junk lines,
   /// unknown categories). Operational traces contain garbage; consumers
@@ -68,7 +67,7 @@ class RecordSource {
 /// misses too, so junk categories are as cheap as real ones. Capped —
 /// operational junk is unbounded — with lookups past the cap falling back
 /// to the tree walk, which stays correct. Hit accounting is exposed so
-/// tests can assert both pull paths actually go through the cache.
+/// tests can assert repeated rows actually go through the cache.
 class PathCache {
  public:
   /// Entries are cheap (path bytes + 4-byte id) but stop inserting past
@@ -101,7 +100,6 @@ class VectorSource final : public RecordSource {
  public:
   explicit VectorSource(std::vector<Record> records);
 
-  std::optional<Record> next() override;
   std::size_t nextBatch(std::vector<Record>& out, std::size_t max) override;
 
  private:
@@ -113,25 +111,24 @@ class VectorSource final : public RecordSource {
 /// Category paths are resolved against the given hierarchy; unknown paths
 /// are counted and skipped (operational traces contain junk rows).
 ///
-/// nextBatch() is the fast path: it reuses the line buffer, splits plain
-/// (quote-free) rows in place, and resolves paths through a per-source
-/// PathCache keyed on the raw field bytes — repeated categories, the
-/// overwhelmingly common case in operational traces, skip both the path
-/// split and the tree walk. Unknown paths are cached too, so junk rows are
-/// cheap as well; the skip accounting is identical to next()'s. Both pull
-/// paths share the one cache (pathCacheHits() accrues through either).
+/// Rows are read in chunks and split in place (plain rows need no copy;
+/// see parseCsvTraceRow), and paths resolve through a per-source PathCache
+/// keyed on the raw field bytes: repeated categories, the overwhelmingly
+/// common case in operational traces, skip both the path split and the
+/// tree walk. Unknown paths are cached too, so junk rows are cheap as
+/// well. The constructor throws persist::SnapshotError when the file
+/// cannot be opened.
 class CsvSource final : public RecordSource {
  public:
   CsvSource(std::string path, const Hierarchy& hierarchy);
   ~CsvSource() override;
 
-  std::optional<Record> next() override;
   std::size_t nextBatch(std::vector<Record>& out, std::size_t max) override;
 
   std::size_t skippedRecords() const override { return skipped_; }
 
-  /// Path-cache observability, for tests asserting the per-record and
-  /// batched paths share the same resolution cache.
+  /// Path-cache observability, for tests asserting repeated rows hit the
+  /// resolution cache.
   std::size_t pathCacheSize() const;
   std::size_t pathCacheHits() const;
 
@@ -146,8 +143,10 @@ void writeRecordsCsv(const std::string& path, const Hierarchy& hierarchy,
                      const std::vector<Record>& records);
 
 /// Parse one CSV trace row ("<category-path>,<timestamp>") with exactly
-/// CsvSource's accept/skip semantics (shared by its batched path and the
-/// binary-trace converter, so both make identical junk decisions).
+/// CsvSource's accept/skip semantics (shared by CsvSource and the
+/// binary-trace converter, so both make identical junk decisions): the
+/// row must split (csvSplit rules) into exactly two fields, and strtoll
+/// must consume the whole timestamp field, up to any embedded NUL.
 /// Returns false for junk rows. On success `path` views into `line` or
 /// into `quotedScratch` (valid until either changes).
 bool parseCsvTraceRow(std::string_view line,

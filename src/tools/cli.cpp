@@ -205,7 +205,8 @@ constexpr CliOption kOptions[] = {
     {.name = "retries", .commands = "send", .kind = Kind::kInt, .def = "0",
      .lo = 0, .mode = Mode::kBinaryOnly, .help = "reconnects after a loss"},
     {.name = "backoff-ms", .commands = "send", .kind = Kind::kInt,
-     .value = "ms", .def = "200", .lo = 1, .mode = Mode::kBinaryOnly,
+     .value = "ms", .def = "200", .lo = 1, .hi = 10'000,
+     .mode = Mode::kBinaryOnly,
      .help = "first retry delay (jittered, doubling, capped at 10 s)"},
 };
 
@@ -266,6 +267,23 @@ bool parseDataset(const Options& opt, std::ostream& err, WorkloadSpec& spec) {
     spec = workload::ccdNetworkWorkload(scale);
   }
   return true;
+}
+
+/// Opens --trace for `command`, or prints why not and returns null: a file
+/// that cannot be opened, or a binary trace whose header is malformed.
+std::unique_ptr<RecordSource> openTrace(const char* command,
+                                        const std::string& trace,
+                                        const Hierarchy& h, std::ostream& err) {
+  if (!std::ifstream(trace)) {
+    err << command << ": cannot open --trace '" << trace << "'\n";
+    return nullptr;
+  }
+  try {
+    return openTraceSource(trace, h);
+  } catch (const persist::SnapshotError& e) {
+    err << command << ": bad binary trace: " << e.what() << "\n";
+    return nullptr;
+  }
 }
 
 /// "path:unit:duration:magnitude" -> SpikeSpec.
@@ -339,8 +357,10 @@ int cmdGenerate(const Options& opt, std::ostream& out, std::ostream& err) {
   }
 
   workload::GeneratorSource src(spec, 0, days * unitsPerDay, seed, injector);
-  std::vector<Record> records;
-  while (auto r = src.next()) records.push_back(*r);
+  std::vector<Record> records, chunk;
+  while (src.nextBatch(chunk, 4096) > 0) {
+    records.insert(records.end(), chunk.begin(), chunk.end());
+  }
   writeRecordsCsv(outPath, spec.hierarchy, records);
   out << "wrote " << records.size() << " records (" << days << " days, "
       << ledger.specs().size() << " injected spikes) to " << outPath << "\n";
@@ -362,7 +382,7 @@ int cmdConvert(const Options& opt, std::ostream& out, std::ostream& err) {
         << outPath << "\n";
     return 0;
   } catch (const persist::SnapshotError& e) {
-    err << "convert: " << e.what() << "\n";
+    err << e.what() << "\n";  // already prefixed "convert: "
     return 1;
   }
 }
@@ -385,13 +405,12 @@ int cmdDetect(const Options& opt, std::ostream& out, std::ostream& err) {
   cfg.candidatePeriods = {static_cast<std::size_t>(kDay / spec.unit),
                           static_cast<std::size_t>(kWeek / spec.unit)};
 
+  const auto source = openTrace("detect", trace, spec.hierarchy, err);
+  if (!source) return 1;
   TiresiasPipeline pipeline(borrowHierarchy(spec.hierarchy), cfg);
   report::AnomalyStore store(spec.hierarchy);
   RunSummary summary;
   try {
-    // Constructing the source validates a binary trace's framing, so it
-    // sits inside the catch along with the record decode.
-    const auto source = openTraceSource(trace, spec.hierarchy);
     summary =
         pipeline.run(*source, [&](const InstanceResult& r) { store.add(r); });
   } catch (const persist::SnapshotError& e) {
@@ -442,11 +461,10 @@ int cmdAnalyze(const Options& opt, std::ostream& out, std::ostream& err) {
   const long long unitMinutes = opt.num("unit-minutes");
   const Duration delta = unitMinutes * kMinute;
 
+  const auto source = openTrace("analyze", trace, spec.hierarchy, err);
+  if (!source) return 1;
   std::vector<double> counts;
   try {
-    // Constructing the source validates a binary trace's framing, so it
-    // sits inside the catch along with the record decode.
-    const auto source = openTraceSource(trace, spec.hierarchy);
     TimeUnitBatcher batcher(*source, delta, 0);
     while (auto b = batcher.next()) {
       counts.push_back(static_cast<double>(b->records.size()));
@@ -1035,16 +1053,16 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
   const auto port = static_cast<std::uint16_t>(portIn);
 
   if (format == "csv") {
-    net::TcpConn conn =
-        net::connectTo(host, port, static_cast<int>(timeoutMs));
-    if (!conn.valid()) {
-      err << "send: cannot connect to " << to << "\n";
-      return 1;
-    }
     // CSV is forwarded verbatim; the server applies CsvSource semantics.
     std::ifstream in(trace, std::ios::binary);
     if (!in) {
       err << "send: cannot open --trace '" << trace << "'\n";
+      return 1;
+    }
+    net::TcpConn conn =
+        net::connectTo(host, port, static_cast<int>(timeoutMs));
+    if (!conn.valid()) {
+      err << "send: cannot connect to " << to << "\n";
       return 1;
     }
     std::vector<char> chunk(256 * 1024);
@@ -1104,6 +1122,10 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
     }
     sent = 0;
     resumeSkipped = 0;
+    // The trace reopens on every attempt, before connecting: a trace that
+    // cannot be read must not cost the server a connection.
+    const auto source = openTrace("send", trace, h, err);
+    if (!source) return 1;
     net::TcpConn conn = net::connectTo(host, port, ioTimeout);
     if (!conn.valid()) {
       lastError = "cannot connect to " + to;
@@ -1138,11 +1160,10 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
       err << "send: resuming '" << streamName << "' from t=" << committed
           << "\n";
     }
-    // The trace reopens on every attempt; the committed prefix is
-    // dropped record by record and the rest re-framed.
+    // The committed prefix is dropped record by record and the rest
+    // re-framed.
     bool lost = false;
     try {
-      const auto source = openTraceSource(trace, h);
       std::vector<Record> batch, keep;
       while (source->nextBatch(batch, static_cast<std::size_t>(frameIn)) >
              0) {

@@ -145,15 +145,6 @@ void GeneratorSource::fillUnit() {
   ++nextUnit_;
 }
 
-std::optional<Record> GeneratorSource::next() {
-  while (bufferPos_ >= buffer_.size()) {
-    if (nextUnit_ >= lastUnit_) return std::nullopt;
-    fillUnit();
-  }
-  ++produced_;
-  return buffer_[bufferPos_++];
-}
-
 std::size_t GeneratorSource::nextBatch(std::vector<Record>& out,
                                        std::size_t max) {
   out.clear();

@@ -61,10 +61,8 @@ class GeneratorSource final : public RecordSource {
                   TimeUnit lastUnit, std::uint64_t seed,
                   std::shared_ptr<const AnomalyInjector> injector = nullptr);
 
-  std::optional<Record> next() override;
-  /// Native batch pull: copies whole runs out of the per-unit buffer, so
-  /// the per-record cost is a memcpy instead of a virtual call. Yields the
-  /// identical record sequence as next() (same RNG draws, same order).
+  /// Copies whole runs out of the per-unit buffer, so the per-record cost
+  /// is a memcpy. The sequence depends only on the seed, not on `max`.
   std::size_t nextBatch(std::vector<Record>& out, std::size_t max) override;
 
   /// Total records generated so far.

@@ -1,75 +1,19 @@
-// Batched-ingestion fast path: RecordSource::nextBatch must be
-// indistinguishable from next() — identical record sequences, identical
-// skip accounting, and bit-identical anomaly sets through the pipeline and
-// the engine (the sequential-equivalence guarantee the ingest refactor
-// ships under).
+// The one pull API, RecordSource::nextBatch: every chunk size yields the
+// same literal records and skip counts, and the timeunit batcher slices
+// units the same whatever chunks it is fed.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
 #include "common/rng.h"
-#include "core/pipeline.h"
-#include "engine/engine.h"
 #include "hierarchy/builder.h"
-#include "report/concurrent_store.h"
-#include "report/store.h"
 #include "stream/window.h"
-#include "timeseries/ewma.h"
 #include "workload/ccd.h"
+#include "workload/generator.h"
 
 namespace tiresias {
 namespace {
-
-using workload::GeneratorSource;
-using workload::Scale;
-using workload::WorkloadSpec;
-
-/// Hides a source's native nextBatch so consumers exercise the default
-/// per-record fallback — the "unbatched" side of every equivalence check.
-class ForceUnbatched final : public RecordSource {
- public:
-  explicit ForceUnbatched(std::unique_ptr<RecordSource> inner)
-      : inner_(std::move(inner)) {}
-
-  std::optional<Record> next() override { return inner_->next(); }
-  std::size_t skippedRecords() const override {
-    return inner_->skippedRecords();
-  }
-
- private:
-  std::unique_ptr<RecordSource> inner_;
-};
-
-/// A spike big enough that both sides of every equivalence test detect
-/// real anomalies — comparing empty sets would prove nothing.
-std::shared_ptr<const workload::AnomalyInjector> spikeInjector(
-    const WorkloadSpec& spec, TimeUnit startUnit) {
-  workload::SpikeSpec spike;
-  spike.node = spec.hierarchy.children(spec.hierarchy.root()).front();
-  spike.startUnit = startUnit;
-  spike.durationUnits = 3;
-  spike.extraPerUnit = 40.0 * spec.baseRatePerUnit;
-  workload::GroundTruthLedger ledger;
-  ledger.add(spike);
-  return std::make_shared<workload::AnomalyInjector>(spec.hierarchy,
-                                                     std::move(ledger));
-}
-
-PipelineConfig pipelineConfig(const WorkloadSpec& spec) {
-  PipelineConfig cfg;
-  cfg.delta = spec.unit;
-  cfg.detector.theta = 8.0;
-  cfg.detector.windowLength = 16;
-  cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
-  return cfg;
-}
-
-std::vector<Record> drainPerRecord(RecordSource& src) {
-  std::vector<Record> out;
-  while (auto r = src.next()) out.push_back(*r);
-  return out;
-}
 
 std::vector<Record> drainBatched(RecordSource& src, std::size_t max) {
   std::vector<Record> out, chunk;
@@ -79,10 +23,9 @@ std::vector<Record> drainBatched(RecordSource& src, std::size_t max) {
   return out;
 }
 
-TEST(NextBatch, DefaultFallbackAdaptsNext) {
-  ForceUnbatched src(std::make_unique<VectorSource>(
-      std::vector<Record>{{1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}}));
-  std::vector<Record> chunk;
+TEST(NextBatch, ClearsTheBufferAndStopsAtMax) {
+  VectorSource src({{1, 10}, {2, 20}, {3, 30}, {4, 40}, {5, 50}});
+  std::vector<Record> chunk{{9, 0}};
   EXPECT_EQ(src.nextBatch(chunk, 2), 2u);
   EXPECT_EQ(chunk, (std::vector<Record>{{1, 10}, {2, 20}}));
   EXPECT_EQ(src.nextBatch(chunk, 4), 3u);  // clears, then the remainder
@@ -91,78 +34,75 @@ TEST(NextBatch, DefaultFallbackAdaptsNext) {
   EXPECT_TRUE(chunk.empty());
 }
 
-TEST(NextBatch, VectorSourceMatchesNextAtAnyChunkSize) {
+TEST(NextBatch, VectorSourceReplaysAtAnyChunkSize) {
   std::vector<Record> records;
   for (int i = 0; i < 257; ++i) {
     records.push_back({static_cast<NodeId>(i % 5), i * 3});
   }
-  VectorSource perRecord(records);
-  const auto want = drainPerRecord(perRecord);
   for (std::size_t max : {1u, 2u, 7u, 256u, 1024u}) {
-    VectorSource batched(records);
-    EXPECT_EQ(drainBatched(batched, max), want) << "max=" << max;
+    VectorSource src(records);
+    EXPECT_EQ(drainBatched(src, max), records) << "max=" << max;
   }
 }
 
-TEST(NextBatch, GeneratorSourceMatchesNext) {
-  const auto spec = workload::ccdNetworkWorkload(Scale::kTest);
-  GeneratorSource perRecord(spec, 0, 24, 42);
-  GeneratorSource batched(spec, 0, 24, 42);
-  const auto want = drainPerRecord(perRecord);
-  EXPECT_EQ(drainBatched(batched, 100), want);
-  EXPECT_EQ(batched.produced(), perRecord.produced());
+TEST(NextBatch, GeneratorSourceIgnoresChunkSize) {
+  const auto spec = workload::ccdNetworkWorkload(workload::Scale::kTest);
+  workload::GeneratorSource whole(spec, 0, 24, 42);
+  const auto want = drainBatched(whole, 1 << 20);
+  ASSERT_GT(want.size(), 0u);
+  EXPECT_EQ(whole.produced(), want.size());
+  for (std::size_t i = 1; i < want.size(); ++i) {
+    ASSERT_LE(want[i - 1].time, want[i].time) << "at " << i;
+  }
+  EXPECT_GE(want.front().time, 0);
+  EXPECT_LT(want.back().time, 24 * spec.unit);
+  for (std::size_t max : {1u, 7u, 100u}) {
+    workload::GeneratorSource src(spec, 0, 24, 42);
+    EXPECT_EQ(drainBatched(src, max), want) << "max=" << max;
+    EXPECT_EQ(src.produced(), want.size()) << "max=" << max;
+  }
 }
 
 /// One trace exercising every skip reason plus cache-relevant repetition:
 /// unknown paths (cached negatively), malformed rows, bad timestamps,
 /// quoted and CRLF rows (slow path), and heavy path repetition (cache
-/// hits). next() and nextBatch must agree on records AND skip counts.
-TEST(NextBatch, CsvSourceMatchesNextOnJunkLadenTrace) {
+/// hits). Every chunk size must yield the same literal records and skips.
+TEST(NextBatch, CsvSourceJunkLadenTraceAtAnyChunkSize) {
   const auto h = HierarchyBuilder::balanced({3, 2});
+  const auto leaf = [&](int i) {
+    return h.leaves()[static_cast<std::size_t>(i)];
+  };
   const std::string path = ::testing::TempDir() + "/batch_junk.csv";
+  std::vector<Record> want;
   {
     std::ofstream out(path);
     for (int rep = 0; rep < 50; ++rep) {  // repeated categories: cache hits
-      out << h.path(h.leaves()[rep % 3]) << "," << 100 + rep << "\n";
+      out << h.path(leaf(rep % 3)) << "," << 100 + rep << "\n";
+      want.push_back({leaf(rep % 3), 100 + rep});
     }
     out << "no/such/path,200\n";            // unknown -> skipped
     out << "no/such/path,201\n";            // repeated unknown (cached)
     out << "not a csv row\n";               // one field -> skipped
     out << "a,b,c\n";                       // three fields -> skipped
-    out << h.path(h.leaves()[0]) << ",notatime\n";  // bad time -> skipped
-    out << h.path(h.leaves()[0]) << ",\n";          // empty time -> skipped
-    out << "\n";                                    // blank line (not junk)
-    out << "\"" << h.path(h.leaves()[1]) << "\",300\n";  // quoted row
-    out << h.path(h.leaves()[2]) << ",400\r\n";          // CRLF row
-    // Embedded NUL after digits: strtoll stops at the NUL and ACCEPTS
-    // (t=450); the fast path must agree.
-    out << h.path(h.leaves()[0]) << ",450" << '\0' << "x\n";
-    out << h.path(h.leaves()[2]) << ",500\n";
+    out << h.path(leaf(0)) << ",notatime\n";  // bad time -> skipped
+    out << h.path(leaf(0)) << ",\n";          // empty time -> skipped
+    out << "\n";                              // blank line (not junk)
+    out << "\"" << h.path(leaf(1)) << "\",300\n";  // quoted row
+    out << h.path(leaf(2)) << ",400\r\n";          // CRLF row
+    // Embedded NUL after digits: strtoll stops at the NUL and accepts.
+    out << h.path(leaf(0)) << ",450" << '\0' << "x\n";
+    out << h.path(leaf(2)) << ",500\n";
   }
-
-  CsvSource perRecord(path, h);
-  const auto want = drainPerRecord(perRecord);
+  want.push_back({leaf(1), 300});
+  want.push_back({leaf(2), 400});
+  want.push_back({leaf(0), 450});
+  want.push_back({leaf(2), 500});
   ASSERT_EQ(want.size(), 54u);
-  EXPECT_EQ(perRecord.skippedRecords(), 6u);
 
   for (std::size_t max : {1u, 3u, 64u, 4096u}) {
-    CsvSource batched(path, h);
-    EXPECT_EQ(drainBatched(batched, max), want) << "max=" << max;
-    EXPECT_EQ(batched.skippedRecords(), perRecord.skippedRecords())
-        << "max=" << max;
-  }
-
-  {  // Mixing the two pull APIs on one source must not lose records.
-    CsvSource mixed(path, h);
-    std::vector<Record> got, chunk;
-    const auto first = mixed.next();  // consume one via the per-record path
-    ASSERT_TRUE(first);
-    got.push_back(*first);
-    while (mixed.nextBatch(chunk, 10) > 0) {
-      got.insert(got.end(), chunk.begin(), chunk.end());
-    }
-    EXPECT_EQ(got, want);
-    EXPECT_EQ(mixed.skippedRecords(), 6u);
+    CsvSource src(path, h);
+    EXPECT_EQ(drainBatched(src, max), want) << "max=" << max;
+    EXPECT_EQ(src.skippedRecords(), 6u) << "max=" << max;
   }
   std::remove(path.c_str());
 }
@@ -215,96 +155,6 @@ TEST(Batcher, TinyChunksPreserveUnitSlicing) {
     }
     EXPECT_EQ(total, records.size()) << "chunk=" << chunk;
   }
-}
-
-/// The tentpole guarantee at the pipeline level: a batched source and the
-/// per-record fallback produce bit-identical anomaly sets and summaries.
-TEST(BatchedIngest, PipelineEquivalentToPerRecordPath) {
-  const auto spec = workload::ccdNetworkWorkload(Scale::kTest);
-  const TimeUnit units = 48;
-
-  auto runWith = [&](std::unique_ptr<RecordSource> src, RunSummary& sum) {
-    TiresiasPipeline pipeline(borrowHierarchy(spec.hierarchy), pipelineConfig(spec));
-    report::AnomalyStore store(spec.hierarchy);
-    sum = pipeline.run(*src,
-                       [&](const InstanceResult& r) { store.add(r); });
-    return store.all();
-  };
-
-  const auto injector = spikeInjector(spec, 30);
-  RunSummary batchedSum, perRecordSum;
-  const auto batched = runWith(
-      std::make_unique<GeneratorSource>(spec, 0, units, 7, injector),
-      batchedSum);
-  const auto perRecord = runWith(
-      std::make_unique<ForceUnbatched>(
-          std::make_unique<GeneratorSource>(spec, 0, units, 7, injector)),
-      perRecordSum);
-
-  EXPECT_EQ(perRecordSum.unitsProcessed, batchedSum.unitsProcessed);
-  EXPECT_EQ(perRecordSum.recordsProcessed, batchedSum.recordsProcessed);
-  EXPECT_EQ(perRecordSum.instancesDetected, batchedSum.instancesDetected);
-  EXPECT_EQ(perRecordSum.anomaliesReported, batchedSum.anomaliesReported);
-  ASSERT_EQ(perRecord.size(), batched.size());
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    EXPECT_EQ(batched[i].anomaly, perRecord[i].anomaly);
-    EXPECT_EQ(batched[i].path, perRecord[i].path);
-  }
-  EXPECT_GT(batched.size(), 0u);  // the comparison must compare something
-}
-
-/// And at the engine level, across workers and backpressure.
-TEST(BatchedIngest, EngineEquivalentToPerRecordPath) {
-  const std::vector<WorkloadSpec> specs = {
-      workload::ccdNetworkWorkload(Scale::kTest),
-      workload::ccdTroubleWorkload(Scale::kTest),
-      workload::ccdNetworkWorkload(Scale::kTest),
-  };
-  const TimeUnit units = 40;
-
-  auto runEngine = [&](bool batched) {
-    engine::EngineConfig cfg;
-    cfg.workers = 2;
-    cfg.streamQueueCapacity = 2;  // force backpressure on the ingest path
-    report::ConcurrentAnomalyStore store;
-    engine::DetectionEngine eng(cfg, store.sink());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      const std::string name = "s" + std::to_string(i);
-      store.registerStream(name, specs[i].hierarchy);
-      auto gen = std::make_unique<GeneratorSource>(
-          specs[i], 0, units, 31 + i, spikeInjector(specs[i], 24));
-      std::unique_ptr<RecordSource> src;
-      if (batched) {
-        src = std::move(gen);
-      } else {
-        src = std::make_unique<ForceUnbatched>(std::move(gen));
-      }
-      eng.addStream(name, borrowHierarchy(specs[i].hierarchy), pipelineConfig(specs[i]),
-                    std::move(src));
-    }
-    eng.start();
-    eng.drain();
-    std::vector<std::vector<report::StoredAnomaly>> all;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-      all.push_back(store.snapshot("s" + std::to_string(i)));
-    }
-    return all;
-  };
-
-  const auto batched = runEngine(true);
-  const auto perRecord = runEngine(false);
-  ASSERT_EQ(batched.size(), perRecord.size());
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < batched.size(); ++i) {
-    SCOPED_TRACE("stream " + std::to_string(i));
-    ASSERT_EQ(batched[i].size(), perRecord[i].size());
-    for (std::size_t j = 0; j < batched[i].size(); ++j) {
-      EXPECT_EQ(batched[i][j].anomaly, perRecord[i][j].anomaly);
-      EXPECT_EQ(batched[i][j].path, perRecord[i][j].path);
-    }
-    total += batched[i].size();
-  }
-  EXPECT_GT(total, 0u);
 }
 
 }  // namespace

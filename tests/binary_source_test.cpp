@@ -24,12 +24,6 @@ namespace {
 
 using persist::SnapshotError;
 
-std::vector<Record> drainPerRecord(RecordSource& src) {
-  std::vector<Record> out;
-  while (auto r = src.next()) out.push_back(*r);
-  return out;
-}
-
 std::vector<Record> drainBatched(RecordSource& src, std::size_t max) {
   std::vector<Record> out, chunk;
   while (src.nextBatch(chunk, max) > 0) {
@@ -86,36 +80,21 @@ TEST(BinaryTrace, RoundTripMatchesCsvSource) {
   const std::string bin = ::testing::TempDir() + "/bin_junk.tsrb";
   const auto stats = convertCsvTraceToBinary(csv, bin);
 
-  CsvSource reference(csv, h);
-  const auto want = drainPerRecord(reference);
-  ASSERT_GT(want.size(), 0u);
-
-  BinarySource perRecord(bin, h);
-  EXPECT_EQ(drainPerRecord(perRecord), want);
-  // The CSV's skips split across the two stages — junk rows die at
-  // convert time, unknown paths at read time — but the total matches.
-  EXPECT_EQ(stats.skippedRows + perRecord.skippedRecords(),
-            reference.skippedRecords());
-  EXPECT_EQ(perRecord.unresolvedPaths(), 1u);  // "no/such/path"
-
   for (std::size_t max : {1u, 3u, 64u, 4096u}) {
-    BinarySource batched(bin, h);
-    EXPECT_EQ(drainBatched(batched, max), want) << "max=" << max;
-    EXPECT_EQ(batched.skippedRecords(), perRecord.skippedRecords())
-        << "max=" << max;
-  }
+    CsvSource reference(csv, h);
+    const auto want = drainBatched(reference, max);
+    ASSERT_EQ(want.size(), 53u) << "max=" << max;
+    EXPECT_EQ(reference.skippedRecords(), 6u) << "max=" << max;
 
-  {  // Mixing next() and nextBatch() on one source must not lose records.
-    BinarySource mixed(bin, h);
-    std::vector<Record> got, chunk;
-    const auto first = mixed.next();
-    ASSERT_TRUE(first);
-    got.push_back(*first);
-    while (mixed.nextBatch(chunk, 7) > 0) {
-      got.insert(got.end(), chunk.begin(), chunk.end());
-    }
-    EXPECT_EQ(got, want);
-    EXPECT_EQ(mixed.skippedRecords(), perRecord.skippedRecords());
+    BinarySource binary(bin, h);
+    EXPECT_EQ(drainBatched(binary, max), want) << "max=" << max;
+    // The CSV's skips split across the two stages — junk rows die at
+    // convert time, unknown paths at read time — but the total matches.
+    EXPECT_EQ(binary.skippedRecords(), 2u) << "max=" << max;
+    EXPECT_EQ(stats.skippedRows + binary.skippedRecords(),
+              reference.skippedRecords())
+        << "max=" << max;
+    EXPECT_EQ(binary.unresolvedPaths(), 1u);  // "no/such/path"
   }
   std::remove(csv.c_str());
   std::remove(bin.c_str());
@@ -163,10 +142,18 @@ TEST(BinaryTrace, OpenTraceSourceSniffsFormat) {
   { std::ofstream out(tiny); out << "x"; }
   auto fromTiny = openTraceSource(tiny, h);
   ASSERT_NE(dynamic_cast<CsvSource*>(fromTiny.get()), nullptr);
-  EXPECT_TRUE(drainPerRecord(*fromTiny).empty());
+  EXPECT_TRUE(drainBatched(*fromTiny, 64).empty());
   std::remove(csv.c_str());
   std::remove(bin.c_str());
   std::remove(tiny.c_str());
+}
+
+TEST(BinaryTrace, MissingFileThrowsSnapshotError) {
+  const auto h = HierarchyBuilder::balanced({3, 2});
+  const std::string missing = ::testing::TempDir() + "/no_such_trace";
+  EXPECT_THROW(openTraceSource(missing, h), SnapshotError);
+  EXPECT_THROW(CsvSource(missing, h), SnapshotError);
+  EXPECT_THROW(BinarySource(missing, h), SnapshotError);
 }
 
 /// End-to-end: a pipeline fed the converted trace produces bit-identical
@@ -184,8 +171,7 @@ TEST(BinaryTrace, PipelineEquivalentToCsvIngest) {
       spec.hierarchy, std::move(ledger));
 
   workload::GeneratorSource gen(spec, 0, 48, 7, injector);
-  std::vector<Record> records;
-  while (auto r = gen.next()) records.push_back(*r);
+  const std::vector<Record> records = drainBatched(gen, 4096);
   const std::string csv = ::testing::TempDir() + "/bin_pipe.csv";
   const std::string bin = ::testing::TempDir() + "/bin_pipe.tsrb";
   writeRecordsCsv(csv, spec.hierarchy, records);

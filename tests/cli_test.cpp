@@ -316,7 +316,16 @@ TEST(Cli, SendValidatesArguments) {
                  "--backoff-ms", "0"},
                 nullptr, &err),
             2);
-  EXPECT_NE(err.find("--backoff-ms positive"), std::string::npos);
+  EXPECT_NE(err.find("--backoff-ms must be in [1, 10000]"),
+            std::string::npos);
+  // The delay is capped at 10 s, so a larger first delay is a typo; past
+  // 2^62 it also used to overflow the doubling into a negative delay.
+  EXPECT_EQ(run({"send", "--to", "localhost:1", "--trace", "/tmp/x.csv",
+                 "--backoff-ms", "10001"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("--backoff-ms must be in [1, 10000]"),
+            std::string::npos);
 }
 
 TEST(Cli, AnalyzeFindsDiurnalSeason) {
@@ -704,6 +713,38 @@ TEST(Cli, MissingHierarchyFileFails) {
                 &err),
             2);
   EXPECT_NE(err.find("cannot open --hierarchy"), std::string::npos);
+}
+
+TEST(Cli, MissingTraceFileFails) {
+  const std::string missing = ::testing::TempDir() + "/no_such_trace.csv";
+  const std::string phrase = "cannot open --trace '" + missing + "'";
+  std::string err;
+  for (const char* command : {"detect", "analyze"}) {
+    EXPECT_EQ(run({command, "--dataset", "ccd-net", "--scale", "test",
+                   "--trace", missing},
+                  nullptr, &err),
+              1)
+        << command;
+    EXPECT_NE(err.find(std::string(command) + ": " + phrase),
+              std::string::npos)
+        << err;
+  }
+  // send opens the trace before it connects, so nothing needs to listen
+  // on the port: a connect attempt would fail with "cannot connect".
+  for (const char* format : {"binary", "csv"}) {
+    EXPECT_EQ(run({"send", "--to", "127.0.0.1:1", "--trace", missing,
+                   "--format", format, "--dataset", "ccd-net", "--scale",
+                   "test"},
+                  nullptr, &err),
+              1)
+        << format;
+    EXPECT_NE(err.find("send: " + phrase), std::string::npos) << err;
+  }
+  EXPECT_EQ(run({"convert", "--in", missing, "--out",
+                 ::testing::TempDir() + "/no_such_trace.tsrb"},
+                nullptr, &err),
+            1);
+  EXPECT_EQ(err, "convert: cannot open CSV trace\n");
 }
 
 TEST(Cli, AnalyzeRejectsShortTrace) {

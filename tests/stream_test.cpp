@@ -1,9 +1,14 @@
-// Unit tests for record sources and timeunit batching.
+// Unit tests for record sources, the CSV row parser and timeunit batching.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <string_view>
 
+#include "common/csv.h"
+#include "common/rng.h"
 #include "hierarchy/builder.h"
 #include "stream/window.h"
 
@@ -100,11 +105,10 @@ TEST(CsvSource, RoundTripAndJunkRows) {
   std::remove(path.c_str());
 }
 
-TEST(CsvSource, PathCacheSharedByBothPullPaths) {
-  // Regression: next() used to resolve paths with a bare hierarchy find,
-  // bypassing the path->NodeId cache nextBatch() populates, so per-record
-  // ingest paid a full tree walk per row. Both pull paths must accrue
-  // hits in the one shared cache.
+TEST(CsvSource, RepeatedPathsHitThePathCache) {
+  // Regression: paths must resolve through the path->NodeId cache, not a
+  // bare hierarchy find per row, so repeated categories skip the tree
+  // walk: the first row misses, the other nine hit.
   const auto h = tree();
   const std::string path = ::testing::TempDir() + "/trace_cache.csv";
   {
@@ -113,24 +117,13 @@ TEST(CsvSource, PathCacheSharedByBothPullPaths) {
       out << h.path(h.leaves()[0]) << "," << 100 + i << "\n";
     }
   }
-  {
-    CsvSource src(path, h);
-    while (src.next()) {
-    }
-    EXPECT_EQ(src.pathCacheSize(), 1u);
-    EXPECT_EQ(src.pathCacheHits(), 9u);  // first row misses, rest hit
-  }
-  {  // next() after nextBatch() reuses the batch-populated entries.
-    CsvSource src(path, h);
-    std::vector<Record> chunk;
-    ASSERT_EQ(src.nextBatch(chunk, 4), 4u);
-    const std::size_t hitsAfterBatch = src.pathCacheHits();
-    EXPECT_EQ(hitsAfterBatch, 3u);
-    while (src.next()) {
-    }
-    EXPECT_EQ(src.pathCacheSize(), 1u);
-    EXPECT_EQ(src.pathCacheHits(), 9u);
-  }
+  CsvSource src(path, h);
+  std::vector<Record> chunk;
+  std::size_t records = 0;
+  while (src.nextBatch(chunk, 1) > 0) records += chunk.size();
+  EXPECT_EQ(records, 10u);
+  EXPECT_EQ(src.pathCacheSize(), 1u);
+  EXPECT_EQ(src.pathCacheHits(), 9u);
   std::remove(path.c_str());
 }
 
@@ -144,6 +137,89 @@ TEST(CsvSource, WriteReadRoundTrip) {
   while (auto r = src.next()) back.push_back(*r);
   EXPECT_EQ(back, records);
   std::remove(path.c_str());
+}
+
+/// The row rules spelled out the plain way: csvSplit the row, demand two
+/// fields, strtoll the timestamp and demand it consumed the whole field
+/// (strtoll stops at an embedded NUL, which therefore ends the field).
+bool oracleRow(const std::string& line, std::string& path, Timestamp& time) {
+  const auto fields = csvSplit(line);
+  if (fields.size() != 2) return false;
+  char* end = nullptr;
+  const long long t = std::strtoll(fields[1].c_str(), &end, 10);
+  if (end == fields[1].c_str() || *end != '\0') return false;
+  path = fields[0];
+  time = static_cast<Timestamp>(t);
+  return true;
+}
+
+/// One random edit of a CSV row, drawn from the shapes operational junk
+/// takes: quotes, CRs, extra commas, NULs, signs and spaces before the
+/// timestamp, 20-digit timestamps, stray bytes, deletions.
+void mutateRow(std::string& row, Rng& rng) {
+  const auto at = [&] {
+    return static_cast<std::size_t>(rng.below(row.size() + 1));
+  };
+  const std::size_t comma = row.find(',');
+  const std::size_t timeAt = comma == std::string::npos ? 0 : comma + 1;
+  switch (rng.below(10)) {
+    case 0: row.insert(at(), 1, '"'); break;
+    case 1: row.insert(at(), 1, '\r'); break;
+    case 2: row.insert(at(), 1, ','); break;
+    case 3: row.insert(at(), 1, '\0'); break;
+    case 4: row.insert(timeAt, 1, "+- "[rng.below(3)]); break;
+    case 5: {  // 20 digits: past int64, so strtoll clamps
+      std::string digits;
+      for (int i = 0; i < 20; ++i) {
+        digits += static_cast<char>('0' + rng.below(10));
+      }
+      row = row.substr(0, timeAt) + digits;
+      break;
+    }
+    case 6: {  // quote the path field
+      const std::size_t end = std::min(comma, row.size());
+      row = "\"" + row.substr(0, end) + "\"" + row.substr(end);
+      break;
+    }
+    case 7: row.insert(at(), 1, "x9 \t."[rng.below(5)]); break;
+    case 8:
+      if (!row.empty()) row.erase(at() % row.size(), 1);
+      break;
+    default: row.insert(at(), "\"\""); break;
+  }
+}
+
+TEST(CsvRowParser, AgreesWithSplitAndStrtollUnderMutation) {
+  const auto h = tree();
+  Rng rng(2012);
+  std::vector<std::string> scratch;
+  std::size_t accepted = 0, rejected = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const NodeId leaf = h.leaves()[rng.below(h.leaves().size())];
+    const auto time =
+        static_cast<long long>(rng.below(1ULL << 40)) - (1LL << 39);
+    std::string row = h.path(leaf) + "," + std::to_string(time);
+    const auto edits = rng.below(4);  // 0 edits: the valid row itself
+    for (std::uint64_t e = 0; e < edits; ++e) mutateRow(row, rng);
+
+    std::string wantPath;
+    Timestamp wantTime = 0;
+    const bool want = oracleRow(row, wantPath, wantTime);
+    std::string_view gotPath;
+    Timestamp gotTime = 0;
+    const bool got = parseCsvTraceRow(row, scratch, gotPath, gotTime);
+    ASSERT_EQ(got, want) << "row #" << i << ": '" << row << "'";
+    if (!want) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    ASSERT_EQ(gotPath, wantPath) << "row #" << i << ": '" << row << "'";
+    ASSERT_EQ(gotTime, wantTime) << "row #" << i << ": '" << row << "'";
+  }
+  // Both verdicts must be exercised in volume, or the loop proves little.
+  EXPECT_GT(accepted, 5000u);
+  EXPECT_GT(rejected, 5000u);
 }
 
 }  // namespace

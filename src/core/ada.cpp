@@ -25,32 +25,41 @@ AdaDetector::AdaDetector(const Hierarchy& hierarchy, DetectorConfig config)
 
 AdaDetector::~AdaDetector() = default;
 
-void AdaDetector::setState(NodeId n, SeriesState&& st) {
-  const std::int32_t existing = stateSlot_[n];
-  if (existing >= 0) {
-    stateSlots_[static_cast<std::size_t>(existing)] = std::move(st);
-    return;
-  }
+AdaDetector::SeriesState& AdaDetector::bindSlot(NodeId n) {
+  if (holds(n)) return stateOf(n);
   std::uint32_t slot;
   if (!freeStateSlots_.empty()) {
     slot = freeStateSlots_.back();
     freeStateSlots_.pop_back();
-    stateSlots_[slot] = std::move(st);
   } else {
     slot = static_cast<std::uint32_t>(stateSlots_.size());
-    stateSlots_.push_back(std::move(st));
+    stateSlots_.emplace_back();
   }
   stateSlot_[n] = static_cast<std::int32_t>(slot);
   holders_.insert(std::upper_bound(holders_.begin(), holders_.end(), n), n);
+  return stateSlots_[slot];
+}
+
+void AdaDetector::moveSlot(NodeId from, NodeId to) {
+  stateSlot_[to] = stateSlot_[from];
+  stateSlot_[from] = -1;
+  holders_.erase(std::lower_bound(holders_.begin(), holders_.end(), from));
+  holders_.insert(std::upper_bound(holders_.begin(), holders_.end(), to), to);
 }
 
 void AdaDetector::eraseState(NodeId n) {
   const std::int32_t slot = stateSlot_[n];
   if (slot < 0) return;
-  stateSlots_[static_cast<std::size_t>(slot)] = SeriesState{};
   freeStateSlots_.push_back(static_cast<std::uint32_t>(slot));
   stateSlot_[n] = -1;
   holders_.erase(std::lower_bound(holders_.begin(), holders_.end(), n));
+}
+
+void AdaDetector::copyState(SeriesState& dst, const SeriesState& src) const {
+  dst.actual = src.actual;
+  dst.forecastSeries = src.forecastSeries;
+  if (!dst.model) dst.model = config_.forecasterFactory->make();
+  dst.model->copyFrom(*src.model);
 }
 
 void AdaDetector::markReceived(NodeId n) {
@@ -108,7 +117,7 @@ void AdaDetector::finishBootstrap() {
   const auto series =
       modifiedSeriesFixedSet(hierarchy_, bootstrapUnits_, shhh);
   for (const auto& [node, actual] : series) {
-    SeriesState st;
+    SeriesState& st = bindSlot(node);
     st.actual = RingSeries(config_.windowLength);
     st.forecastSeries = RingSeries(config_.windowLength);
     st.model = config_.forecasterFactory->make();
@@ -117,7 +126,6 @@ void AdaDetector::finishBootstrap() {
       st.actual.push(v);
       st.model->update(v);
     }
-    setState(node, std::move(st));
   }
   rootIsMember_ =
       std::binary_search(shhh.begin(), shhh.end(), hierarchy_.root());
@@ -165,18 +173,6 @@ void AdaDetector::finishBootstrap() {
   bootstrapped_ = true;
 }
 
-AdaDetector::SeriesState AdaDetector::makeScaledCopy(const SeriesState& src,
-                                                     double ratio) const {
-  SeriesState out;
-  out.actual = src.actual;
-  out.actual.scale(ratio);
-  out.forecastSeries = src.forecastSeries;
-  out.forecastSeries.scale(ratio);
-  out.model = src.model->clone();
-  out.model->scale(ratio);
-  return out;
-}
-
 void AdaDetector::split(NodeId n) {
   // C_n: children not currently holding membership (Fig 7 line 1).
   std::vector<NodeId> group;
@@ -195,19 +191,15 @@ void AdaDetector::split(NodeId n) {
   if (!weightTrigger) ++deepChainSplitCount_;
 
   const auto ratios = splitRules_.ratios(group);
-  // Stage the children's shares before touching the slot table (setState
-  // may reuse or grow slot storage, which would invalidate a reference to
-  // n's own state).
-  std::vector<SeriesState> shares;
-  shares.reserve(group.size());
-  {
-    const SeriesState& st = stateOf(n);
-    for (std::size_t i = 0; i < group.size(); ++i) {
-      shares.push_back(makeScaledCopy(st, ratios[i]));
-    }
-  }
+  // Each child's share is built in its own slot: a copy of n's state,
+  // scaled in place. (bindSlot may grow the slot table, so n's state is
+  // looked up after it.)
   for (std::size_t i = 0; i < group.size(); ++i) {
-    setState(group[i], std::move(shares[i]));
+    SeriesState& share = bindSlot(group[i]);
+    copyState(share, stateOf(n));
+    share.actual.scale(ratios[i]);
+    share.forecastSeries.scale(ratios[i]);
+    share.model->scale(ratios[i]);
     markReceived(group[i]);
   }
   if (n == hierarchy_.root()) {
@@ -232,28 +224,31 @@ void AdaDetector::mergeGroupOf(NodeId n) {
   TIRESIAS_EXPECT(!group.empty(), "merge group must contain the trigger");
   ++mergeCount_;
 
-  // Sum the group's states; start from the parent's own state if it holds
-  // one (whether or not it is part of the below-θ group). For the root
-  // this folds into its permanent series state.
-  SeriesState acc;
-  bool accInit = false;
-  if (holds(np)) {
-    acc = std::move(stateOf(np));
-    accInit = true;
-  }
-  for (NodeId c : group) {
-    auto& cs = stateOf(c);
-    if (!accInit) {
-      acc = std::move(cs);
-      accInit = true;
-    } else {
-      acc.actual.addFrom(cs.actual);
-      acc.forecastSeries.addFrom(cs.forecastSeries);
-      acc.model->addFrom(*cs.model);
+  // Sum the group's states into np's slot: its own state if it holds one
+  // (whether or not it is part of the below-θ group; for the root this is
+  // its permanent series state), else the first child's slot, rebound.
+  //
+  // If np has a reference series the sum is dead: np is now a received
+  // holder, so applyReferenceCorrections overwrites its state before
+  // anything reads it, and only the membership moves. This is exact
+  // because reference nodes are closed under ancestors (the root plus
+  // depths 2..h+1, checked by loadState): a cascade that later folds np
+  // into its parent lands in a node that is rebuilt as well, so the
+  // unsummed state is never read.
+  const bool rebuilt = refSlot_[np] >= 0;
+  std::size_t next = 0;
+  if (!holds(np)) moveSlot(group[next++], np);
+  SeriesState& acc = stateOf(np);
+  for (; next < group.size(); ++next) {
+    const NodeId c = group[next];
+    if (!rebuilt) {
+      const SeriesState& cs = stateOf(c);
+      acc.actual.addScaled(cs.actual, 1.0);
+      acc.forecastSeries.addScaled(cs.forecastSeries, 1.0);
+      acc.model->addScaled(*cs.model, 1.0);
     }
     eraseState(c);
   }
-  setState(np, std::move(acc));
   markReceived(np);
   if (np == hierarchy_.root()) rootIsMember_ = true;
 }
@@ -262,32 +257,21 @@ bool AdaDetector::correctFromRef(NodeId n) {
   if (!holds(n)) return false;
   const std::int32_t refIdx = refSlot_[n];
   if (refIdx < 0) return false;
-  const RefState& ref = refStates_[static_cast<std::size_t>(refIdx)];
 
-  // T[n] := T_REF[n] − Σ T[d] over member heavy-hitter descendants d.
-  RingSeries actual = ref.actual;
-  RingSeries forecast = ref.forecastSeries;
-  auto model = ref.model->clone();
+  // T[n] := T_REF[n] − Σ T[d] over member heavy-hitter descendants d, built
+  // in n's own slot (n's previous state is never read).
+  SeriesState& st = stateOf(n);
+  copyState(st, refStates_[static_cast<std::size_t>(refIdx)]);
   for (auto it = std::upper_bound(holders_.begin(), holders_.end(), n);
        it != holders_.end(); ++it) {
     const NodeId d = *it;
     if (!hierarchy_.isAncestorOrEqual(n, d)) continue;
     if (!isMember(d)) continue;
     const SeriesState& ds = stateOf(d);
-    auto neg = ds.model->clone();
-    neg->scale(-1.0);
-    model->addFrom(*neg);
-    RingSeries negActual = ds.actual;
-    negActual.scale(-1.0);
-    actual.addFrom(negActual);
-    RingSeries negForecast = ds.forecastSeries;
-    negForecast.scale(-1.0);
-    forecast.addFrom(negForecast);
+    st.model->addScaled(*ds.model, -1.0);
+    st.actual.addScaled(ds.actual, -1.0);
+    st.forecastSeries.addScaled(ds.forecastSeries, -1.0);
   }
-  auto& st = stateOf(n);
-  st.actual = std::move(actual);
-  st.forecastSeries = std::move(forecast);
-  st.model = std::move(model);
   return true;
 }
 
@@ -549,6 +533,37 @@ void AdaDetector::loadState(persist::Deserializer& in) {
   std::vector<SeriesState> states, refs;
   readStates(holders, states);
   readStates(refNodes, refs);
+  // Invariants the adaptation relies on; a state that breaks one would
+  // abort (or read out of bounds) in the next step instead of throwing.
+  Deserializer::require(bootstrapped || (holders.empty() && refNodes.empty()),
+                        "ADA snapshot: series state before bootstrap");
+  Deserializer::require(
+      !bootstrapped ||
+          std::binary_search(holders.begin(), holders.end(), hierarchy_.root()),
+      "ADA snapshot: the root holds no series");
+  const SeriesState* first = nullptr;
+  for (const auto* group : {&states, &refs}) {
+    for (const SeriesState& st : *group) {
+      if (first == nullptr) first = &st;
+      // Split, merge and correction combine rings element-wise and models
+      // by addScaled, pairing any two of these states.
+      Deserializer::require(
+          st.actual.size() == first->actual.size() &&
+              st.forecastSeries.size() == first->actual.size(),
+          "ADA snapshot: series rings differ in length");
+      Deserializer::require(st.model->mergeableWith(*first->model),
+                            "ADA snapshot: forecasters cannot be merged");
+    }
+  }
+  // mergeGroupOf skips the dead sum into a node with a reference series,
+  // which is exact only while reference nodes are closed under ancestors.
+  for (NodeId r : refNodes) {
+    const NodeId p = hierarchy_.parent(r);
+    Deserializer::require(
+        p == kInvalidNode ||
+            std::binary_search(refNodes.begin(), refNodes.end(), p),
+        "ADA snapshot: reference nodes not closed under ancestors");
+  }
   splitRules_.loadState(in, hierarchy_.size());
 
   bootstrapped_ = bootstrapped;

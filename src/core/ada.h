@@ -92,7 +92,8 @@ class AdaDetector final : public Detector {
   /// reference series exists. Returns true if a correction was applied.
   bool correctFromRef(NodeId n);
   void applyReferenceCorrections();
-  SeriesState makeScaledCopy(const SeriesState& src, double ratio) const;
+  /// Overwrite `dst` with a copy of `src`, reusing dst's buffers.
+  void copyState(SeriesState& dst, const SeriesState& src) const;
 
   // --- dense holder slot table -----------------------------------------
   bool holds(NodeId n) const { return stateSlot_[n] >= 0; }
@@ -102,9 +103,14 @@ class AdaDetector final : public Detector {
   const SeriesState& stateOf(NodeId n) const {
     return stateSlots_[static_cast<std::size_t>(stateSlot_[n])];
   }
-  /// Bind `st` to `n` (insert-or-assign); keeps holders_ sorted.
-  void setState(NodeId n, SeriesState&& st);
-  /// Release n's slot to the free list; keeps holders_ sorted.
+  /// n's slot, binding a free or new one if n holds none; keeps holders_
+  /// sorted. A recycled slot keeps its buffers (contents unspecified), so
+  /// assigning a same-shape state into it allocates nothing. May grow the
+  /// slot table, invalidating references to other slots.
+  SeriesState& bindSlot(NodeId n);
+  /// Rebind `from`'s slot, contents and all, to `to` (which holds none).
+  void moveSlot(NodeId from, NodeId to);
+  /// Release n's slot to the free list, buffers kept; keeps holders_ sorted.
   void eraseState(NodeId n);
 
   bool isMember(NodeId n) const {

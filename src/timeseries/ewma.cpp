@@ -23,16 +23,23 @@ void EwmaForecaster::initFromHistory(std::span<const double> history) {
   for (double v : history) update(v);
 }
 
-void EwmaForecaster::addFrom(const Forecaster& other) {
+bool EwmaForecaster::mergeableWith(const Forecaster& other) const {
   const auto* o = dynamic_cast<const EwmaForecaster*>(&other);
-  TIRESIAS_EXPECT(o != nullptr, "EWMA merge requires an EWMA source");
-  TIRESIAS_EXPECT(o->alpha_ == alpha_, "EWMA merge requires matching alpha");
-  value_ += o->value_;
-  seeded_ = seeded_ || o->seeded_;
+  return o != nullptr && o->alpha_ == alpha_;
 }
 
-std::unique_ptr<Forecaster> EwmaForecaster::clone() const {
-  return std::make_unique<EwmaForecaster>(*this);
+void EwmaForecaster::addScaled(const Forecaster& other, double k) {
+  TIRESIAS_EXPECT(mergeableWith(other),
+                  "EWMA merge requires an EWMA source with matching alpha");
+  const auto& o = static_cast<const EwmaForecaster&>(other);
+  value_ += k * o.value_;
+  seeded_ = seeded_ || o.seeded_;
+}
+
+void EwmaForecaster::copyFrom(const Forecaster& other) {
+  const auto* o = dynamic_cast<const EwmaForecaster*>(&other);
+  TIRESIAS_EXPECT(o != nullptr, "EWMA copy requires an EWMA source");
+  *this = *o;
 }
 
 void EwmaForecaster::saveState(persist::Serializer& out) const {

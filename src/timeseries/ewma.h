@@ -17,8 +17,9 @@ class EwmaForecaster final : public Forecaster {
   void update(double actual) override;
   void initFromHistory(std::span<const double> history) override;
   void scale(double ratio) override { value_ *= ratio; }
-  void addFrom(const Forecaster& other) override;
-  std::unique_ptr<Forecaster> clone() const override;
+  void addScaled(const Forecaster& other, double k) override;
+  bool mergeableWith(const Forecaster& other) const override;
+  void copyFrom(const Forecaster& other) override;
   void saveState(persist::Serializer& out) const override;
   void loadState(persist::Deserializer& in) override;
 

@@ -3,9 +3,10 @@
 // A Forecaster predicts the next timeunit's value from the values it has
 // been fed so far. ADA moves forecaster state through the hierarchy, so the
 // interface exposes the two linear operations the adaptation relies on:
-// scale(r) (series split with ratio r) and addFrom(other) (series merge).
-// For the additive Holt-Winters model these are exact (Lemma 2); for EWMA
-// they are exact as well (the forecast is a linear functional of history).
+// scale(r) (series split with ratio r) and addScaled(other, k) (series
+// merge with k = 1, reference correction with k = −1). For the additive
+// Holt-Winters model these are exact (Lemma 2); for EWMA they are exact as
+// well (the forecast is a linear functional of history).
 #pragma once
 
 #include <memory>
@@ -39,11 +40,18 @@ class Forecaster {
   /// Multiply the internal state by `ratio` (split).
   virtual void scale(double ratio) = 0;
 
-  /// Add another forecaster's state into this one (merge). The dynamic
-  /// types and shape parameters must match.
-  virtual void addFrom(const Forecaster& other) = 0;
+  /// Add `k` times another forecaster's state into this one: k = 1 merges,
+  /// k = −1 subtracts (bit-identical to x − y in IEEE-754). Requires
+  /// mergeableWith(other).
+  virtual void addScaled(const Forecaster& other, double k) = 0;
 
-  virtual std::unique_ptr<Forecaster> clone() const = 0;
+  /// True if addScaled(other, k) is defined: same dynamic type and the same
+  /// shape (EWMA alpha; Holt-Winters periods and warm-up progress).
+  virtual bool mergeableWith(const Forecaster& other) const = 0;
+
+  /// Overwrite this forecaster's whole state with `other`'s, reusing this
+  /// object's storage. The dynamic types must match.
+  virtual void copyFrom(const Forecaster& other) = 0;
 
   /// Snapshot the full model state, prefixed with the type tag above.
   virtual void saveState(persist::Serializer& out) const = 0;

@@ -126,43 +126,71 @@ void HoltWintersForecaster::scale(double ratio) {
   level_ *= ratio;
   trend_ *= ratio;
   for (auto& season : seasonal_) {
-    for (double& v : season) v *= ratio;
+    double* const v = season.data();
+    const std::size_t p = season.size();
+#pragma omp simd
+    for (std::size_t j = 0; j < p; ++j) v[j] *= ratio;
   }
   for (double& v : warmup_) v *= ratio;
 }
 
-void HoltWintersForecaster::addFrom(const Forecaster& other) {
+bool HoltWintersForecaster::mergeableWith(const Forecaster& other) const {
   const auto* o = dynamic_cast<const HoltWintersForecaster*>(&other);
-  TIRESIAS_EXPECT(o != nullptr, "Holt-Winters merge requires matching type");
-  TIRESIAS_EXPECT(o->seasons_.size() == seasons_.size(),
-                  "Holt-Winters merge requires matching seasons");
-  TIRESIAS_EXPECT(o->bootstrapped_ == bootstrapped_,
-                  "Holt-Winters merge requires matching bootstrap state");
+  if (o == nullptr || o->seasons_.size() != seasons_.size() ||
+      o->bootstrapped_ != bootstrapped_ ||
+      o->warmup_.size() != warmup_.size()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < seasons_.size(); ++i) {
+    if (o->seasons_[i].period != seasons_[i].period) return false;
+  }
+  return true;
+}
+
+void HoltWintersForecaster::addScaled(const Forecaster& other, double k) {
+  TIRESIAS_EXPECT(mergeableWith(other),
+                  "Holt-Winters merge requires matching seasons and "
+                  "bootstrap state");
+  const auto& o = static_cast<const HoltWintersForecaster&>(other);
   if (!bootstrapped_) {
-    TIRESIAS_EXPECT(o->warmup_.size() == warmup_.size(),
-                    "Holt-Winters merge requires aligned warm-up");
     for (std::size_t i = 0; i < warmup_.size(); ++i) {
-      warmup_[i] += o->warmup_[i];
+      warmup_[i] += k * o.warmup_[i];
     }
     return;
   }
-  level_ += o->level_;
-  trend_ += o->trend_;
+  level_ += k * o.level_;
+  trend_ += k * o.trend_;
   for (std::size_t i = 0; i < seasons_.size(); ++i) {
+    // Align by lag: slot (cursor + j) mod p is the same absolute timeunit
+    // in both models even if they bootstrapped at different times. Both
+    // buffers are rotated independently, so lags 0..p-1 are contiguous on
+    // each side until one of them wraps: at most three flat runs, each an
+    // element-wise vectorizable loop with no division.
     const std::size_t p = seasons_[i].period;
-    TIRESIAS_EXPECT(o->seasons_[i].period == p,
-                    "Holt-Winters merge requires matching periods");
-    // Align by lag: slot (cursor + j) corresponds to the same absolute
-    // timeunit in both models even if they bootstrapped at different times.
-    for (std::size_t j = 0; j < p; ++j) {
-      seasonal_[i][(cursor_[i] + j) % p] +=
-          o->seasonal_[i][(o->cursor_[i] + j) % p];
+    double* const dst = seasonal_[i].data();
+    const double* const src = o.seasonal_[i].data();
+    std::size_t d = cursor_[i];
+    std::size_t s = o.cursor_[i];
+    for (std::size_t j = 0; j < p;) {
+      const std::size_t len = std::min({p - j, p - d, p - s});
+      double* const out = dst + d;
+      const double* const in = src + s;
+#pragma omp simd
+      for (std::size_t m = 0; m < len; ++m) out[m] += k * in[m];
+      j += len;
+      d = d + len == p ? 0 : d + len;
+      s = s + len == p ? 0 : s + len;
     }
   }
 }
 
-std::unique_ptr<Forecaster> HoltWintersForecaster::clone() const {
-  return std::make_unique<HoltWintersForecaster>(*this);
+void HoltWintersForecaster::copyFrom(const Forecaster& other) {
+  const auto* o = dynamic_cast<const HoltWintersForecaster*>(&other);
+  TIRESIAS_EXPECT(o != nullptr,
+                  "Holt-Winters copy requires a Holt-Winters source");
+  // Member-wise copy assignment: the vectors keep their capacity, so a
+  // same-shape copy allocates nothing.
+  *this = *o;
 }
 
 void HoltWintersForecaster::saveState(persist::Serializer& out) const {

@@ -47,16 +47,18 @@ class HoltWintersForecaster final : public Forecaster {
   void update(double actual) override;
   void initFromHistory(std::span<const double> history) override;
   void scale(double ratio) override;
-  void addFrom(const Forecaster& other) override;
-  std::unique_ptr<Forecaster> clone() const override;
+  void addScaled(const Forecaster& other, double k) override;
+  bool mergeableWith(const Forecaster& other) const override;
+  void copyFrom(const Forecaster& other) override;
   void saveState(persist::Serializer& out) const override;
   void loadState(persist::Deserializer& in) override;
 
   bool bootstrapped() const { return bootstrapped_; }
   double level() const { return level_; }
   double trend() const { return trend_; }
-  /// Seasonal index of season `i` at lag `j` units back (j=1 is the entry
-  /// that will be used for the next forecast).
+  /// Seasonal index of season `i` at lag `lag`: lag 0 is the entry the
+  /// next forecast reads (and the next update overwrites), lag j the one
+  /// j units after it.
   double seasonal(std::size_t i, std::size_t lag) const;
   /// Minimum history needed for the closed-form bootstrap (2·max period,
   /// or 2 without seasons).

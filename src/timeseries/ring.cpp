@@ -50,7 +50,7 @@ void RingSeries::scale(double factor) {
   for (std::size_t k = 0; k < rest; ++k) wrapped[k] *= factor;
 }
 
-void RingSeries::addFrom(const RingSeries& other) {
+void RingSeries::addScaled(const RingSeries& other, double k) {
   TIRESIAS_EXPECT(other.size_ == size_,
                   "merge requires equal-length series");
   // Both rings are rotated (independently), so logical position i is
@@ -65,7 +65,7 @@ void RingSeries::addFrom(const RingSeries& other) {
     double* const dst = buf_.data() + dstAt;
     const double* const src = other.buf_.data() + srcAt;
 #pragma omp simd
-    for (std::size_t k = 0; k < len; ++k) dst[k] += src[k];
+    for (std::size_t m = 0; m < len; ++m) dst[m] += k * src[m];
     i += len;
   }
 }

@@ -38,8 +38,9 @@ class RingSeries {
 
   /// Multiply every element by `factor` (series split).
   void scale(double factor);
-  /// Element-wise add another series of the same size (series merge).
-  void addFrom(const RingSeries& other);
+  /// Element-wise add `k` times another series of the same size: k = 1 is
+  /// a series merge, k = −1 a subtraction (bit-identical to x − y).
+  void addScaled(const RingSeries& other, double k);
 
   /// Sum of all stored values.
   double sum() const;

@@ -13,6 +13,7 @@
 #include "core/shhh_reference.h"
 #include "core/sta.h"
 #include "hierarchy/builder.h"
+#include "persist/snapshot.h"
 #include "timeseries/ewma.h"
 #include "timeseries/holt_winters.h"
 
@@ -153,6 +154,84 @@ TEST_P(AdaHwSweep, HhSetMatchesWithHoltWinters) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, AdaHwSweep,
                          ::testing::Values(3, 6, 9, 12, 15));
+
+
+// ADA's complete state, not just its outputs, is pinned bit for bit: the
+// saveState bytes after every unit (both rings and the forecaster of every
+// holder and reference series, plus the split-rule statistics) fold into
+// one FNV-1a digest per configuration. The output digest covers only the
+// SHHH set and the anomalies, so a series move that is not bit-identical,
+// or a skipped merge sum that leaves a wrong series in place, can slip past
+// it; it cannot slip past these. The expected values were generated by the
+// implementation that moved series by clone, negate and add.
+struct StateDigestCase {
+  bool holtWinters;
+  std::size_t refLevels;
+  std::uint64_t seed;
+  std::uint64_t digest;
+};
+
+std::uint64_t adaStateDigest(bool holtWinters, std::size_t refLevels,
+                             std::uint64_t seed) {
+  Rng rng(seed);
+  const auto h = randomTree(rng, 50 + rng.below(40));
+  DetectorConfig cfg;
+  cfg.theta = 4.0;
+  cfg.windowLength = 12;
+  cfg.referenceLevels = refLevels;
+  if (holtWinters) {
+    cfg.forecasterFactory = std::make_shared<HoltWintersFactory>(
+        HoltWintersParams{0.4, 0.1, 0.3},
+        std::vector<SeasonSpec>{{4, 0.7}, {6, 0.3}});
+  } else {
+    cfg.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
+  }
+  AdaDetector ada(h, cfg);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  for (TimeUnit u = 0; u < 60; ++u) {
+    ada.step(randomBatch(h, u, rng));
+    persist::Serializer s;
+    ada.saveState(s);
+    for (std::uint8_t b : s.data()) {
+      digest = (digest ^ b) * 0x100000001b3ULL;
+    }
+  }
+  return digest;
+}
+
+TEST(AdaStateDigest, FullStateIsBitIdenticalAfterEveryUnit) {
+  const StateDigestCase cases[] = {
+      {false, 0, 5, 0xdab6180b17859e4eULL},
+      {false, 0, 17, 0xa8c419b5d055fa11ULL},
+      {false, 0, 29, 0x05f73d2192a82c81ULL},
+      {false, 1, 5, 0xd7adb1ece008a3f9ULL},
+      {false, 1, 17, 0x19720643d1c24fe3ULL},
+      {false, 1, 29, 0xb01f78fac2b17a62ULL},
+      {false, 2, 5, 0x9bdf643fdc96d04dULL},
+      {false, 2, 17, 0x592e6dc869304cb9ULL},
+      {false, 2, 29, 0x9957bd321ca45153ULL},
+      {false, 3, 5, 0x1ef27a2f2885cbd9ULL},
+      {false, 3, 17, 0x9a108643e5626d19ULL},
+      {false, 3, 29, 0x4cb4126ec3dcafd5ULL},
+      {true, 0, 5, 0x2f3a0b7b04ca2c57ULL},
+      {true, 0, 17, 0xf22b2690c0b0b23cULL},
+      {true, 0, 29, 0xf186beace1be1837ULL},
+      {true, 1, 5, 0xca0055591b3e23d6ULL},
+      {true, 1, 17, 0xbd29bf4274876dc0ULL},
+      {true, 1, 29, 0x88de737d4b6b03d7ULL},
+      {true, 2, 5, 0xee615d0bd066f673ULL},
+      {true, 2, 17, 0x3232234db6261333ULL},
+      {true, 2, 29, 0x58841bbe510d8a88ULL},
+      {true, 3, 5, 0x330b87e069d259ddULL},
+      {true, 3, 17, 0xd79af8c7a98ff495ULL},
+      {true, 3, 29, 0xe39303a781d0aa82ULL},
+  };
+  for (const auto& c : cases) {
+    EXPECT_EQ(adaStateDigest(c.holtWinters, c.refLevels, c.seed), c.digest)
+        << (c.holtWinters ? "Holt-Winters" : "EWMA") << " referenceLevels "
+        << c.refLevels << " seed " << c.seed;
+  }
+}
 
 }  // namespace
 }  // namespace tiresias

@@ -37,13 +37,19 @@ TEST(Ewma, ScaleAndMergeAreLinear) {
     x.update(xs[i]);
     y.update(ys[i]);
   }
-  auto merged = x.clone();
-  merged->addFrom(y);
-  EXPECT_NEAR(merged->forecast(), sum.forecast(), 1e-12);
+  EwmaForecaster merged = x;
+  merged.addScaled(y, 1.0);
+  EXPECT_NEAR(merged.forecast(), sum.forecast(), 1e-12);
 
-  auto scaled = sum.clone();
-  scaled->scale(0.25);
-  EXPECT_NEAR(scaled->forecast(), sum.forecast() * 0.25, 1e-12);
+  EwmaForecaster scaled = sum;
+  scaled.scale(0.25);
+  EXPECT_NEAR(scaled.forecast(), sum.forecast() * 0.25, 1e-12);
+
+  // k = -1 subtracts, bit for bit like x - y.
+  EwmaForecaster diff(0.4);
+  diff.copyFrom(sum);
+  diff.addScaled(y, -1.0);
+  EXPECT_EQ(diff.forecast(), sum.forecast() - y.forecast());
 }
 
 TEST(Ewma, SplitBiasDecaysExponentially) {
@@ -76,7 +82,9 @@ TEST(Ewma, MergeRequiresMatchingAlpha) {
   EwmaForecaster a(0.4), b(0.5);
   a.update(1);
   b.update(1);
-  EXPECT_DEATH(a.addFrom(b), "alpha");
+  EXPECT_TRUE(a.mergeableWith(EwmaForecaster(0.4)));
+  EXPECT_FALSE(a.mergeableWith(b));
+  EXPECT_DEATH(a.addScaled(b, 1.0), "alpha");
 }
 
 }  // namespace

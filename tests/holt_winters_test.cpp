@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "common/rng.h"
 #include "timeseries/holt_winters.h"
@@ -132,17 +133,17 @@ TEST_P(HwLinearityTest, MergeEqualsForecastOfSum) {
   fy.initFromHistory(ys);
   fsum.initFromHistory(sum);
 
-  auto merged = fx.clone();
-  merged->addFrom(fy);
-  EXPECT_NEAR(merged->forecast(), fsum.forecast(), 1e-8);
+  HoltWintersForecaster merged = fx;
+  merged.addScaled(fy, 1.0);
+  EXPECT_NEAR(merged.forecast(), fsum.forecast(), 1e-8);
 
   // The equality persists through further joint updates.
   for (int step = 0; step < 20; ++step) {
     const double vx = rng.uniform(0.0, 50.0);
     const double vy = rng.uniform(0.0, 50.0);
-    merged->update(vx + vy);
+    merged.update(vx + vy);
     fsum.update(vx + vy);
-    EXPECT_NEAR(merged->forecast(), fsum.forecast(), 1e-8);
+    EXPECT_NEAR(merged.forecast(), fsum.forecast(), 1e-8);
   }
 }
 
@@ -160,9 +161,9 @@ TEST_P(HwLinearityTest, ScaleEqualsForecastOfScaled) {
   HoltWintersForecaster ref(params, {{period, 1.0}});
   full.initFromHistory(xs);
   ref.initFromHistory(scaled);
-  auto split = full.clone();
-  split->scale(ratio);
-  EXPECT_NEAR(split->forecast(), ref.forecast(), 1e-8);
+  HoltWintersForecaster split = full;
+  split.scale(ratio);
+  EXPECT_NEAR(split.forecast(), ref.forecast(), 1e-8);
 }
 
 TEST_P(HwLinearityTest, MergeAlignsDifferentBootstrapPhases) {
@@ -190,21 +191,95 @@ TEST_P(HwLinearityTest, MergeAlignsDifferentBootstrapPhases) {
   // exactly equal because fy saw a shorter history, but the *seasonal
   // phase* must line up: check by updating both with a pure seasonal
   // signal and verifying convergence instead of divergence.
-  auto merged = fx.clone();
-  merged->addFrom(fy);
+  HoltWintersForecaster merged = fx;
+  merged.addScaled(fy, 1.0);
   std::vector<double> joint(n);
   for (std::size_t i = 0; i < n; ++i) joint[i] = xs[i] + ys[i];
   fsum.initFromHistory(joint);
   for (int step = 0; step < 60; ++step) {
     const double v = 10.0 + (step % period);
-    merged->update(v);
+    merged.update(v);
     fsum.update(v);
   }
-  EXPECT_NEAR(merged->forecast(), fsum.forecast(), 0.5);
+  EXPECT_NEAR(merged.forecast(), fsum.forecast(), 0.5);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HwLinearityTest,
                          ::testing::Values(101, 202, 303, 404, 505, 606));
+
+/// A bootstrapped model with the given seasonal periods and cursors, every
+/// seasonal slot holding a distinct value (built through loadState, the only
+/// way to place a cursor directly).
+HoltWintersForecaster seasonalState(const std::vector<std::size_t>& periods,
+                                    const std::vector<std::size_t>& cursors,
+                                    double step) {
+  persist::Serializer s;
+  s.u8(kHoltWintersStateTag);
+  s.f64(0.5);
+  s.f64(0.1);
+  s.f64(0.3);
+  s.u64(periods.size());
+  for (std::size_t i = 0; i < periods.size(); ++i) {
+    s.u64(periods[i]);
+    s.f64(1.0 / static_cast<double>(periods.size()));
+    s.u64(cursors[i]);
+    for (std::size_t j = 0; j < periods[i]; ++j) {
+      s.f64(step * static_cast<double>(100 * i + j + 1));
+    }
+  }
+  s.f64(step);   // level
+  s.f64(-step);  // trend
+  s.boolean(true);
+  s.u64(0);      // no warm-up values
+  HoltWintersForecaster hw({0.5, 0.1, 0.3}, {});
+  persist::Deserializer in(s.data());
+  hw.loadState(in);
+  return hw;
+}
+
+// addScaled walks each season as at most three contiguous runs, cut where
+// either model's rotated buffer wraps. For every pair of cursors it must
+// equal the per-slot formula dst[(cd + j) % p] + k·src[(cs + j) % p]
+// exactly, with one season and with two of different periods.
+TEST(HoltWinters, AddScaledMatchesPerSlotFormulaAtEveryAlignment) {
+  for (const std::size_t p : {2, 3, 4, 5, 6, 7, 8, 9, 96}) {
+    // Two seasons {p, p + 1}: (dc, sc) runs over every cursor pair of the
+    // second season, and (dc mod p, (sc + 1) mod p) over every pair of the
+    // first.
+    const std::size_t q = p + 1;
+    const std::vector<std::vector<std::size_t>> shapes{{p}, {p, q}};
+    for (std::size_t dc = 0; dc < q; ++dc) {
+      for (std::size_t sc = 0; sc < q; ++sc) {
+        const std::vector<std::vector<std::size_t>> dstCursors{
+            {dc % p}, {dc % p, dc}};
+        const std::vector<std::vector<std::size_t>> srcCursors{
+            {sc % p}, {(sc + 1) % p, sc}};
+        for (std::size_t v = 0; v < shapes.size(); ++v) {
+          const auto dst = seasonalState(shapes[v], dstCursors[v], 1.0 / 7.0);
+          const auto src = seasonalState(shapes[v], srcCursors[v], 1.0 / 3.0);
+          for (const double k : {1.0, -1.0}) {
+            HoltWintersForecaster out = dst;
+            out.addScaled(src, k);
+            const std::string where =
+                "period " + std::to_string(p) + " seasons " +
+                std::to_string(shapes[v].size()) + " cursors " +
+                std::to_string(dc) + "/" + std::to_string(sc) + " k " +
+                std::to_string(k);
+            ASSERT_EQ(out.level(), dst.level() + k * src.level()) << where;
+            ASSERT_EQ(out.trend(), dst.trend() + k * src.trend()) << where;
+            for (std::size_t i = 0; i < shapes[v].size(); ++i) {
+              for (std::size_t lag = 0; lag < shapes[v][i]; ++lag) {
+                ASSERT_EQ(out.seasonal(i, lag),
+                          dst.seasonal(i, lag) + k * src.seasonal(i, lag))
+                    << where << " season " << i << " lag " << lag;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
 
 TEST(HoltWinters, RejectsBadParams) {
   EXPECT_DEATH(HoltWintersForecaster({0.0, 0.1, 0.1}, {}), "alpha");

@@ -46,15 +46,17 @@ TEST(Ring, ScaleAndAdd) {
   for (double v : {10.0, 20.0, 30.0}) b.push(v);
   a.scale(2.0);
   EXPECT_EQ(a.toVector(), (std::vector<double>{2, 4, 6}));
-  a.addFrom(b);
+  a.addScaled(b, 1.0);
   EXPECT_EQ(a.toVector(), (std::vector<double>{12, 24, 36}));
+  a.addScaled(b, -1.0);
+  EXPECT_EQ(a.toVector(), (std::vector<double>{2, 4, 6}));
 }
 
 TEST(Ring, AddRespectsRotation) {
   RingSeries a(3), b(3);
   for (double v : {1.0, 2.0, 3.0, 4.0}) a.push(v);  // a = {2,3,4}, rotated
   for (double v : {1.0, 1.0, 1.0}) b.push(v);
-  a.addFrom(b);
+  a.addScaled(b, 1.0);
   EXPECT_EQ(a.toVector(), (std::vector<double>{3, 4, 5}));
 }
 
@@ -97,8 +99,8 @@ RingSeries makeRing(std::size_t capacity, std::size_t size,
   return r;
 }
 
-// scale and addFrom split the live values into contiguous runs of the
-// backing array (addFrom at every wrap of either ring). For every capacity,
+// scale and addScaled split the live values into contiguous runs of the
+// backing array (addScaled at every wrap of either ring). For every capacity,
 // fill level and independent rotation of destination and source, both must
 // equal the per-index scalar result exactly.
 TEST(Ring, ScaleAndAddMatchScalarAtEveryRotation) {
@@ -134,11 +136,16 @@ TEST(Ring, ScaleAndAddMatchScalarAtEveryRotation) {
         const RingSeries src = makeRing(cap, size, srcRot, 1.0 / 3.0);
         const std::vector<double> addend = src.toVector();
         RingSeries sum = dst;
-        sum.addFrom(src);
+        sum.addScaled(src, 1.0);
+        RingSeries diff = dst;
+        diff.addScaled(src, -1.0);
         const std::vector<double> total = sum.toVector();
+        const std::vector<double> rest = diff.toVector();
         for (std::size_t i = 0; i < size; ++i) {
           ASSERT_EQ(total[i], before[i] + addend[i])
               << where << " src rotation " << srcRot << " add index " << i;
+          ASSERT_EQ(rest[i], before[i] - addend[i])
+              << where << " src rotation " << srcRot << " sub index " << i;
         }
       }
     }

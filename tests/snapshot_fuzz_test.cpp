@@ -8,14 +8,17 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <random>
 #include <string>
 #include <vector>
 
+#include "core/ada.h"
 #include "core/pipeline.h"
 #include "engine/engine.h"
+#include "hierarchy/builder.h"
 #include "persist/snapshot.h"
 #include "report/concurrent_store.h"
 #include "timeseries/ewma.h"
@@ -100,6 +103,125 @@ class SnapshotFuzzTest : public ::testing::Test {
   report::ConcurrentAnomalyStore store_;
   std::unique_ptr<DetectionEngine> engine_;
   std::vector<std::uint8_t> bytes_;
+};
+
+/// One series of a decoded ADA state: node, both rings, forecaster.
+struct AdaSeries {
+  NodeId node = kInvalidNode;
+  RingSeries actual;
+  RingSeries forecast;
+  std::unique_ptr<Forecaster> model;
+};
+
+/// An ADA state payload decoded field by field (AdaDetector::saveState's
+/// order), so a test can break one semantic invariant and re-encode a
+/// structurally valid state. Only states past bootstrap decode.
+struct AdaPayload {
+  std::uint64_t window = 0;
+  bool bootstrapped = true;
+  std::int64_t newestUnit = 0;
+  bool rootIsMember = false;
+  std::uint64_t counters[3] = {};  // split, merge, deep-chain split
+  std::vector<AdaSeries> holders;
+  std::vector<AdaSeries> refs;
+  std::vector<std::uint8_t> splitRules;
+
+  static AdaPayload decode(const std::vector<std::uint8_t>& bytes,
+                           const ForecasterFactory& factory) {
+    Deserializer in(bytes);
+    AdaPayload p;
+    EXPECT_EQ(in.u8(), kAdaDetectorStateTag);
+    p.window = in.u64();
+    EXPECT_TRUE(in.boolean());  // bootstrapped
+    EXPECT_EQ(in.u64(), 0u);    // no buffered bootstrap units
+    p.newestUnit = in.i64();
+    p.rootIsMember = in.boolean();
+    for (auto& c : p.counters) c = in.u64();
+    for (auto* list : {&p.holders, &p.refs}) {
+      const std::uint64_t n = in.u64();
+      for (std::uint64_t i = 0; i < n; ++i) {
+        AdaSeries s;
+        s.node = in.u32();
+        s.actual.loadState(in);
+        s.forecast.loadState(in);
+        s.model = factory.make();
+        s.model->loadState(in);
+        list->push_back(std::move(s));
+      }
+    }
+    p.splitRules = in.raw(in.remaining());
+    return p;
+  }
+
+  std::vector<std::uint8_t> encode() const {
+    Serializer out;
+    out.u8(kAdaDetectorStateTag);
+    out.u64(window);
+    out.boolean(bootstrapped);
+    out.u64(0);
+    out.i64(newestUnit);
+    out.boolean(rootIsMember);
+    for (auto c : counters) out.u64(c);
+    for (const auto* list : {&holders, &refs}) {
+      out.u64(list->size());
+      for (const auto& s : *list) {
+        out.u32(s.node);
+        s.actual.saveState(out);
+        s.forecast.saveState(out);
+        s.model->saveState(out);
+      }
+    }
+    out.raw(splitRules);
+    return out.data();
+  }
+};
+
+/// ADA on a small balanced tree, past bootstrap with splits and merges
+/// behind it (reference series down to depth 3), saved just before its hot
+/// leaf moves, so the next step merges the old hot leaf up into the root.
+struct SavedAda {
+  static constexpr TimeUnit kSavedUnits = 21;  // the hot leaf moves at 21
+  Hierarchy tree = HierarchyBuilder::balanced({3, 3, 2});
+  DetectorConfig cfg;
+  std::vector<std::uint8_t> state;
+
+  explicit SavedAda(std::shared_ptr<ForecasterFactory> factory) {
+    cfg.theta = 4.0;
+    cfg.windowLength = 8;
+    cfg.referenceLevels = 2;
+    cfg.forecasterFactory = std::move(factory);
+    AdaDetector ada(tree, cfg);
+    for (TimeUnit u = 0; u < kSavedUnits; ++u) ada.step(batch(u));
+    Serializer s;
+    ada.saveState(s);
+    state = s.data();
+  }
+
+  /// A hot leaf that moves every few units over light background noise.
+  TimeUnitBatch batch(TimeUnit u) const {
+    TimeUnitBatch b;
+    b.unit = u;
+    const auto& leaves = tree.leaves();
+    const NodeId hot = leaves[static_cast<std::size_t>(u / 3 * 7) %
+                              leaves.size()];
+    for (int i = 0; i < 6; ++i) b.records.push_back({hot, unitStart(u, 900)});
+    for (std::size_t i = 0; i < leaves.size(); i += 5) {
+      b.records.push_back({leaves[(i + static_cast<std::size_t>(u)) %
+                                  leaves.size()],
+                           unitStart(u, 900)});
+    }
+    return b;
+  }
+
+  /// Load `bytes` into a fresh detector, then run it on.
+  void loadAndStep(const std::vector<std::uint8_t>& bytes) const {
+    AdaDetector ada(tree, cfg);
+    Deserializer in(bytes);
+    ada.loadState(in);
+    for (TimeUnit u = kSavedUnits; u < 2 * kSavedUnits; ++u) {
+      ada.step(batch(u));
+    }
+  }
 };
 
 TEST_F(SnapshotFuzzTest, ZeroLengthAndTinyInputs) {
@@ -243,6 +365,82 @@ TEST_F(SnapshotFuzzTest, SemanticValidationThrowsNotAborts) {
     HoltWintersForecaster model({0.5, 0.1, 0.3}, {});
     Deserializer in(s.data());
     EXPECT_THROW(model.loadState(in), SnapshotError);
+  }
+
+  // ADA states that decode field by field but break an invariant the
+  // adaptation relies on. Each would otherwise load and then abort (a
+  // failed precondition in a merge) or index out of bounds in the next
+  // step.
+  {
+    const SavedAda ewma(std::make_shared<EwmaFactory>(0.5));
+    const auto& factory = *ewma.cfg.forecasterFactory;
+    // The unmodified state re-encodes byte for byte and restores.
+    AdaPayload p = AdaPayload::decode(ewma.state, factory);
+    ASSERT_EQ(p.encode(), ewma.state);
+    ASSERT_GE(p.holders.size(), 2u);
+    EXPECT_NO_THROW(ewma.loadAndStep(ewma.state));
+
+    // One holder ring shorter than the rest.
+    p = AdaPayload::decode(ewma.state, factory);
+    {
+      AdaSeries& s = p.holders.back();
+      const std::vector<double> values = s.actual.toVector();
+      s.actual = RingSeries(s.actual.capacity());
+      for (std::size_t i = 1; i < values.size(); ++i) s.actual.push(values[i]);
+    }
+    EXPECT_THROW(ewma.loadAndStep(p.encode()), SnapshotError);
+
+    // A holder whose EWMA alpha differs from the others'.
+    p = AdaPayload::decode(ewma.state, factory);
+    {
+      auto other = std::make_unique<EwmaForecaster>(0.25);
+      other->update(p.holders.back().model->forecast());
+      p.holders.back().model = std::move(other);
+    }
+    EXPECT_THROW(ewma.loadAndStep(p.encode()), SnapshotError);
+
+    // Series state in a detector that claims to be still bootstrapping.
+    p = AdaPayload::decode(ewma.state, factory);
+    p.bootstrapped = false;
+    EXPECT_THROW(ewma.loadAndStep(p.encode()), SnapshotError);
+
+    // The root holds no series.
+    p = AdaPayload::decode(ewma.state, factory);
+    ASSERT_EQ(p.holders.front().node, ewma.tree.root());
+    p.holders.erase(p.holders.begin());
+    EXPECT_THROW(ewma.loadAndStep(p.encode()), SnapshotError);
+
+    // A reference node whose parent has no reference series.
+    p = AdaPayload::decode(ewma.state, factory);
+    {
+      const auto& tree = ewma.tree;
+      const auto deep = std::find_if(
+          p.refs.begin(), p.refs.end(), [&tree](const AdaSeries& s) {
+            return s.node != tree.root() &&
+                   tree.parent(s.node) != tree.root();
+          });
+      ASSERT_NE(deep, p.refs.end());
+      const NodeId parent = tree.parent(deep->node);
+      std::erase_if(p.refs, [parent](const AdaSeries& s) {
+        return s.node == parent;
+      });
+    }
+    EXPECT_THROW(ewma.loadAndStep(p.encode()), SnapshotError);
+  }
+  {
+    const SavedAda hw(std::make_shared<HoltWintersFactory>(
+        HoltWintersParams{0.5, 0.1, 0.3}, std::vector<SeasonSpec>{{4, 1.0}}));
+    const auto& factory = *hw.cfg.forecasterFactory;
+    EXPECT_NO_THROW(hw.loadAndStep(hw.state));
+    // A Holt-Winters holder with a different season.
+    AdaPayload p = AdaPayload::decode(hw.state, factory);
+    {
+      auto other = std::make_unique<HoltWintersForecaster>(
+          HoltWintersParams{0.5, 0.1, 0.3}, std::vector<SeasonSpec>{{3, 1.0}});
+      for (double v : p.holders.back().actual.toVector()) other->update(v);
+      p.holders.back().model = std::move(other);
+    }
+    EXPECT_THROW(hw.loadAndStep(p.encode()), SnapshotError);
   }
 }
 

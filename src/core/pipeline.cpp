@@ -162,7 +162,7 @@ void TiresiasPipeline::saveState(persist::Serializer& out) const {
 
   out.i64(nextStart_);
   out.u64(warmupRootCounts_.size());
-  for (double v : warmupRootCounts_) out.f64(v);
+  out.f64s(warmupRootCounts_);
   out.u64(warmup_.size());
   for (const auto& batch : warmup_) {
     out.i64(batch.unit);
@@ -210,7 +210,7 @@ void TiresiasPipeline::loadState(persist::Deserializer& in) {
   Deserializer::require(n <= config_.detector.windowLength,
                         "pipeline snapshot: warm-up longer than the window");
   std::vector<double> warmupRootCounts(n);
-  for (double& v : warmupRootCounts) v = in.f64();
+  in.f64s(warmupRootCounts);
   n = in.count(sizeof(std::int64_t) + sizeof(std::uint64_t));
   Deserializer::require(n == warmupRootCounts.size(),
                         "pipeline snapshot: warm-up buffers disagree");

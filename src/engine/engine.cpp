@@ -142,7 +142,14 @@ DetectionEngine::DetectionEngine(EngineConfig config, ResultSink sink)
   }
   SchedulerConfig scfg;
   scfg.workers = config_.workers;
-  scfg.runBudget = config_.runBudget;
+  // Under a resident cap a claim may drain a whole queueful: the ingest
+  // sweep admits a stream's units in runs of up to streamQueueCapacity,
+  // and a stream requeued mid-run would wait behind the fleet, be evicted
+  // and pay a wake for the rest of the run.
+  scfg.runBudget = config_.maxResidentStreams > 0
+                       ? std::max(config_.runBudget,
+                                  config_.streamQueueCapacity)
+                       : config_.runBudget;
   scfg.streamQueueCapacity = config_.streamQueueCapacity;
   scfg.totalQueueCapacity = config_.totalQueueCapacity;
   scfg.metrics = registry_.get();
@@ -336,61 +343,87 @@ void DetectionEngine::ingestLoop(std::size_t threadIndex) {
         *s->source, s->pipeline.config().delta, s->pipeline.resumeTime());
     mine.emplace_back(id, s);
   }
-  // Round-robin one timeunit per stream per sweep, so every stream
-  // advances at a similar pace. A stream whose queue is full is skipped
-  // (its backlog is the workers' problem, not its neighbors'); when no
-  // stream accepts anything in a whole sweep, park until a unit drains.
+  // Round-robin from a persistent cursor, so every stream advances at a
+  // similar pace. A stream whose own queue is full is skipped (its backlog
+  // is the workers' problem, not its neighbours'); a full global bound, or
+  // a whole lap of skips, parks the thread, which then resumes where it
+  // stopped. Uncapped, a visit admits one unit. Under a resident cap it
+  // admits up to streamQueueCapacity units while the next one closes from
+  // the read-ahead chunk (a live source never holds the sweep): one unit
+  // per visit spreads queued work over more streams than the cap, and
+  // cycling through them makes nearly every unit pay a wake.
+  const std::size_t visitUnits =
+      config_.maxResidentStreams > 0 ? config_.streamQueueCapacity : 1;
   std::size_t live = mine.size();
+  std::size_t cursor = 0;    // index into mine of the stream being visited
+  std::size_t admitted = 0;  // units it has taken in this visit
+  std::size_t skipped = 0;   // consecutive visits that moved nothing
   TimeUnitBatch batch;
+  const auto nextStream = [&](bool moved) {
+    skipped = moved ? 0 : skipped + 1;
+    admitted = 0;
+    if (++cursor == mine.size()) cursor = 0;
+  };
   while (live > 0 && !stopRequested_.load(std::memory_order_relaxed)) {
-    bool progressed = false;
-    for (auto& [id, stream] : mine) {
-      if (stream->exhausted) continue;
-      if (stopRequested_.load(std::memory_order_relaxed)) break;
-      // A checkpoint parks producers here, mid-sweep, so quiesce latency
-      // is one unit per stream, not a whole sweep.
-      maybePauseIngest();
-      if (!scheduler_->canAccept(id)) continue;  // backpressure: skip
-      // Batch into a buffer recycled from the workers (allocation-free
-      // once the pool is primed).
-      batch.records = takeRecycled();
-      TimeUnitBatcher::Pull pull;
-      {
-        // kBatchFlush covers the whole unit assembly; the source pulls
-        // inside it record as kSourceFetch (nested span).
-        obs::StageSpan flush(registry_.get(), obs::Stage::kBatchFlush);
-        pull = stream->batcher->pull(batch);
-      }
-      stream->sourceSkipped.store(
-          stream->junkBase + stream->source->skippedRecords(),
-          std::memory_order_relaxed);
-      if (pull == TimeUnitBatcher::Pull::kIdle) {
-        // The source is alive but has nothing yet (a live socket stream
-        // between connections or frames). Its bounded idle wait paced
-        // this sweep already, so count it as progress — parking in
-        // waitForSpace would wedge an all-idle sweep — and revisit; the
-        // next maybePauseIngest() keeps checkpoint quiesce responsive.
-        recycleBuffer(std::move(batch.records));
-        progressed = true;
-        continue;
-      }
-      if (pull == TimeUnitBatcher::Pull::kEnd) {
-        stream->exhausted = true;
-        --live;
-        scheduler_->finishStream(id);
-        recycleBuffer(std::move(batch.records));
-        progressed = true;
-        continue;
-      }
-      // Stamp for the end-to-end unit-latency histogram (enqueue ->
-      // processed; sampled on the worker side).
-      batch.enqueueNs = registry_ ? monotonicNanos() : 0;
-      if (!scheduler_->submit(id, std::move(batch))) break;  // stopping
-      progressed = true;
-    }
-    if (stopRequested_.load(std::memory_order_relaxed)) break;
-    if (!progressed && live > 0) {
+    if (skipped >= mine.size()) {
+      // Every live stream is backlogged: park until a unit drains.
       if (!scheduler_->waitForSpace()) break;  // stopping
+      skipped = 0;
+    }
+    const auto [id, stream] = mine[cursor];
+    if (stream->exhausted) {
+      nextStream(false);
+      continue;
+    }
+    // A checkpoint parks producers here, before every pull, so quiesce
+    // latency is one unit, not a whole sweep.
+    maybePauseIngest();
+    const Scheduler::Admission admit = scheduler_->admission(id);
+    if (admit == Scheduler::Admission::kStopping) break;
+    if (admit == Scheduler::Admission::kGlobalFull) {
+      if (!scheduler_->waitForSpace()) break;  // stopping
+      continue;  // resume the same stream
+    }
+    if (admit == Scheduler::Admission::kStreamFull) {
+      nextStream(admitted > 0);
+      continue;
+    }
+    // Batch into a buffer recycled from the workers (allocation-free once
+    // the pool is primed).
+    batch.records = takeRecycled();
+    TimeUnitBatcher::Pull pull;
+    {
+      // kBatchFlush covers the whole unit assembly; the source pulls
+      // inside it record as kSourceFetch (nested span).
+      obs::StageSpan flush(registry_.get(), obs::Stage::kBatchFlush);
+      pull = stream->batcher->pull(batch);
+    }
+    stream->sourceSkipped.store(
+        stream->junkBase + stream->source->skippedRecords(),
+        std::memory_order_relaxed);
+    if (pull == TimeUnitBatcher::Pull::kIdle) {
+      // The source is alive but has nothing yet (a live socket stream
+      // between connections or frames). Its bounded idle wait paced this
+      // visit already, so count it as progress — parking in waitForSpace
+      // would wedge an all-idle sweep — and revisit on the next lap.
+      recycleBuffer(std::move(batch.records));
+      nextStream(true);
+      continue;
+    }
+    if (pull == TimeUnitBatcher::Pull::kEnd) {
+      stream->exhausted = true;
+      --live;
+      scheduler_->finishStream(id);
+      recycleBuffer(std::move(batch.records));
+      nextStream(true);
+      continue;
+    }
+    // Stamp for the end-to-end unit-latency histogram (enqueue ->
+    // processed; sampled on the worker side).
+    batch.enqueueNs = registry_ ? monotonicNanos() : 0;
+    if (!scheduler_->submit(id, std::move(batch))) break;  // stopping
+    if (++admitted == visitUnits || !stream->batcher->nextUnitBuffered()) {
+      nextStream(true);
     }
   }
   // Exit is visible to a checkpointer waiting for pause acks: a finished

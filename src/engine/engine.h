@@ -11,13 +11,14 @@
 //   ingest pool  — `ingestThreads` threads; streams are partitioned
 //                  statically across them (one producer per stream keeps
 //                  source order). Each thread sweeps its streams
-//                  round-robin, batching one timeunit per stream per sweep
-//                  (Step 1, TimeUnitBatcher over RecordSource::nextBatch)
-//                  into the stream's queue. A stream whose queue is full —
-//                  or a global queued-unit bound — makes the thread skip
-//                  or park (backpressure), so memory stays bounded no
-//                  matter how fast sources produce or how many streams are
-//                  registered.
+//                  round-robin, batching timeunits (Step 1,
+//                  TimeUnitBatcher over RecordSource::nextBatch) into the
+//                  stream's queue: one per visit, or under a resident cap
+//                  a run of the units already buffered. A stream whose
+//                  queue is full is skipped; a full global queued-unit
+//                  bound parks the thread (backpressure), so memory stays
+//                  bounded no matter how fast sources produce or how many
+//                  streams are registered.
 //   worker pool  — `workers` threads sharing the scheduler's ready queue.
 //                  A worker claims a ready stream, advances its pipeline
 //                  by at most `runBudget` units via
@@ -63,6 +64,8 @@ struct EngineConfig {
   /// cheaper to batch than pipelines are to advance).
   std::size_t ingestThreads = 1;
   /// Max units a worker advances one stream by before requeueing it.
+  /// Under a resident cap the engine raises it to streamQueueCapacity, so
+  /// a woken stream drains what one ingest visit gave it in one claim.
   std::size_t runBudget = 8;
   /// Per-stream queue bound, in timeunits. Smaller values bound memory
   /// tighter but trigger backpressure earlier.

@@ -42,12 +42,16 @@ void Scheduler::start() {
   }
 }
 
-bool Scheduler::canAccept(std::size_t id) const {
+Scheduler::Admission Scheduler::admission(std::size_t id) const {
   std::lock_guard lock(mu_);
   TIRESIAS_EXPECT(id < streams_.size(), "stream id out of range");
-  const StreamEntry& s = *streams_[id];
-  return !stopRequested_ && s.queue.size() < config_.streamQueueCapacity &&
-         queuedUnits_ < config_.totalQueueCapacity;
+  if (stopRequested_) return Admission::kStopping;
+  if (queuedUnits_ >= config_.totalQueueCapacity) {
+    return Admission::kGlobalFull;
+  }
+  return streams_[id]->queue.size() >= config_.streamQueueCapacity
+             ? Admission::kStreamFull
+             : Admission::kAccept;
 }
 
 bool Scheduler::submit(std::size_t id, TimeUnitBatch&& batch) {
@@ -251,6 +255,7 @@ SchedulerStats Scheduler::stats() const {
   std::lock_guard lock(mu_);
   SchedulerStats out;
   out.workers = config_.workers;
+  out.runBudget = config_.runBudget;
   out.claims = claims_;
   out.requeues = requeues_;
   out.queuedUnits = queuedUnits_;

@@ -21,8 +21,9 @@
 // Backpressure: producers are bounded per stream (`streamQueueCapacity`
 // units, so a stalled pipeline can't buffer unbounded input) and globally
 // (`totalQueueCapacity` units across all streams, so memory stays bounded
-// no matter how many streams are registered). Producers poll canAccept()
-// and park in waitForSpace() when nothing fits; workers wake them as units
+// no matter how many streams are registered). Producers ask admission()
+// before each unit: they skip a stream whose own queue is full and park in
+// waitForSpace() when the global bound is full; workers wake them as units
 // drain. The global bound is cooperative: with P producer threads it can
 // overshoot by at most P-1 units.
 //
@@ -35,6 +36,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
@@ -79,6 +81,7 @@ struct StreamQueueStats {
 /// Snapshot of the executor as a whole.
 struct SchedulerStats {
   std::size_t workers = 0;
+  std::size_t runBudget = 0;        // units per claim, as configured
   std::size_t readyStreams = 0;     // current ready-queue depth
   std::size_t maxReadyStreams = 0;  // high-water mark
   std::size_t claims = 0;           // stream pops by workers ("steals"
@@ -115,10 +118,19 @@ class Scheduler {
   /// Launch the worker pool. Call once, after all addStream().
   void start();
 
-  /// True when stream `id` can take one more unit within both bounds.
-  /// Advisory — the producer should skip the stream (or park in
-  /// waitForSpace()) when false.
-  bool canAccept(std::size_t id) const;
+  /// Whether stream `id` can take one more unit now, and if not, why.
+  enum class Admission : std::uint8_t {
+    kAccept,      // room under both bounds
+    kStreamFull,  // the stream's own queue holds streamQueueCapacity units
+    kGlobalFull,  // totalQueueCapacity units are queued across all streams
+    kStopping,    // stopAndJoin() was called; submit() would drop the unit
+  };
+  /// Advisory (the answer can go stale as soon as the lock drops): a
+  /// producer skips a kStreamFull stream — its neighbours may still have
+  /// room — and parks in waitForSpace() on kGlobalFull, when none has.
+  /// A stream whose queue is full while the global bound is also full
+  /// reports kGlobalFull.
+  Admission admission(std::size_t id) const;
 
   /// Enqueue the next unit of stream `id` in source order and mark the
   /// stream ready if it was idle. Never blocks. Returns false iff the
@@ -126,7 +138,7 @@ class Scheduler {
   /// must have a single producer thread.
   bool submit(std::size_t id, TimeUnitBatch&& batch);
 
-  /// Park until queued units drained (so canAccept may hold again) or the
+  /// Park until queued units drained (so admission may accept again) or the
   /// scheduler stops. Returns false iff stopping. Counts one
   /// backpressure wait.
   bool waitForSpace();

@@ -1,5 +1,6 @@
-// Little-endian fixed-width codecs for the byte formats built on TSNP
-// framing: `.tsrb` trace files and the TSRS socket stream.
+// Little-endian fixed-width codecs for TSNP snapshots (Serializer /
+// Deserializer) and the byte formats built on TSNP framing: `.tsrb` trace
+// files and the TSRS socket stream.
 //
 // Byte assembly rather than memcpy + byte swap: GCC folds these to single
 // unaligned moves on little-endian targets, and they are alignment- and

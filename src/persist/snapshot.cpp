@@ -37,13 +37,15 @@ std::uint32_t crc32(std::span<const std::uint8_t> data) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void Serializer::appendLe(std::uint64_t v, int width) {
-  for (int i = 0; i < width; ++i) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+void Serializer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
+
+void Serializer::f64s(std::span<const double> values) {
+  std::uint8_t* p = grow(values.size() * sizeof(double));
+  for (const double v : values) {
+    putLe64(p, std::bit_cast<std::uint64_t>(v));
+    p += sizeof(double);
   }
 }
-
-void Serializer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Serializer::str(std::string_view s) {
   u64(s.size());
@@ -54,30 +56,15 @@ void Serializer::bytes(std::span<const std::uint8_t> b) {
   buf_.insert(buf_.end(), b.begin(), b.end());
 }
 
-std::uint64_t Deserializer::readLe(int width) {
-  if (remaining() < static_cast<std::size_t>(width)) {
-    throw SnapshotError("snapshot truncated: integer field overruns input");
-  }
-  std::uint64_t v = 0;
-  for (int i = 0; i < width; ++i) {
-    v |= static_cast<std::uint64_t>(buf_[pos_ + static_cast<std::size_t>(i)])
-         << (8 * i);
-  }
-  pos_ += static_cast<std::size_t>(width);
-  return v;
-}
-
-std::uint8_t Deserializer::u8() {
-  return static_cast<std::uint8_t>(readLe(1));
-}
-
-std::uint32_t Deserializer::u32() {
-  return static_cast<std::uint32_t>(readLe(4));
-}
-
-std::uint64_t Deserializer::u64() { return readLe(8); }
-
 double Deserializer::f64() { return std::bit_cast<double>(u64()); }
+
+void Deserializer::f64s(std::span<double> out) {
+  const std::uint8_t* p = take(out.size() * sizeof(double));
+  for (double& v : out) {
+    v = std::bit_cast<double>(le64(p));
+    p += sizeof(double);
+  }
+}
 
 bool Deserializer::boolean() {
   const std::uint8_t v = u8();

@@ -35,6 +35,8 @@
 #include <string_view>
 #include <vector>
 
+#include "persist/le.h"
+
 namespace tiresias::persist {
 
 /// Any decode failure: truncated input, bad magic/version, CRC mismatch,
@@ -54,10 +56,13 @@ std::uint32_t crc32(std::span<const std::uint8_t> data);
 class Serializer {
  public:
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) { appendLe(v, 4); }
-  void u64(std::uint64_t v) { appendLe(v, 8); }
+  void u32(std::uint32_t v) { putLe32(grow(4), v); }
+  void u64(std::uint64_t v) { putLe64(grow(8), v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v);
+  /// A run of doubles, each encoded as f64() would, with one resize
+  /// (no length prefix).
+  void f64s(std::span<const double> values);
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(std::string_view s);
   void bytes(std::span<const std::uint8_t> b);
@@ -73,7 +78,12 @@ class Serializer {
   std::size_t size() const { return buf_.size(); }
 
  private:
-  void appendLe(std::uint64_t v, int width);
+  /// Extends the buffer by `n` bytes and returns where they start.
+  std::uint8_t* grow(std::size_t n) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + n);
+    return buf_.data() + at;
+  }
 
   std::vector<std::uint8_t> buf_;
 };
@@ -85,11 +95,13 @@ class Deserializer {
  public:
   explicit Deserializer(std::span<const std::uint8_t> bytes) : buf_(bytes) {}
 
-  std::uint8_t u8();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  std::uint8_t u8() { return *take(1); }
+  std::uint32_t u32() { return le32(take(4)); }
+  std::uint64_t u64() { return le64(take(8)); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   double f64();
+  /// Fills `out` with a run of f64() values, bounds-checked once.
+  void f64s(std::span<double> out);
   bool boolean();
   std::string str();
 
@@ -115,7 +127,16 @@ class Deserializer {
   bool atEnd() const { return pos_ == buf_.size(); }
 
  private:
-  std::uint64_t readLe(int width);
+  /// Consumes the next `n` bytes of a fixed-width field and returns where
+  /// they start; throws when fewer remain.
+  const std::uint8_t* take(std::size_t n) {
+    if (remaining() < n) {
+      throw SnapshotError("snapshot truncated: integer field overruns input");
+    }
+    const std::uint8_t* const at = buf_.data() + pos_;
+    pos_ += n;
+    return at;
+  }
 
   std::span<const std::uint8_t> buf_;
   std::size_t pos_ = 0;

@@ -86,6 +86,15 @@ TimeUnitBatcher::Pull TimeUnitBatcher::pull(TimeUnitBatch& out) {
   return Pull::kUnit;
 }
 
+bool TimeUnitBatcher::nextUnitBuffered() const {
+  // Records are time-ordered, so the chunk's last record bounds the rest
+  // (once the chunk is used up, that record precedes the next unit). The
+  // chunk is empty before the first pull and after an idle pull parked a
+  // partial unit.
+  return !chunk_.empty() &&
+         chunk_.back().time >= unitStart(nextUnit_ + 1, delta_);
+}
+
 bool TimeUnitBatcher::next(TimeUnitBatch& out) {
   for (;;) {
     switch (pull(out)) {

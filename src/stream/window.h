@@ -66,6 +66,13 @@ class TimeUnitBatcher {
   /// batch per unit; nullopt at end of stream.
   std::optional<TimeUnitBatch> next();
 
+  /// True when the next pull() will return a unit without calling the
+  /// source: the read-ahead chunk holds a record at or past the end of the
+  /// next unit, so every record of that unit is already buffered. False
+  /// before the first pull, while an idle pull has a partial unit parked,
+  /// and when the chunk ends inside the next unit (its close needs a pull).
+  bool nextUnitBuffered() const;
+
   Duration delta() const { return delta_; }
   std::size_t droppedRecords() const { return dropped_; }
   /// Records pulled from the source so far (delivered + dropped + still

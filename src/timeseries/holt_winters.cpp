@@ -203,13 +203,13 @@ void HoltWintersForecaster::saveState(persist::Serializer& out) const {
     out.u64(seasons_[i].period);
     out.f64(seasons_[i].weight);
     out.u64(cursor_[i]);
-    for (double v : seasonal_[i]) out.f64(v);
+    out.f64s(seasonal_[i]);
   }
   out.f64(level_);
   out.f64(trend_);
   out.boolean(bootstrapped_);
   out.u64(warmup_.size());
-  for (double v : warmup_) out.f64(v);
+  out.f64s(warmup_);
 }
 
 void HoltWintersForecaster::loadState(persist::Deserializer& in) {
@@ -242,7 +242,7 @@ void HoltWintersForecaster::loadState(persist::Deserializer& in) {
     Deserializer::require(spec.period <= in.remaining() / sizeof(double),
                           "Holt-Winters snapshot: seasonal array truncated");
     std::vector<double> indices(spec.period);
-    for (double& v : indices) v = in.f64();
+    in.f64s(indices);
     seasons.push_back(spec);
     seasonal.push_back(std::move(indices));
     cursor.push_back(cur);
@@ -252,7 +252,7 @@ void HoltWintersForecaster::loadState(persist::Deserializer& in) {
   const bool bootstrapped = in.boolean();
   const std::size_t nWarmup = in.count(sizeof(double));
   std::vector<double> warmup(nWarmup);
-  for (double& v : warmup) v = in.f64();
+  in.f64s(warmup);
 
   params_ = params;
   seasons_ = std::move(seasons);

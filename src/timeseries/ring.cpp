@@ -97,7 +97,10 @@ void RingSeries::appendTo(std::vector<double>& out) const {
 void RingSeries::saveState(persist::Serializer& out) const {
   out.u64(buf_.size());
   out.u64(size_);
-  for (std::size_t i = 0; i < size_; ++i) out.f64(at(i));
+  // Oldest first: the run from head_, then the wrapped remainder.
+  const std::size_t first = std::min(size_, buf_.size() - head_);
+  out.f64s(std::span(buf_).subspan(head_, first));
+  out.f64s(std::span(buf_).first(size_ - first));
 }
 
 void RingSeries::loadState(persist::Deserializer& in) {
@@ -107,8 +110,9 @@ void RingSeries::loadState(persist::Deserializer& in) {
                                  "ring snapshot: size exceeds capacity");
   buf_.assign(capacity, 0.0);
   head_ = 0;
-  size_ = 0;
-  for (std::size_t i = 0; i < size; ++i) push(in.f64());
+  size_ = 0;  // stays a valid empty ring if the read throws
+  in.f64s(std::span(buf_).first(size));  // unrotated: oldest at index 0
+  size_ = size;
 }
 
 void RingSeries::clear() {

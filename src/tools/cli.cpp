@@ -928,7 +928,7 @@ int cmdServe(const Options& opt, std::ostream& out, std::ostream& err) {
       << " workers, " << stats.ingestThreads
       << " ingest threads (stream queue " << ecfg.streamQueueCapacity
       << ", total queue " << ecfg.totalQueueCapacity << ", budget "
-      << ecfg.runBudget << ")\n";
+      << stats.scheduler.runBudget << ")\n";
   for (std::size_t i = 0; i < eng.streamCount(); ++i) {
     const auto sum = eng.streamSummary(i);
     const auto& ss = stats.perStream[i];

@@ -8,8 +8,10 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <mutex>
 #include <thread>
+#include <tuple>
 
 #include "core/pipeline.h"
 #include "engine/bounded_queue.h"
@@ -151,7 +153,9 @@ TEST(Scheduler, PreservesPerStreamFifoUnderManyWorkers) {
   for (std::size_t i = 0; i < streams; ++i) {
     producers.emplace_back([&, i] {
       for (std::size_t u = 0; u < unitsPerStream;) {
-        if (!sched.canAccept(i)) {
+        const Scheduler::Admission admit = sched.admission(i);
+        ASSERT_NE(admit, Scheduler::Admission::kStopping);
+        if (admit != Scheduler::Admission::kAccept) {
           if (!sched.waitForSpace()) return;
           continue;
         }
@@ -178,6 +182,47 @@ TEST(Scheduler, PreservesPerStreamFifoUnderManyWorkers) {
   EXPECT_EQ(stats.queuedUnits, 0u);
   EXPECT_GT(stats.maxQueuedUnits, 0u);
   EXPECT_LE(stats.maxReadyStreams, streams);
+}
+
+/// admission() names why a unit would be refused: the stream's own queue,
+/// the global bound (which wins when both are full), or shutdown.
+TEST(Scheduler, AdmissionNamesEachRefusal) {
+  using Admission = Scheduler::Admission;
+  SchedulerConfig cfg;
+  cfg.workers = 1;
+  cfg.streamQueueCapacity = 2;
+  cfg.totalQueueCapacity = 4;
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  bool first = true;
+  Scheduler sched(cfg, [&](std::size_t, std::size_t, TimeUnitBatch&) {
+    if (!std::exchange(first, false)) return;
+    entered.set_value();
+    released.wait();  // hold the first unit in flight
+  });
+  for (std::size_t i = 0; i < 3; ++i) ASSERT_EQ(sched.addStream(), i);
+  sched.start();
+  EXPECT_EQ(sched.admission(0), Admission::kAccept);
+
+  ASSERT_TRUE(sched.submit(0, TimeUnitBatch{}));
+  entered.get_future().wait();  // popped: stream 0's queue is empty again
+  EXPECT_EQ(sched.admission(0), Admission::kAccept);
+  ASSERT_TRUE(sched.submit(0, TimeUnitBatch{}));
+  ASSERT_TRUE(sched.submit(0, TimeUnitBatch{}));
+  EXPECT_EQ(sched.admission(0), Admission::kStreamFull);
+  EXPECT_EQ(sched.admission(1), Admission::kAccept);
+
+  // The in-flight unit still counts against the global bound: 1 + 2 + 1.
+  ASSERT_TRUE(sched.submit(1, TimeUnitBatch{}));
+  EXPECT_EQ(sched.admission(0), Admission::kGlobalFull);
+  EXPECT_EQ(sched.admission(1), Admission::kGlobalFull);
+  EXPECT_EQ(sched.admission(2), Admission::kGlobalFull);
+
+  release.set_value();
+  sched.stopAndJoin();
+  EXPECT_EQ(sched.admission(0), Admission::kStopping);
+  EXPECT_EQ(sched.admission(2), Admission::kStopping);
 }
 
 /// The headline guarantee: k streams through an M-worker engine produce
@@ -802,6 +847,78 @@ TEST(Engine, HibernationEquivalentToUnlimitedResidency) {
         EXPECT_EQ(got[j].path, want[j].path);
         EXPECT_EQ(got[j].depth, want[j].depth);
       }
+    }
+  }
+}
+
+/// A capped fleet must not thrash its LRU: with the default queue bounds a
+/// whole fleet of streams can hold queued work at once, and cycling one
+/// unit (or one run budget) at a time through more streams than the cap
+/// wakes nearly every claim. Under a cap one ingest visit admits a
+/// stream's buffered units and one claim may drain them, so a stream is
+/// woken at most once per queueful of units — and the results stay
+/// bit-identical to an uncapped run.
+TEST(Engine, CappedFleetWakesAtMostOncePerQueueful) {
+  const std::vector<WorkloadSpec> specs = {
+      workload::ccdNetworkWorkload(Scale::kTest),
+      workload::ccdTroubleWorkload(Scale::kTest),
+      workload::scdNetworkWorkload(Scale::kTest),
+  };
+  const std::size_t streams = 48;
+  const TimeUnit units = 32;
+
+  auto run = [&](std::size_t maxResident) {
+    EngineConfig cfg;  // default queue bounds and run budget
+    cfg.workers = 2;
+    cfg.maxResidentStreams = maxResident;
+    report::ConcurrentAnomalyStore store;
+    DetectionEngine eng(cfg, store.sink());
+    for (std::size_t i = 0; i < streams; ++i) {
+      const auto& spec = specs[i % specs.size()];
+      const std::string name = "s" + std::to_string(i);
+      store.registerStream(name, spec.hierarchy);
+      eng.addStream(name, borrowHierarchy(spec.hierarchy),
+                    testPipelineConfig(spec),
+                    std::make_unique<GeneratorSource>(spec, 0, units, 300 + i));
+    }
+    eng.start();
+    auto stats = eng.drain();
+    std::vector<std::vector<report::StoredAnomaly>> anomalies;
+    std::vector<RunSummary> summaries;
+    for (std::size_t i = 0; i < streams; ++i) {
+      anomalies.push_back(store.snapshot("s" + std::to_string(i)));
+      summaries.push_back(eng.streamSummary(i));
+    }
+    return std::make_tuple(std::move(stats), std::move(anomalies),
+                           std::move(summaries));
+  };
+
+  const auto [baseStats, baseAnomalies, baseSummaries] = run(0);
+  const auto [stats, anomalies, summaries] = run(8);
+  const std::size_t queueful = EngineConfig{}.streamQueueCapacity;
+  const std::size_t visits =
+      (static_cast<std::size_t>(units) + queueful - 1) / queueful;
+  EXPECT_GT(stats.hibernateEvictions, 0u) << "cap 8 over 48 streams";
+  EXPECT_LE(stats.hibernateWakes, streams * visits)
+      << "evictions=" << stats.hibernateEvictions;
+  EXPECT_EQ(stats.unitsProcessed, baseStats.unitsProcessed);
+  EXPECT_EQ(stats.recordsProcessed, baseStats.recordsProcessed);
+  for (std::size_t i = 0; i < streams; ++i) {
+    SCOPED_TRACE("s" + std::to_string(i));
+    EXPECT_EQ(summaries[i].unitsProcessed, baseSummaries[i].unitsProcessed);
+    EXPECT_EQ(summaries[i].recordsProcessed,
+              baseSummaries[i].recordsProcessed);
+    EXPECT_EQ(summaries[i].instancesDetected,
+              baseSummaries[i].instancesDetected);
+    EXPECT_EQ(summaries[i].anomaliesReported,
+              baseSummaries[i].anomaliesReported);
+    const auto& got = anomalies[i];
+    const auto& want = baseAnomalies[i];
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t j = 0; j < got.size(); ++j) {
+      EXPECT_EQ(got[j].anomaly, want[j].anomaly);
+      EXPECT_EQ(got[j].path, want[j].path);
+      EXPECT_EQ(got[j].depth, want[j].depth);
     }
   }
 }

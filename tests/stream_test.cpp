@@ -81,6 +81,113 @@ TEST(Batcher, NegativeTimestamps) {
   EXPECT_FALSE(batcher.next());
 }
 
+/// Serves scripted chunks and counts nextBatch calls. An empty chunk in
+/// the script is an idle pull (a live source with nothing yet); past the
+/// script the source has ended.
+class ScriptedSource final : public RecordSource {
+ public:
+  explicit ScriptedSource(std::vector<std::vector<Record>> chunks)
+      : chunks_(std::move(chunks)) {}
+
+  std::size_t nextBatch(std::vector<Record>& out, std::size_t) override {
+    ++calls;
+    out.clear();
+    idle_ = false;
+    if (next_ == chunks_.size()) {
+      ended = true;
+      return 0;
+    }
+    out = chunks_[next_++];
+    idle_ = out.empty();
+    return out.size();
+  }
+  bool idle() const override { return idle_; }
+
+  std::size_t calls = 0;
+  bool ended = false;
+
+ private:
+  std::vector<std::vector<Record>> chunks_;
+  std::size_t next_ = 0;
+  bool idle_ = false;
+};
+
+TEST(Batcher, NextUnitBufferedWhenTheChunkClosesTheUnit) {
+  // Units of 900 s; the first chunk closes units 0-2 and ends inside 3.
+  ScriptedSource src({{{1, 0}, {1, 900}, {1, 1000}, {1, 2700}, {1, 2800}},
+                      {{1, 3700}}});
+  TimeUnitBatcher batcher(src, 900, 0);
+  EXPECT_FALSE(batcher.nextUnitBuffered());  // nothing pulled yet
+  TimeUnitBatch b;
+  ASSERT_EQ(batcher.pull(b), TimeUnitBatcher::Pull::kUnit);
+  EXPECT_EQ(b.unit, 0);
+  EXPECT_EQ(src.calls, 1u);
+
+  EXPECT_TRUE(batcher.nextUnitBuffered());  // unit 1 closes at t=2700
+  ASSERT_EQ(batcher.pull(b), TimeUnitBatcher::Pull::kUnit);
+  EXPECT_EQ(b.unit, 1);
+  EXPECT_EQ(b.records.size(), 2u);
+  EXPECT_TRUE(batcher.nextUnitBuffered());  // unit 2 is empty but closed
+  ASSERT_EQ(batcher.pull(b), TimeUnitBatcher::Pull::kUnit);
+  EXPECT_EQ(b.unit, 2);
+  EXPECT_TRUE(b.records.empty());
+  EXPECT_EQ(src.calls, 1u);
+
+  // Unit 3 holds the chunk's last records: only a pull can close it.
+  EXPECT_FALSE(batcher.nextUnitBuffered());
+  ASSERT_EQ(batcher.pull(b), TimeUnitBatcher::Pull::kUnit);
+  EXPECT_EQ(b.unit, 3);
+  EXPECT_EQ(b.records.size(), 2u);
+  EXPECT_EQ(src.calls, 2u);
+}
+
+TEST(Batcher, NextUnitBufferedIsFalseWithAParkedPartialUnit) {
+  // The chunk ends inside unit 0 and the source then goes idle, so the
+  // partial unit is parked; the next record arrives in a later chunk.
+  ScriptedSource src({{{1, 0}, {1, 100}}, {}, {{1, 950}, {1, 2000}}});
+  TimeUnitBatcher batcher(src, 900, 0);
+  TimeUnitBatch b;
+  ASSERT_EQ(batcher.pull(b), TimeUnitBatcher::Pull::kIdle);
+  EXPECT_FALSE(batcher.nextUnitBuffered());
+  ASSERT_EQ(batcher.pull(b), TimeUnitBatcher::Pull::kUnit);
+  EXPECT_EQ(b.unit, 0);
+  EXPECT_EQ(b.records.size(), 2u);
+  EXPECT_TRUE(batcher.nextUnitBuffered());  // t=2000 closes unit 1
+}
+
+/// Over random chunkings with idle gaps, the query is true exactly when
+/// the next pull yields a unit without calling the source (checked while
+/// the source has not yet reported its end, after which it is never
+/// called again).
+TEST(Batcher, NextUnitBufferedExactlyWhenPullSkipsTheSource) {
+  Rng rng(41);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<std::vector<Record>> chunks;
+    Timestamp t = 0;
+    const int n = 1 + static_cast<int>(rng.below(40));
+    for (int i = 0; i < n; ++i) {
+      if (chunks.empty() || rng.below(4) == 0) {
+        if (rng.below(5) == 0) chunks.emplace_back();  // idle pull
+        chunks.emplace_back();
+      }
+      t += static_cast<Timestamp>(rng.below(2000));
+      chunks.back().push_back({1, t});
+    }
+    ScriptedSource src(chunks);
+    TimeUnitBatcher batcher(src, 900, 0);
+    TimeUnitBatch b;
+    for (int step = 0; step < 10 * n + 10 && !src.ended; ++step) {
+      const bool buffered = batcher.nextUnitBuffered();
+      const std::size_t before = src.calls;
+      const auto pull = batcher.pull(b);
+      EXPECT_EQ(buffered, pull == TimeUnitBatcher::Pull::kUnit &&
+                              src.calls == before)
+          << "trial " << trial << " step " << step;
+      if (pull == TimeUnitBatcher::Pull::kEnd) break;
+    }
+  }
+}
+
 TEST(CsvSource, RoundTripAndJunkRows) {
   const auto h = tree();
   const std::string path = ::testing::TempDir() + "/trace.csv";

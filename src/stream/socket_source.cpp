@@ -111,8 +111,10 @@ struct SocketSource::Impl {
 
   // ---- bounded-idle waits ----
 
+  /// Out of patience: idle for readTimeoutMs, or the router has stopped,
+  /// so the server is shutting down and no connection will come.
   bool idlePatienceExhausted() const {
-    return idleAccumMs >= opt.readTimeoutMs;
+    return idleAccumMs >= opt.readTimeoutMs || router->stopped();
   }
 
   /// Milliseconds a single idle-type wait (await, first byte of the next
@@ -151,7 +153,7 @@ struct SocketSource::Impl {
   void fail() {
     ++protocolErrors;
     conn.close();
-    state = State::kDone;
+    finish();
   }
 
   /// Connection-scoped failure: a resumable stream with budget left goes
@@ -188,7 +190,14 @@ struct SocketSource::Impl {
     // The client finished: release any staged partial unit downstream.
     flushStaged();
     conn.close();
+    finish();
+  }
+
+  /// The stream is over. A named one tells the router, which then answers
+  /// its client's reconnects with a fatal reply instead of parking them.
+  void finish() {
     state = State::kDone;
+    if (resumable()) router->endSlot(slot);
   }
 
   // ---- resume staging ----

@@ -20,7 +20,9 @@
 //                 everything up to and including resumeToken, so the
 //                 source starts reading at tableBytes.
 //     reply:      after the table the server always answers with 12
-//                 bytes: status u32 (0 ok, 1 unknown stream) |
+//                 bytes: status u32 (0 ok, 1 unknown stream, 2 stream
+//                 already ended; the router sends 1 and 2 right after the
+//                 name and closes) |
 //                 committedTime i64 — the earliest timestamp the server
 //                 still needs; the client skips everything before it
 //                 (kSocketNoCommit = nothing committed, always the answer
@@ -102,6 +104,7 @@ inline constexpr std::size_t kSocketMaxCsvLineBytes = std::size_t{1} << 20;
 /// Resume-reply status codes.
 inline constexpr std::uint32_t kSocketResumeOk = 0;
 inline constexpr std::uint32_t kSocketResumeUnknownStream = 1;
+inline constexpr std::uint32_t kSocketResumeStreamEnded = 2;
 /// committedTime sentinel: the server has committed nothing yet — send
 /// the stream from the beginning.
 inline constexpr Timestamp kSocketNoCommit =

@@ -1,5 +1,6 @@
 #include "stream/stream_router.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "persist/le.h"
@@ -25,6 +26,16 @@ int remainingMs(int totalMs, std::chrono::steady_clock::time_point start) {
 /// Accept tick: short enough that stop() is responsive, long enough that
 /// an idle router costs nothing measurable.
 constexpr int kAcceptTickMs = 200;
+
+/// Answers a handshake the router will not route with a fatal `status`,
+/// so the client's retry loop stops instead of hammering the server (or
+/// waiting out its timeout for a reply that never comes).
+void refuse(net::TcpConn& conn, std::uint32_t status) {
+  std::uint8_t reply[12];
+  putLe32(reply, status);
+  putLe64(reply + 4, static_cast<std::uint64_t>(kSocketNoCommit));
+  conn.writeAll(reply, sizeof(reply), 1'000);
+}
 
 }  // namespace
 
@@ -90,19 +101,10 @@ void StreamRouter::routeOne(net::TcpConn conn) {
   const auto start = std::chrono::steady_clock::now();
   std::uint8_t head[8];
   std::size_t have = 0;
-  while (have < 8) {
-    std::size_t got = 0;
-    const IoStatus st =
-        conn.readSome(head + have, 8 - have, got,
-                      remainingMs(opt_.handshakeTimeoutMs, start));
-    if (st == IoStatus::kOk) {
-      have += got;
-      continue;
-    }
-    if (st == IoStatus::kEof) {
-      routed.headEof = true;
-      break;
-    }
+  const IoStatus sniffed = readPrefix(conn, head, sizeof(head), have, start);
+  if (sniffed == IoStatus::kEof) {
+    routed.headEof = true;
+  } else if (sniffed != IoStatus::kOk) {
     // Stalled or errored before identifying itself: not routable.
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
@@ -119,8 +121,7 @@ void StreamRouter::routeOne(net::TcpConn conn) {
   // the token is informational (a client-chosen session id).
   const auto readField = [&](void* dst, std::size_t n) {
     std::size_t got = 0;
-    return conn.readExact(dst, n, got,
-                          remainingMs(opt_.handshakeTimeoutMs, start)) ==
+    return readPrefix(conn, static_cast<std::uint8_t*>(dst), n, got, start) ==
            IoStatus::kOk;
   };
   std::uint8_t fixed[8];
@@ -141,25 +142,65 @@ void StreamRouter::routeOne(net::TcpConn conn) {
   }
   const auto it = byName_.find(name);  // immutable after start(): no lock
   if (it == byName_.end()) {
-    // Tell the client this is fatal (wrong name, not a flaky network) so
-    // its retry loop stops instead of hammering us.
-    std::uint8_t reply[12];
-    putLe32(reply, kSocketResumeUnknownStream);
-    putLe64(reply + 4, static_cast<std::uint64_t>(kSocketNoCommit));
-    conn.writeAll(reply, sizeof(reply), 1'000);
+    refuse(conn, kSocketResumeUnknownStream);  // a wrong name, not a flaky net
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  routed.conn = std::move(conn);
+  bool ended = false;
   {
     std::lock_guard lk(mu_);
-    auto& queue = slots_[it->second].queue;
-    // Newest wins: a waiting connection for the same name is a client
-    // retry we never served — drop it (RAII close) for the fresh one.
-    queue.clear();
-    queue.push_back(std::move(routed));
+    Slot& slot = slots_[it->second];
+    ended = slot.ended;
+    if (!ended) {
+      // Newest wins: a waiting connection for the same name is a client
+      // retry we never served — drop it (RAII close) for the fresh one.
+      routed.conn = std::move(conn);
+      slot.queue.clear();
+      slot.queue.push_back(std::move(routed));
+    }
+  }
+  if (ended) {
+    refuse(conn, kSocketResumeStreamEnded);
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+    return;
   }
   cv_.notify_all();
+}
+
+void StreamRouter::endSlot(std::size_t slot) {
+  std::deque<Routed> waiting;
+  {
+    std::lock_guard lk(mu_);
+    Slot& s = slots_[slot];
+    if (s.name.empty() || s.ended) return;
+    s.ended = true;
+    waiting.swap(s.queue);
+  }
+  for (Routed& r : waiting) {
+    refuse(r.conn, kSocketResumeStreamEnded);
+    rejected_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+IoStatus StreamRouter::readPrefix(net::TcpConn& conn, std::uint8_t* dst,
+                                  std::size_t n, std::size_t& got,
+                                  std::chrono::steady_clock::time_point start) {
+  got = 0;
+  while (got < n) {
+    // Waits in accept-tick slices, so a peer that connects and goes quiet
+    // holds stop() up by one tick at most, not by the whole deadline.
+    const int left = remainingMs(opt_.handshakeTimeoutMs, start);
+    const int slice = left < 0 ? kAcceptTickMs : std::min(left, kAcceptTickMs);
+    std::size_t chunk = 0;
+    const IoStatus st = conn.readSome(dst + got, n - got, chunk, slice);
+    if (st == IoStatus::kOk) {
+      got += chunk;
+      continue;
+    }
+    if (st != IoStatus::kTimeout) return st;
+    if (slice == left || stop_.load(std::memory_order_acquire)) return st;
+  }
+  return IoStatus::kOk;
 }
 
 void StreamRouter::deliverAnonymous(Routed routed) {

@@ -23,11 +23,13 @@
 // cheapest place to refuse work: a shed predicate (the CLI wires it to
 // the engine's queue lag against --shed-watermark) closes connections
 // before reading a byte, and structurally unroutable connections
-// (unknown stream name, handshake timeout, anonymous overflow) are
-// counted and closed instead of wedging a slot.
+// (unknown stream name, a named stream that has already ended, handshake
+// timeout, anonymous overflow) are counted and closed instead of wedging
+// a slot.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -85,6 +87,15 @@ class StreamRouter {
   void start();
   /// Stops the accept thread and wakes every await() with "no connection".
   void stop();
+  /// True once stop() was called: no connection will be routed any more.
+  bool stopped() const { return stop_.load(std::memory_order_acquire); }
+
+  /// A named slot's stream has ended for good: connections waiting for it
+  /// and every later handshake naming it get a fatal
+  /// kSocketResumeStreamEnded reply and are closed, instead of parking
+  /// where nothing will ever read them. Thread-safe; no-op for anonymous
+  /// slots and on repeat calls.
+  void endSlot(std::size_t slot);
 
   /// Block until a connection is routed to `slot` (or the shared FIFO for
   /// anonymous slots), the timeout passes, or the router stops.
@@ -97,8 +108,9 @@ class StreamRouter {
   std::size_t shedConnections() const {
     return shed_.load(std::memory_order_relaxed);
   }
-  /// Connections that could not be routed: unknown stream name, handshake
-  /// timeout/corruption, or no anonymous capacity.
+  /// Connections that could not be routed: unknown stream name, a named
+  /// stream that has ended, handshake timeout/corruption, or no anonymous
+  /// capacity.
   std::size_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
@@ -107,10 +119,18 @@ class StreamRouter {
   struct Slot {
     std::string name;  // empty = anonymous (drains the shared FIFO)
     std::deque<Routed> queue;
+    bool ended = false;  // named slots only; guarded by mu_
   };
 
   void routeLoop();
   void routeOne(net::TcpConn conn);
+  /// Reads `n` bytes of a handshake's routing prefix by the handshake
+  /// deadline counted from `start`. kOk when all landed; kEof at an EOF
+  /// (`got` says how many bytes came first); kTimeout at the deadline or
+  /// once the router stops; kError on a socket error.
+  net::IoStatus readPrefix(net::TcpConn& conn, std::uint8_t* dst,
+                           std::size_t n, std::size_t& got,
+                           std::chrono::steady_clock::time_point start);
   void deliverAnonymous(Routed routed);
 
   std::shared_ptr<net::TcpListener> listener_;

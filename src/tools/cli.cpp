@@ -1,26 +1,21 @@
 #include "tools/cli.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <iomanip>
 #include <limits>
 #include <map>
 #include <memory>
-#include <new>
 #include <optional>
 #include <ostream>
 #include <random>
 #include <sstream>
 #include <string_view>
-#include <system_error>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "hierarchy/builder.h"
@@ -32,13 +27,10 @@
 #include "engine/engine.h"
 #include "net/tcp.h"
 #include "persist/snapshot.h"
-#include "report/concurrent_store.h"
 #include "report/store.h"
-#include "serve/serving.h"
+#include "serve/server.h"
 #include "stream/binary_source.h"
 #include "stream/socket_source.h"
-#include "stream/stream_router.h"
-#include "timeseries/ewma.h"
 #include "workload/ccd.h"
 #include "workload/scd.h"
 
@@ -67,6 +59,12 @@ constexpr double kMaxThreads = 1024;
 /// 64 KiB read buffer from the start.
 constexpr double kMaxStreams = 1'000'000;
 constexpr double kMaxNetStreams = 4096;
+/// Ceiling of the queue bounds: every queued unit holds its records, so a
+/// bound past a million units no longer bounds what a host can hold.
+constexpr double kMaxQueueUnits = 1'000'000;
+/// Ceiling of the resident cap: a cap above the most streams a run can
+/// register caps nothing.
+constexpr double kMaxResident = kMaxStreams;
 constexpr const char* kTreeCommands =
     "generate detect analyze hierarchy serve send";
 
@@ -127,13 +125,15 @@ constexpr CliOption kOptions[] = {
     {.name = "ingest-threads", .commands = "serve", .kind = Kind::kInt,
      .def = "1", .lo = 1, .hi = kMaxThreads, .help = "ingest pool size"},
     {.name = "queue", .commands = "serve", .kind = Kind::kInt,
-     .value = "units", .def = "16", .lo = 1, .help = "per-stream queue bound"},
+     .value = "units", .def = "16", .lo = 1, .hi = kMaxQueueUnits,
+     .help = "per-stream queue bound"},
     {.name = "total-queue", .commands = "serve", .kind = Kind::kInt,
-     .value = "units", .def = "1024", .lo = 1, .help = "global queue bound"},
+     .value = "units", .def = "1024", .lo = 1, .hi = kMaxQueueUnits,
+     .help = "global queue bound"},
     {.name = "budget", .commands = "serve", .kind = Kind::kInt,
      .value = "units", .def = "8", .lo = 1, .help = "units per worker claim"},
     {.name = "max-resident", .commands = "serve", .kind = Kind::kInt,
-     .value = "streams", .def = "0", .lo = 0,
+     .value = "streams", .def = "0", .lo = 0, .hi = kMaxResident,
      .help = "streams with live state, colder ones hibernate; 0 = all"},
     {.name = "hibernate-dir", .commands = "serve", .kind = Kind::kString,
      .value = "dir", .needs = "max-resident",
@@ -510,424 +510,124 @@ int cmdHierarchy(const Options& opt, std::ostream& out, std::ostream& err) {
   return 0;
 }
 
-/// One JSON-lines metrics snapshot (schema tiresias_metrics/v1) — the
-/// scrapeable stats surface behind `serve --metrics-out`, rendered by the
-/// same serve::engineStatsJson the stats poll endpoint serves.
-void writeMetricsLine(std::ostream& os, const engine::EngineStats& st) {
-  os << serve::engineStatsJson(st) << "\n";
-}
+/// Maps `serve`'s options to a ServerConfig, or explains the usage error
+/// on `err` and returns nullopt. Arms --fault-plan; `faultArmed` tells
+/// the caller to disarm it.
+std::optional<serve::ServerConfig> serveConfig(const Options& opt,
+                                               std::ostream& err,
+                                               bool& faultArmed) {
+  // Counts and sizes: the table already checked they are not negative.
+  const auto size = [&opt](const char* name) {
+    return static_cast<std::size_t>(opt.num(name));
+  };
+  serve::ServerConfig cfg;
+  cfg.engine.workers = size("workers");
+  cfg.engine.ingestThreads = size("ingest-threads");
+  cfg.engine.runBudget = size("budget");
+  cfg.engine.streamQueueCapacity = size("queue");
+  cfg.engine.totalQueueCapacity = size("total-queue");
+  cfg.engine.maxResidentStreams = size("max-resident");
+  cfg.engine.hibernateDir = opt.str("hibernate-dir");
+  cfg.theta = opt.real("theta");
+  cfg.window = size("window");
+  cfg.streams = size("streams");
+  cfg.units = opt.num("units");
+  cfg.seed = static_cast<std::uint64_t>(opt.num("seed"));
+  cfg.scale = scaleOf(opt.str("scale"));
+  cfg.loopback = opt.has("loopback");
+  cfg.checkpointDir = opt.str("checkpoint-dir");
+  cfg.checkpointEvery = size("checkpoint-every");
+  cfg.restore = opt.has("restore");
+  cfg.metricsOut = opt.str("metrics-out");
+  cfg.metricsEveryMs = size("metrics-every");
+  const auto port = [&opt](const char* name) {
+    return opt.has(name) ? std::optional(static_cast<std::uint16_t>(
+                               opt.num(name)))
+                         : std::nullopt;
+  };
+  cfg.anomalyPort = port("anomaly-port");
+  cfg.statsPort = port("stats-port");
+  cfg.listenPort = port("listen");
+  // All serving-surface ports are unauthenticated, so offer the obvious
+  // containment: one flag restricting every listener to 127.0.0.1.
+  if (cfg.loopback && !cfg.listenPort && !cfg.anomalyPort && !cfg.statsPort) {
+    err << "serve: --loopback requires --listen, --anomaly-port, or "
+           "--stats-port\n";
+    return std::nullopt;
+  }
+  if (!cfg.listenPort) return cfg;
 
-int cmdServe(const Options& opt, std::ostream& out, std::ostream& err) {
-  // Network mode (--listen) replaces the generated preset streams with
-  // socket-fed ones; the option table keeps the two modes' stream options
-  // apart, everything engine-level applies to both.
-  const bool listenMode = opt.has("listen");
-  // A --fault-plan armed by this run is disarmed on every exit path, so
-  // in-process callers (tests) never leak chaos into the next command.
-  struct FaultInjectGuard {
-    bool armed = false;
-    ~FaultInjectGuard() {
-      if (armed) faultinject::disarm();
-    }
-  } faultGuard;
   // Named resumable streams (--stream-names a,b,c). Parsed before the
   // --net-streams default, which depends on it: with names given,
   // anonymous slots default to none.
-  std::vector<std::string> streamNames;
   if (opt.has("stream-names")) {
-    const std::string& namesArg = opt.str("stream-names");
-    std::size_t pos = 0;
-    while (pos <= namesArg.size()) {
-      const std::size_t comma = namesArg.find(',', pos);
-      const std::string name =
-          namesArg.substr(pos, comma == std::string::npos ? std::string::npos
-                                                          : comma - pos);
+    std::stringstream names(opt.str("stream-names") + ",");
+    std::string name;
+    while (std::getline(names, name, ',')) {
       if (name.empty() || name.size() > kSocketMaxStreamNameBytes) {
         err << "serve: --stream-names wants comma-separated names of 1.."
             << kSocketMaxStreamNameBytes << " bytes\n";
-        return 2;
+        return std::nullopt;
       }
-      for (const std::string& prev : streamNames) {
-        if (prev == name) {
-          err << "serve: --stream-names lists '" << name << "' twice\n";
-          return 2;
-        }
+      if (std::find(cfg.streamNames.begin(), cfg.streamNames.end(), name) !=
+          cfg.streamNames.end()) {
+        err << "serve: --stream-names lists '" << name << "' twice\n";
+        return std::nullopt;
       }
-      streamNames.push_back(name);
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
+      cfg.streamNames.push_back(name);
     }
   }
-  long long netStreamsIn = opt.num("net-streams");
-  if (listenMode) {
-    // Anonymous (positional) slots: default 1, or 0 once named streams
-    // are declared — but explicit --net-streams always wins.
-    if (!opt.has("net-streams") && !streamNames.empty()) netStreamsIn = 0;
-    if (netStreamsIn == 0 && streamNames.empty()) {
-      err << "serve: --net-streams must be positive (0 allowed only with "
-             "--stream-names)\n";
-      return 2;
+  // Anonymous (positional) slots: default 1, or 0 once named streams are
+  // declared — but explicit --net-streams always wins.
+  cfg.netStreams = size("net-streams");
+  if (!opt.has("net-streams") && !cfg.streamNames.empty()) cfg.netStreams = 0;
+  if (cfg.netStreams == 0 && cfg.streamNames.empty()) {
+    err << "serve: --net-streams must be positive (0 allowed only with "
+           "--stream-names)\n";
+    return std::nullopt;
+  }
+  // Every socket stream holds a 64 KiB read buffer from the start, named
+  // or not, so both kinds count against one ceiling.
+  if (cfg.netStreams + cfg.streamNames.size() > kMaxNetStreams) {
+    err << "serve: --net-streams plus --stream-names must be at most "
+        << static_cast<long long>(kMaxNetStreams) << " streams (got "
+        << cfg.netStreams + cfg.streamNames.size() << ")\n";
+    return std::nullopt;
+  }
+  WorkloadSpec spec;
+  if (!parseDataset(opt, err, spec)) return std::nullopt;
+  cfg.spec = std::make_shared<const WorkloadSpec>(std::move(spec));
+  const std::string& format = opt.str("ingest-format");
+  if (format == "csv") {
+    cfg.format = SocketSourceOptions::Format::kCsv;
+  } else if (format == "binary") {
+    cfg.format = SocketSourceOptions::Format::kBinary;
+  }
+  cfg.readTimeoutMs = static_cast<int>(opt.num("read-timeout-ms"));
+  cfg.errorBudget = size("error-budget");
+  cfg.junkBudget = size("junk-budget");
+  cfg.shedWatermark = size("shed-watermark");
+  if (opt.has("fault-plan")) {
+    std::string planError;
+    if (!faultinject::arm(opt.str("fault-plan"), &planError)) {
+      err << "serve: bad --fault-plan: " << planError << "\n";
+      return std::nullopt;
     }
-    if (opt.has("fault-plan")) {
-      std::string planError;
-      if (!faultinject::arm(opt.str("fault-plan"), &planError)) {
-        err << "serve: bad --fault-plan: " << planError << "\n";
-        return 2;
-      }
-      faultGuard.armed = true;
-    }
+    faultArmed = true;
   }
-  SocketSourceOptions socketOpts;
-  socketOpts.readTimeoutMs = static_cast<int>(opt.num("read-timeout-ms"));
-  const std::string& formatName = opt.str("ingest-format");
-  if (formatName == "csv") {
-    socketOpts.format = SocketSourceOptions::Format::kCsv;
-  } else if (formatName == "binary") {
-    socketOpts.format = SocketSourceOptions::Format::kBinary;
-  }
-  // All serving-surface ports are unauthenticated, so offer the obvious
-  // containment: one flag restricting every listener to 127.0.0.1.
-  const bool loopback = opt.has("loopback");
-  if (loopback && !listenMode && !opt.has("anomaly-port") &&
-      !opt.has("stats-port")) {
-    err << "serve: --loopback requires --listen, --anomaly-port, or "
-           "--stats-port\n";
-    return 2;
-  }
-  const long long listenPort = opt.num("listen");
-  const long long anomalyPort = opt.num("anomaly-port");
-  const long long statsPort = opt.num("stats-port");
-  const long long shedWatermark = opt.num("shed-watermark");
-  const long long units = opt.num("units");
-  const auto seed = static_cast<std::uint64_t>(opt.num("seed"));
-  const long long checkpointEvery = opt.num("checkpoint-every");
-  const long long metricsEvery = opt.num("metrics-every");
-  const std::string& checkpointDir = opt.str("checkpoint-dir");
-  const std::string& metricsOut = opt.str("metrics-out");
-  const bool restore = opt.has("restore");
-  const std::size_t streams =
-      listenMode ? static_cast<std::size_t>(netStreamsIn) + streamNames.size()
-                 : static_cast<std::size_t>(opt.num("streams"));
-  const Scale scale = scaleOf(opt.str("scale"));
+  return cfg;
+}
 
-  engine::EngineConfig ecfg;
-  ecfg.workers = static_cast<std::size_t>(opt.num("workers"));
-  ecfg.ingestThreads = static_cast<std::size_t>(opt.num("ingest-threads"));
-  ecfg.runBudget = static_cast<std::size_t>(opt.num("budget"));
-  ecfg.streamQueueCapacity = static_cast<std::size_t>(opt.num("queue"));
-  ecfg.totalQueueCapacity = static_cast<std::size_t>(opt.num("total-queue"));
-  ecfg.maxResidentStreams =
-      static_cast<std::size_t>(opt.num("max-resident"));
-  ecfg.hibernateDir = opt.str("hibernate-dir");
-  // Generated and socket-fed streams run the same detector setup.
-  const auto streamConfig = [&opt](const WorkloadSpec& spec) {
-    PipelineConfig cfg;
-    cfg.delta = spec.unit;
-    cfg.detector.theta = opt.real("theta");
-    cfg.detector.windowLength = static_cast<std::size_t>(opt.num("window"));
-    cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
-    return cfg;
-  };
-
-  // Streams cycle through the dataset presets (the paper's two CCD
-  // hierarchies plus SCD), each with its own seed so workloads differ.
-  // One spec per *preset*, not per stream: every stream of a preset
-  // registers an aliasing handle into the same shared spec, so a
-  // 100k-stream fleet holds three hierarchies, not 100k.
-  struct Preset {
-    const char* name;
-    WorkloadSpec (*make)(Scale);
-  };
-  static constexpr Preset kPresets[] = {
-      {"ccd-net", workload::ccdNetworkWorkload},
-      {"ccd-trouble", workload::ccdTroubleWorkload},
-      {"scd", workload::scdNetworkWorkload},
-  };
-  // Declared before the engine (so it outlives it) for GeneratorSource,
-  // which borrows its spec; the hierarchies themselves are additionally
-  // pinned by the engine through the aliasing handles.
-  std::vector<std::shared_ptr<const WorkloadSpec>> specs;
-  report::ConcurrentAnomalyStore store;
-  // Sink plumbing shared by both modes: the store always collects; with
-  // --anomaly-port each anomaly is additionally rendered as a JSON line
-  // and fanned out to subscribers. streamHier is filled during stream
-  // registration (before start) and read-only once workers run.
-  serve::JsonLineBroadcaster broadcaster;
-  std::unordered_map<std::string, const Hierarchy*> streamHier;
-  engine::DetectionEngine::ResultSink sink = store.sink();
-  if (opt.has("anomaly-port")) {
-    sink = [&store, &broadcaster, &streamHier](const std::string& name,
-                                               const InstanceResult& res) {
-      store.add(name, res);
-      const Hierarchy& h = *streamHier.at(name);
-      for (const Anomaly& a : res.anomalies) {
-        broadcaster.publish(
-            serve::anomalyJsonLine(name, h.path(a.node), h.depth(a.node), a));
-      }
-    };
-  }
-  engine::DetectionEngine eng(ecfg, std::move(sink));
-  std::shared_ptr<net::TcpListener> ingestListener;
-  std::shared_ptr<StreamRouter> router;
-  // Borrowed views of the engine-owned sources, for post-drain protocol
-  // accounting; valid for the engine's lifetime.
-  std::vector<const SocketSource*> netSources;
-  // Registration allocates per stream (the engine stream, a socket
-  // source's read buffer); a count the host cannot hold is an error.
-  try {
-    if (listenMode) {
-      WorkloadSpec specIn;
-      if (!parseDataset(opt, err, specIn)) return 2;
-      auto spec = std::make_shared<const WorkloadSpec>(std::move(specIn));
-      specs.push_back(spec);
-      net::ignoreSigpipe();
-      ingestListener = std::make_shared<net::TcpListener>();
-      if (!ingestListener->listen(static_cast<std::uint16_t>(listenPort),
-                                  loopback)) {
-        err << "serve: cannot listen on port " << listenPort << ": "
-            << ingestListener->lastError() << "\n";
-        return 1;
-      }
-      // One router thread accepts every ingest connection: v2 handshakes
-      // carrying a name land on that name's slot (every reconnect included),
-      // everything else fills the anonymous slots first-come. The run ends
-      // after every stream ends.
-      StreamRouter::Options ropt;
-      ropt.format = socketOpts.format;
-      ropt.handshakeTimeoutMs = socketOpts.readTimeoutMs;
-      if (shedWatermark > 0) {
-        // Accept-time load shedding: refuse new connections while the
-        // engine is this many units behind (checked on the router thread,
-        // stats() is thread-safe).
-        ropt.shedPredicate = [&eng,
-                              mark = static_cast<std::size_t>(shedWatermark)] {
-          return eng.stats().queueLagUnits() >= mark;
-        };
-      }
-      router = std::make_shared<StreamRouter>(ingestListener, ropt);
-      socketOpts.protocolErrorBudget =
-          static_cast<std::size_t>(opt.num("error-budget"));
-      socketOpts.junkBudgetPerConn =
-          static_cast<std::size_t>(opt.num("junk-budget"));
-      const auto addNetStream = [&](const std::string& name,
-                                    SocketSourceOptions opts,
-                                    std::size_t slot) {
-        store.registerStream(name, spec->hierarchy);
-        streamHier.emplace(name, &spec->hierarchy);
-        auto src = std::make_unique<SocketSource>(router, slot, spec->hierarchy,
-                                                  std::move(opts));
-        netSources.push_back(src.get());
-        eng.addStream(name, workload::sharedHierarchy(spec),
-                      streamConfig(*spec), std::move(src));
-      };
-      // Named resumable streams first. The engine stream name is the wire
-      // name, so a checkpoint restore matches a reconnecting client's
-      // stream by the same identity.
-      for (const std::string& name : streamNames) {
-        SocketSourceOptions opts = socketOpts;
-        opts.streamName = name;
-        opts.unitDelta = spec->unit;
-        addNetStream(name, std::move(opts), router->addNamedSlot(name));
-      }
-      for (long long i = 0; i < netStreamsIn; ++i) {
-        addNetStream("net-" + std::to_string(i), socketOpts,
-                     router->addAnonymousSlot());
-      }
-      // Fold the serving-surface counters into the sampled gauges the
-      // stats endpoint serves. Captures by value: the sampler thread stops
-      // inside the engine's own teardown, before either the sources (engine
-      // owned) or the router (shared_ptr) can die.
-      eng.setGaugeSampler(
-          [sources = netSources, router](obs::MetricsRegistry& reg) {
-            std::size_t reconnects = 0, resumes = 0;
-            for (const SocketSource* s : sources) {
-              reconnects += s->reconnects();
-              resumes += s->resumes();
-            }
-            reg.recordValue(obs::Gauge::kNetReconnects, reconnects);
-            reg.recordValue(obs::Gauge::kNetResumes, resumes);
-            reg.recordValue(obs::Gauge::kNetShedConnections,
-                            router->shedConnections());
-            reg.recordValue(obs::Gauge::kNetInjectedFaults,
-                            faultinject::injectedCount());
-          });
-    } else {
-      specs.reserve(std::size(kPresets));
-      for (const Preset& preset : kPresets) {
-        specs.push_back(
-            std::make_shared<const WorkloadSpec>(preset.make(scale)));
-      }
-      for (std::size_t i = 0; i < streams; ++i) {
-        const Preset& preset = kPresets[i % std::size(kPresets)];
-        const std::shared_ptr<const WorkloadSpec>& spec =
-            specs[i % std::size(kPresets)];
-        const std::string name = std::string(preset.name) + "-" +
-                                 std::to_string(i);
-        store.registerStream(name, spec->hierarchy);
-        streamHier.emplace(name, &spec->hierarchy);
-        eng.addStream(name, workload::sharedHierarchy(spec),
-                      streamConfig(*spec),
-                      std::make_unique<workload::GeneratorSource>(
-                          *spec, 0, units, seed + i));
-      }
-    }
-  } catch (const std::bad_alloc&) {
-    err << "serve: cannot allocate " << streams << " streams\n";
-    return 1;
-  }
-
-  const std::string checkpointPath =
-      checkpointDir.empty() ? "" : checkpointDir + "/checkpoint.tsnap";
-  // The anomaly store rides in the snapshot's user section so restored
-  // reports continue the checkpointed ones with nothing lost or doubled.
-  const auto storeWriter = [&store](persist::Serializer& s) {
-    store.saveState(s);
-  };
-  if (!checkpointDir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(checkpointDir, ec);
-    if (ec) {
-      err << "serve: cannot create --checkpoint-dir '" << checkpointDir
-          << "': " << ec.message() << "\n";
-      return 1;
-    }
-  }
-  if (restore) {
-    try {
-      const std::size_t restored = eng.restoreFrom(
-          checkpointPath,
-          [&store](persist::Deserializer& d) { store.loadState(d); });
-      out << "restored " << restored << " streams from " << checkpointPath
-          << "\n";
-    } catch (const persist::SnapshotError& e) {
-      err << "serve: restore failed: " << e.what() << "\n";
-      return 1;
-    }
-  }
-
-  // Output-side servers come up before the engine so a script can parse
-  // the flushed "serving:" line, subscribe, and only then feed records.
-  serve::StatsPollServer statsServer;
-  if (opt.has("anomaly-port") &&
-      !broadcaster.start(static_cast<std::uint16_t>(anomalyPort), loopback)) {
-    err << "serve: cannot listen on --anomaly-port " << anomalyPort << ": "
-        << broadcaster.error() << "\n";
-    return 1;
-  }
-  if (opt.has("stats-port") &&
-      !statsServer.start(
-          static_cast<std::uint16_t>(statsPort),
-          [&eng] { return serve::engineStatsJson(eng.stats()); }, loopback)) {
-    err << "serve: cannot listen on --stats-port " << statsPort << ": "
-        << statsServer.error() << "\n";
-    return 1;
-  }
-  if (listenMode || opt.has("anomaly-port") || opt.has("stats-port")) {
-    out << "serving:";
-    if (listenMode) {
-      out << " ingest=" << ingestListener->port() << " format=" << formatName
-          << " net-streams=" << streams;
-      if (!streamNames.empty()) out << " named=" << streamNames.size();
-    }
-    if (opt.has("anomaly-port")) out << " anomaly=" << broadcaster.port();
-    if (opt.has("stats-port")) out << " stats=" << statsServer.port();
-    out << std::endl;  // flushed: scripts block on this line
-  }
-
-  // A host that cannot honour the thread counts (RLIMIT_AS, RLIMIT_NPROC)
-  // is an error, not an abort; the engine's destructor joins whatever
-  // threads did start.
-  try {
-    eng.start();
-    if (router) router->start();
-  } catch (const std::system_error& e) {
-    const engine::EngineStats stats = eng.stats();
-    err << "serve: cannot start "
-        << stats.scheduler.workers + stats.ingestThreads
-        << " threads: " << e.what() << "\n";
-    return 1;
-  }
-
-  // Periodic checkpointer: snapshot whenever another --checkpoint-every
-  // units have been processed. Runs beside drain(); the engine quiesces
-  // to a unit boundary around each snapshot and resumes by itself.
-  std::atomic<bool> serveDone{false};
-  // Periodic metrics emitter: one JSON line per --metrics-every window,
-  // plus a final line after drain (written by the main thread, so the
-  // last line always reflects the fully drained state).
-  std::ofstream metricsFile;
-  std::thread metricsEmitter;
-  if (!metricsOut.empty()) {
-    metricsFile.open(metricsOut, std::ios::trunc);
-    if (!metricsFile) {
-      err << "serve: cannot open --metrics-out '" << metricsOut << "'\n";
-      if (router) router->stop();  // wakes sources blocked in await()
-      eng.stop();
-      return 1;
-    }
-    metricsEmitter = std::thread([&] {
-      auto last = std::chrono::steady_clock::now();
-      while (!serveDone.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        const auto now = std::chrono::steady_clock::now();
-        if (now - last < std::chrono::milliseconds(metricsEvery)) continue;
-        last = now;
-        writeMetricsLine(metricsFile, eng.stats());
-        metricsFile.flush();
-      }
-    });
-  }
-  std::thread checkpointer;
-  if (checkpointEvery > 0) {
-    checkpointer = std::thread([&] {
-      std::size_t lastUnits = eng.stats().checkpoint.lastUnits;
-      while (!serveDone.load(std::memory_order_relaxed)) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        const auto st = eng.stats();
-        if (st.unitsProcessed - lastUnits <
-            static_cast<std::size_t>(checkpointEvery)) {
-          continue;
-        }
-        try {
-          eng.checkpoint(checkpointPath, storeWriter);
-          lastUnits = st.unitsProcessed;
-        } catch (const persist::SnapshotError& e) {
-          err << "warning: checkpoint failed: " << e.what() << "\n";
-          return;
-        }
-      }
-    });
-  }
-
-  const auto stats = eng.drain();
-  // Stop order matters: the router's shed predicate polls the engine, so
-  // the accept thread dies first; closing the broadcaster's subscribers
-  // is their end-of-run EOF, and the stats renderer must not outlive the
-  // engine.
-  if (router) router->stop();
-  broadcaster.stop();
-  statsServer.stop();
-  serveDone.store(true, std::memory_order_relaxed);
-  if (checkpointer.joinable()) checkpointer.join();
-  if (metricsEmitter.joinable()) metricsEmitter.join();
-  if (metricsFile.is_open()) {
-    writeMetricsLine(metricsFile, stats);
-    metricsFile.close();
-  }
-  if (!checkpointDir.empty()) {
-    // Final checkpoint of the drained state, so a later --restore resumes
-    // (or re-reports) from the end of this run.
-    try {
-      eng.checkpoint(checkpointPath, storeWriter);
-    } catch (const persist::SnapshotError& e) {
-      err << "warning: final checkpoint failed: " << e.what() << "\n";
-    }
-  }
-
-  out << "engine: " << streams << " streams, " << stats.scheduler.workers
-      << " workers, " << stats.ingestThreads
-      << " ingest threads (stream queue " << ecfg.streamQueueCapacity
-      << ", total queue " << ecfg.totalQueueCapacity << ", budget "
+/// The end-of-run report of a drained server.
+void printServeReport(const serve::Server& server,
+                      const engine::EngineStats& stats, std::ostream& out,
+                      std::ostream& err) {
+  const serve::ServerConfig& cfg = server.config();
+  const engine::DetectionEngine& eng = server.engine();
+  out << "engine: " << eng.streamCount() << " streams, "
+      << stats.scheduler.workers << " workers, " << stats.ingestThreads
+      << " ingest threads (stream queue " << cfg.engine.streamQueueCapacity
+      << ", total queue " << cfg.engine.totalQueueCapacity << ", budget "
       << stats.scheduler.runBudget << ")\n";
   for (std::size_t i = 0; i < eng.streamCount(); ++i) {
     const auto sum = eng.streamSummary(i);
@@ -977,44 +677,53 @@ int cmdServe(const Options& opt, std::ostream& out, std::ostream& err) {
     }
     table.print(out);
   }
-  if (!checkpointDir.empty()) {
-    const auto finalStats = eng.stats();
-    out << "checkpoints: " << finalStats.checkpoint.checkpoints
-        << " taken (last " << finalStats.checkpoint.lastBytes << " bytes, "
-        << fmtF(finalStats.checkpoint.lastSeconds * 1e3, 1) << " ms; total "
-        << fmtF(finalStats.checkpoint.totalSeconds * 1e3, 1) << " ms), "
-        << finalStats.checkpoint.restores << " restores -> "
-        << checkpointPath << "\n";
+  if (!cfg.checkpointDir.empty()) {
+    // Read after drain() wrote the final checkpoint.
+    const engine::CheckpointStats ckpt = eng.stats().checkpoint;
+    out << "checkpoints: " << ckpt.checkpoints << " taken (last "
+        << ckpt.lastBytes << " bytes, " << fmtF(ckpt.lastSeconds * 1e3, 1)
+        << " ms; total " << fmtF(ckpt.totalSeconds * 1e3, 1) << " ms), "
+        << ckpt.restores << " restores -> " << server.checkpointPath()
+        << "\n";
   }
-  if (listenMode) {
-    std::size_t protoErrors = 0, unresolved = 0;
-    std::size_t reconnects = 0, resumes = 0;
-    for (const SocketSource* src : netSources) {
-      protoErrors += src->protocolErrors();
-      unresolved += src->unresolvedPaths();
-      reconnects += src->reconnects();
-      resumes += src->resumes();
-    }
-    out << "net: protocol-errors=" << protoErrors
-        << " unresolved-paths=" << unresolved
-        << " reconnects=" << reconnects << " resumes=" << resumes;
-    if (router) {
-      out << " shed=" << router->shedConnections()
-          << " rejected=" << router->rejected();
-    }
+  if (cfg.listenPort) {
+    const serve::NetTotals net = server.netTotals();
+    out << "net: protocol-errors=" << net.protocolErrors
+        << " unresolved-paths=" << net.unresolvedPaths
+        << " reconnects=" << net.reconnects << " resumes=" << net.resumes
+        << " shed=" << net.shed << " rejected=" << net.rejected;
     if (faultinject::armed()) {
       out << " injected-faults=" << faultinject::injectedCount();
     }
-    if (opt.has("anomaly-port")) {
-      out << " anomaly-subscribers=" << broadcaster.accepted();
+    if (cfg.anomalyPort) {
+      out << " anomaly-subscribers=" << net.anomalySubscribers;
     }
-    if (opt.has("stats-port")) {
-      out << " stats-polls=" << statsServer.served();
-    }
+    if (cfg.statsPort) out << " stats-polls=" << net.statsPolls;
     out << "\n";
   }
   out << "elapsed " << fmtF(stats.elapsedSeconds, 3) << "s, "
       << fmtF(stats.recordsPerSecond, 0) << " records/sec\n";
+}
+
+int cmdServe(const Options& opt, std::ostream& out, std::ostream& err) {
+  // A --fault-plan armed by this run is disarmed on every exit path, so
+  // in-process callers (tests) never leak chaos into the next command.
+  struct FaultInjectGuard {
+    bool armed = false;
+    ~FaultInjectGuard() {
+      if (armed) faultinject::disarm();
+    }
+  } faultGuard;
+  std::optional<serve::ServerConfig> cfg =
+      serveConfig(opt, err, faultGuard.armed);
+  if (!cfg) return 2;
+  serve::Server server(std::move(*cfg), out, err);
+  if (!server.start()) {
+    err << "serve: " << server.error() << "\n";
+    return 1;
+  }
+  const engine::EngineStats stats = server.drain();
+  printServeReport(server, stats, out, err);
   return 0;
 }
 
@@ -1148,6 +857,11 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
     if (reply.status == kSocketResumeUnknownStream) {
       err << "send: server does not serve a stream named '" << streamName
           << "'\n";
+      return 1;
+    }
+    if (reply.status == kSocketResumeStreamEnded) {
+      err << "send: stream '" << streamName
+          << "' has already ended on the server\n";
       return 1;
     }
     if (reply.status != kSocketResumeOk) {

@@ -1,20 +1,22 @@
 // The fault-tolerance contract, end to end and in process: a named
-// client streaming through the router under an armed fault plan
-// (injected disconnects, short reads, EINTR) while the server is
-// checkpointed, destroyed mid-stream (everything in memory lost — the
-// in-process "kill -9"), rebuilt on the same port and restored, must end
-// with anomaly reports and stream summaries *bit-identical* to a clean,
-// fault-free run over the same records. The unit-granular commit
-// protocol is what makes that true: no record is delivered twice, none
-// is lost, no matter where the connections tear.
+// client streaming into a serve::Server (the composition `tiresias_cli
+// serve --listen` runs) under an armed fault plan (injected disconnects,
+// short reads, EINTR) while the server checkpoints, is stopped mid-stream
+// and destroyed (everything in memory lost — the in-process "kill -9"),
+// rebuilt on the same port and restored, must end with anomaly reports
+// and stream summaries *bit-identical* to a clean, fault-free run over
+// the same records. The unit-granular commit protocol is what makes that
+// true: no record is delivered twice, none is lost, no matter where the
+// connections tear.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
+#include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,17 +26,17 @@
 #include "engine/engine.h"
 #include "net/tcp.h"
 #include "report/concurrent_store.h"
+#include "serve/server.h"
 #include "stream/socket_source.h"
 #include "stream/source.h"
-#include "stream/stream_router.h"
-#include "timeseries/ewma.h"
 #include "workload/ccd.h"
 
 namespace tiresias {
 namespace {
 
 using engine::DetectionEngine;
-using engine::EngineConfig;
+using serve::Server;
+using serve::ServerConfig;
 using workload::GeneratorSource;
 using workload::Scale;
 using workload::WorkloadSpec;
@@ -42,27 +44,26 @@ using workload::WorkloadSpec;
 constexpr int kTestTimeoutMs = 10'000;
 constexpr char kStream[] = "s0";
 
-std::string tempSnapshotPath(const char* name) {
-  return std::string(::testing::TempDir()) + "chaos_" + name + "_" +
-         std::to_string(::getpid()) + ".tsnap";
-}
-
-PipelineConfig pipelineConfig(const WorkloadSpec& spec) {
-  PipelineConfig cfg;
-  cfg.delta = spec.unit;
-  cfg.detector.theta = 8.0;
-  cfg.detector.windowLength = 16;
-  cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
-  return cfg;
-}
-
-EngineConfig engineConfig() {
-  EngineConfig cfg;
-  cfg.workers = 2;
-  cfg.ingestThreads = 1;
-  cfg.runBudget = 4;
-  cfg.streamQueueCapacity = 8;
-  cfg.totalQueueCapacity = 64;
+/// One server leg: the named stream kStream on `port` (0 = ephemeral),
+/// checkpointing into `dir`.
+ServerConfig serverConfig(std::shared_ptr<const WorkloadSpec> spec,
+                          std::uint16_t port, const std::string& dir) {
+  ServerConfig cfg;
+  cfg.engine.workers = 2;
+  cfg.engine.ingestThreads = 1;
+  cfg.engine.runBudget = 4;
+  cfg.engine.streamQueueCapacity = 8;
+  cfg.engine.totalQueueCapacity = 64;
+  cfg.theta = 8.0;
+  cfg.window = 16;
+  cfg.listenPort = port;
+  cfg.loopback = true;
+  cfg.spec = std::move(spec);
+  cfg.streamNames = {kStream};
+  cfg.netStreams = 0;
+  cfg.readTimeoutMs = kTestTimeoutMs;
+  cfg.errorBudget = 100'000;  // chaos burns many connections
+  cfg.checkpointDir = dir;
   return cfg;
 }
 
@@ -105,24 +106,32 @@ bool sendOnce(std::uint16_t port, const std::vector<std::string>& paths,
 }
 
 TEST(ChaosNet, KillRestoreReconnectIsBitIdenticalToFaultFreeRun) {
-  WorkloadSpec spec = workload::ccdNetworkWorkload(Scale::kTest);
+  const auto spec = std::make_shared<const WorkloadSpec>(
+      workload::ccdNetworkWorkload(Scale::kTest));
   const TimeUnit kUnits = 120;
   std::vector<Record> records;
   {
-    GeneratorSource gen(spec, 0, kUnits, 17);
+    GeneratorSource gen(*spec, 0, kUnits, 17);
     while (auto r = gen.next()) records.push_back(*r);
   }
   ASSERT_GT(records.size(), 500u);
-  const auto paths = allPaths(spec.hierarchy);
-  const PipelineConfig pcfg = pipelineConfig(spec);
+  const auto paths = allPaths(spec->hierarchy);
+  const std::string dir = std::string(::testing::TempDir()) + "chaos_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
 
-  // Fault-free reference: same records, no network, no interruptions.
+  ServerConfig cfg1 = serverConfig(spec, 0, dir);
+  cfg1.checkpointEvery = 5;
+
+  // Fault-free reference: same records and detector setup, no network, no
+  // interruptions.
   report::ConcurrentAnomalyStore refStore;
   RunSummary refSummary;
   {
-    DetectionEngine eng(engineConfig(), refStore.sink());
-    refStore.registerStream(kStream, spec.hierarchy);
-    eng.addStream(kStream, borrowHierarchy(spec.hierarchy), pcfg,
+    DetectionEngine eng(cfg1.engine, refStore.sink());
+    refStore.registerStream(kStream, spec->hierarchy);
+    eng.addStream(kStream, workload::sharedHierarchy(spec),
+                  serve::streamPipelineConfig(cfg1, *spec),
                   std::make_unique<VectorSource>(records));
     eng.start();
     eng.drain();
@@ -130,35 +139,15 @@ TEST(ChaosNet, KillRestoreReconnectIsBitIdenticalToFaultFreeRun) {
   }
   ASSERT_GT(refSummary.recordsProcessed, 0u);
 
-  // Chaos leg. The listener's port is fixed up front so the restarted
-  // server can rebind it and the client never has to re-discover it.
-  const std::string path = tempSnapshotPath("restore");
-  auto listener = std::make_shared<net::TcpListener>();
-  ASSERT_TRUE(listener->listen(0, /*loopbackOnly=*/true))
-      << listener->lastError();
-  const std::uint16_t port = listener->port();
-
-  SocketSourceOptions sopt;
-  sopt.streamName = kStream;
-  sopt.unitDelta = spec.unit;
-  sopt.readTimeoutMs = kTestTimeoutMs;
-  sopt.protocolErrorBudget = 100'000;  // chaos burns many connections
-
+  // Chaos leg 1: faults armed, a checkpoint every few units.
+  std::ostringstream out1, err1;
   ASSERT_TRUE(faultinject::arm("seed=5,disconnect=0.05,short-read=0.1,"
                                "eintr=0.1"));
-
-  report::ConcurrentAnomalyStore lostStore;  // dies with the crash
-  lostStore.registerStream(kStream, spec.hierarchy);
-  auto eng1 = std::make_unique<DetectionEngine>(engineConfig(),
-                                                lostStore.sink());
-  auto router1 =
-      std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
-  eng1->addStream(kStream, borrowHierarchy(spec.hierarchy), pcfg,
-                  std::make_unique<SocketSource>(
-                      router1, router1->addNamedSlot(kStream),
-                      spec.hierarchy, sopt));
-  eng1->start();
-  router1->start();
+  auto server1 = std::make_unique<Server>(cfg1, out1, err1);
+  ASSERT_TRUE(server1->start()) << server1->error();
+  // The port is fixed from here on, so the restarted server can rebind it
+  // and the client never has to re-discover it.
+  const std::uint16_t port = server1->ingestPort();
 
   // The client: phase 1 keeps re-sending everything uncommitted and
   // tearing the connection down (no end-of-stream) until the restarted
@@ -180,71 +169,59 @@ TEST(ChaosNet, KillRestoreReconnectIsBitIdenticalToFaultFreeRun) {
     }
   });
 
-  // Let real progress land (best effort — the equivalence holds wherever
-  // the checkpoint falls), snapshot, then lose everything in memory.
+  // Let real progress reach a checkpoint (best effort — the equivalence
+  // holds wherever the checkpoint falls), then lose everything in memory.
   const auto progressDeadline = std::chrono::steady_clock::now() +
                                 std::chrono::seconds(60);
-  while (eng1->stats().unitsProcessed < 20 &&
+  while (server1->engine().stats().checkpoint.lastUnits < 20 &&
          std::chrono::steady_clock::now() < progressDeadline) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
-  eng1->checkpoint(path,
-                   [&](persist::Serializer& s) { lostStore.saveState(s); });
-  router1->stop();  // wakes the source's await() so stop() joins fast
-  eng1->stop();
-  eng1.reset();
-  router1.reset();
-  listener->close();
-  listener.reset();
+  server1->stop();
+  EXPECT_GE(server1->engine().stats().checkpoint.lastUnits, 20u);
+  server1.reset();
   faultinject::disarm();  // the restored leg runs clean
 
   // Restart: rebind the same port, restore, let the client reconnect and
   // finish. SO_REUSEADDR makes the rebind race-free against TIME_WAIT,
   // but give the kernel a few tries anyway.
-  auto listener2 = std::make_shared<net::TcpListener>();
-  bool bound = false;
-  for (int i = 0; i < 50 && !bound; ++i) {
-    bound = listener2->listen(port, /*loopbackOnly=*/true);
-    if (!bound) std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ServerConfig cfg2 = serverConfig(spec, port, dir);
+  cfg2.restore = true;
+  std::ostringstream out2, err2;
+  std::unique_ptr<Server> server;
+  for (int i = 0; i < 50; ++i) {
+    server = std::make_unique<Server>(cfg2, out2, err2);
+    if (server->start()) break;
+    ASSERT_NE(server->error().find("cannot listen"), std::string::npos)
+        << server->error();
+    server.reset();
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
-  ASSERT_TRUE(bound) << listener2->lastError();
-
-  report::ConcurrentAnomalyStore store;
-  store.registerStream(kStream, spec.hierarchy);
-  DetectionEngine eng(engineConfig(), store.sink());
-  auto router2 =
-      std::make_shared<StreamRouter>(listener2, StreamRouter::Options{});
-  eng.addStream(kStream, borrowHierarchy(spec.hierarchy), pcfg,
-                std::make_unique<SocketSource>(
-                    router2, router2->addNamedSlot(kStream), spec.hierarchy,
-                    sopt));
-  const std::size_t restored = eng.restoreFrom(
-      path, [&](persist::Deserializer& d) { store.loadState(d); });
-  EXPECT_EQ(restored, 1u);
-  eng.start();
-  router2->start();
+  ASSERT_NE(server, nullptr) << "could not rebind port " << port;
+  EXPECT_NE(out2.str().find("restored 1 streams"), std::string::npos)
+      << out2.str();
   restartReady.store(true, std::memory_order_release);
-  const auto stats = eng.drain();
-  router2->stop();
+  const auto stats = server->drain();
   client.join();
   EXPECT_TRUE(delivered.load());
   EXPECT_EQ(stats.checkpoint.restores, 1u);
 
   // Bit-identical to the uninterrupted run: summary and every report.
-  const RunSummary got = eng.streamSummary(0);
+  const RunSummary got = server->engine().streamSummary(0);
   EXPECT_EQ(got.unitsProcessed, refSummary.unitsProcessed);
   EXPECT_EQ(got.recordsProcessed, refSummary.recordsProcessed);
   EXPECT_EQ(got.instancesDetected, refSummary.instancesDetected);
   EXPECT_EQ(got.anomaliesReported, refSummary.anomaliesReported);
   EXPECT_EQ(got.warmupUnitsBuffered, refSummary.warmupUnitsBuffered);
-  const auto gotReports = store.snapshot(kStream);
+  const auto gotReports = server->store().snapshot(kStream);
   const auto wantReports = refStore.snapshot(kStream);
   ASSERT_EQ(gotReports.size(), wantReports.size());
   for (std::size_t k = 0; k < gotReports.size(); ++k) {
     EXPECT_EQ(gotReports[k].anomaly, wantReports[k].anomaly);
     EXPECT_EQ(gotReports[k].path, wantReports[k].path);
   }
-  std::remove(path.c_str());
+  server.reset();
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -12,9 +12,10 @@
 # everything the first server processes is a whole-unit prefix of the
 # reference run; the unit-granular commit protocol then guarantees the
 # resumed phase-2 stream replays exactly from the last committed
-# boundary. A second declared stream (s1) never connects, which keeps the
-# first server alive (listen mode drains when every stream ends) so the
-# SIGKILL always lands mid-run.
+# boundary. A second declared stream (s1) never connects to the first
+# server, which keeps it alive (listen mode drains when every stream ends)
+# so the SIGKILL always lands mid-run; the restored server gets s1 ended
+# by an empty send, so it exits as soon as s0 finishes.
 set -u
 
 CLI="$1"
@@ -128,8 +129,8 @@ PID=
 rm -f "$CKPT.tmp"
 
 # ---- Chaos phase 2: restore on the same port, client resumes ----
-# No fault plan (the restored leg runs clean); a finite read timeout so
-# the never-connecting s1 ends the drain instead of wedging it.
+# No fault plan (the restored leg runs clean). s1 is ended explicitly
+# below; the finite read timeout only bounds a run whose s1 end is lost.
 "$CLI" serve --listen "$port" --loopback --stream-names s0,s1 \
     --window 16 --theta 4 --read-timeout-ms 15000 \
     --checkpoint-dir "$DIR/ckpt" --restore \
@@ -139,6 +140,13 @@ up=$(await "$DIR/serve_chaos2.log" 's/.*ingest=\([0-9]*\).*/\1/p')
 [ -n "$up" ] || fail "restored serve never listened (see $DIR/serve_chaos2.log)"
 grep -q "restored 2 streams" "$DIR/serve_chaos2.log" \
     || fail "restore line missing"
+
+# End s1: a named stream whose client sends an empty trace ends cleanly.
+: >"$DIR/empty.csv"
+timeout 60 "$CLI" send --to "127.0.0.1:$port" --trace "$DIR/empty.csv" \
+    --dataset ccd-net --scale test --stream-name s1 \
+    >"$DIR/send_s1.log" 2>&1 \
+    || fail "ending s1 failed (see $DIR/send_s1.log)"
 
 timeout 120 "$CLI" send --to "127.0.0.1:$port" --trace "$DIR/trace.csv" \
     --dataset ccd-net --scale test --stream-name s0 \

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
@@ -406,6 +407,16 @@ TEST(Cli, ServeRunsStreamsThroughEngine) {
   EXPECT_NE(out.find("engine.unit_latency"), std::string::npos);
 }
 
+/// The number after `"key":` in `json`, searched from `from`; NaN when
+/// the key is absent.
+double jsonNumber(const std::string& json, const std::string& key,
+                  std::size_t from = 0) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = json.find(needle, from);
+  if (at == std::string::npos) return std::nan("");
+  return std::strtod(json.c_str() + at + needle.size(), nullptr);
+}
+
 TEST(Cli, ServeWritesMetricsJsonLines) {
   const std::string path = "cli_test_metrics.jsonl";
   std::string out;
@@ -427,6 +438,15 @@ TEST(Cli, ServeWritesMetricsJsonLines) {
     EXPECT_EQ(line.back(), '}');
     EXPECT_NE(line.find("\"schema\":\"tiresias_metrics/v1\""),
               std::string::npos);
+    for (const char* field :
+         {"elapsed_seconds", "units_processed", "units_discarded",
+          "queue_lag_units", "records_per_sec", "workspace_bytes",
+          "resident_streams", "hibernated_streams", "hibernate_evictions",
+          "hibernate_wakes", "stages", "gauges"}) {
+      EXPECT_NE(line.find("\"" + std::string(field) + "\":"),
+                std::string::npos)
+          << field << " missing in " << line;
+    }
   }
   // At minimum the final post-drain line is present.
   ASSERT_GE(lines, 1u);
@@ -435,6 +455,19 @@ TEST(Cli, ServeWritesMetricsJsonLines) {
   EXPECT_NE(last.find("\"gauges\":{"), std::string::npos);
   EXPECT_NE(last.find("\"engine.unit_latency\""), std::string::npos);
   EXPECT_NE(last.find("\"p99_us\""), std::string::npos);
+  // Every processed unit has its latency sample, and the percentiles are
+  // ordered.
+  const std::size_t latency = last.find("\"engine.unit_latency\":{");
+  ASSERT_NE(latency, std::string::npos);
+  EXPECT_EQ(jsonNumber(last, "count", latency), 64.0);
+  const double p50 = jsonNumber(last, "p50_us", latency);
+  const double p90 = jsonNumber(last, "p90_us", latency);
+  const double p99 = jsonNumber(last, "p99_us", latency);
+  EXPECT_LE(p50, p90);
+  EXPECT_LE(p90, p99);
+  // The final line carries gauge samples.
+  EXPECT_EQ(last.find("\"gauges\":{}"), std::string::npos);
+  EXPECT_NE(last.find("\"gauge."), std::string::npos);
   std::remove(path.c_str());
 }
 
@@ -452,12 +485,6 @@ TEST(Cli, ServeMetricsEveryRequiresMetricsOut) {
   EXPECT_NE(err.find("must be positive"), std::string::npos);
 }
 
-TEST(Cli, ServeRejectsZeroStreams) {
-  std::string err;
-  EXPECT_EQ(run({"serve", "--streams", "0"}, nullptr, &err), 2);
-  EXPECT_NE(err.find("must be in [1, 1000000]"), std::string::npos);
-}
-
 /// The ceiling of a bounded numeric option, as an argument.
 std::string optionCeiling(std::string_view name) {
   for (const CliOption& o : cliOptions()) {
@@ -466,6 +493,48 @@ std::string optionCeiling(std::string_view name) {
     }
   }
   return "";
+}
+
+// Resource ceilings: the queue bounds and the resident cap have upper
+// bounds, and every socket stream, named or anonymous, counts against one
+// stream ceiling (each holds a 64 KiB read buffer from the start).
+TEST(Cli, ServeCapsQueuesResidencyAndSocketStreams) {
+  std::string err;
+  EXPECT_EQ(run({"serve", "--queue", "1000001"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("--queue must be in [1, 1000000]"), std::string::npos);
+  EXPECT_EQ(run({"serve", "--total-queue", "1000001"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("--total-queue must be in [1, 1000000]"),
+            std::string::npos);
+  EXPECT_EQ(run({"serve", "--max-resident", "1000001"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("--max-resident must be in [0, 1000000]"),
+            std::string::npos);
+
+  const std::string maxNet = optionCeiling("net-streams");
+  ASSERT_FALSE(maxNet.empty());
+  EXPECT_EQ(run({"serve", "--listen", "0", "--net-streams", maxNet,
+                 "--stream-names", "a"},
+                nullptr, &err),
+            2);
+  EXPECT_NE(err.find("--net-streams plus --stream-names must be at most " +
+                     maxNet),
+            std::string::npos)
+      << err;
+  std::string names = "s0";
+  for (long long i = 1; i <= std::stoll(maxNet); ++i) {
+    names += ",s" + std::to_string(i);
+  }
+  EXPECT_EQ(run({"serve", "--listen", "0", "--stream-names", names}, nullptr,
+                &err),
+            2);
+  EXPECT_NE(err.find("(got " + std::to_string(std::stoll(maxNet) + 1) + ")"),
+            std::string::npos)
+      << err.substr(0, 200);
+}
+
+TEST(Cli, ServeRejectsZeroStreams) {
+  std::string err;
+  EXPECT_EQ(run({"serve", "--streams", "0"}, nullptr, &err), 2);
+  EXPECT_NE(err.find("must be in [1, 1000000]"), std::string::npos);
 }
 
 /// Run `args` in a forked child whose address space is capped 256 MiB

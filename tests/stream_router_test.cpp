@@ -1,9 +1,9 @@
 // StreamRouter: one accept thread must route v2 named connections to
 // their slot, empty-name v2 and CSV connections to the shared anonymous
 // FIFO (a retired v1 prologue is CSV junk, never binary), refuse
-// unknown names with a fatal reply, shed under the overload predicate,
-// and reject anonymous overflow — always by closing the socket, never by
-// wedging a slot or crashing.
+// unknown and ended names with a fatal reply, shed under the overload
+// predicate, and reject anonymous overflow — always by closing the
+// socket, never by wedging a slot or crashing.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -231,6 +231,49 @@ TEST(StreamRouter, UnknownStreamNameGetsAFatalReply) {
   SocketResumeReply reply;
   ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
   EXPECT_EQ(reply.status, kSocketResumeUnknownStream);
+  EXPECT_TRUE(waitFor([&] { return router->rejected() == 1; }));
+  router->stop();
+}
+
+// A named stream that has ended will never read another connection, so a
+// client reconnecting to it must hear so at once instead of waiting out
+// its whole timeout for a reply (and retrying into the same wait).
+TEST(StreamRouter, HandshakeForAnEndedNamedStreamGetsAFatalReply) {
+  const auto h = HierarchyBuilder::balanced({3, 2});
+  const auto wire = encodeSocketHandshakeV2(allPaths(h), "s0", 0);
+  std::vector<std::uint8_t> eos;
+  appendSocketEndOfStream(eos);
+
+  auto listener = loopbackListener();
+  auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
+  const std::size_t slot = router->addNamedSlot("s0");
+  router->start();
+
+  // First connection: an empty stream, which ends s0.
+  std::thread client([port = listener->port(), wire, eos] {
+    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
+    ASSERT_TRUE(conn.valid());
+    ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
+    SocketResumeReply reply;
+    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
+    EXPECT_EQ(reply.status, kSocketResumeOk);
+    EXPECT_TRUE(conn.writeAll(eos.data(), eos.size(), kTestTimeoutMs));
+  });
+  SocketSourceOptions opts;
+  opts.streamName = "s0";
+  SocketSource src(router, slot, h, opts);
+  EXPECT_TRUE(drainPerRecord(src).empty());
+  EXPECT_FALSE(src.idle());  // ended, not waiting for a reconnect
+  client.join();
+
+  // A reconnect to the ended stream gets the fatal reply well inside a
+  // client's timeout.
+  net::TcpConn conn = net::connectLoopback(listener->port(), kTestTimeoutMs);
+  ASSERT_TRUE(conn.valid());
+  ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
+  SocketResumeReply reply;
+  ASSERT_TRUE(readSocketResumeReply(conn, 3'000, reply));
+  EXPECT_EQ(reply.status, kSocketResumeStreamEnded);
   EXPECT_TRUE(waitFor([&] { return router->rejected() == 1; }));
   router->stop();
 }

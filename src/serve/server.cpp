@@ -183,6 +183,9 @@ bool Server::registerStreams() {
   const std::size_t streams =
       config_.listenPort ? config_.netStreams + config_.streamNames.size()
                          : config_.streams;
+  // Built up front: the heap may be exhausted when it is needed.
+  std::string failure =
+      "cannot allocate " + std::to_string(streams) + " streams";
   try {
     if (config_.listenPort) {
       // One router thread accepts every ingest connection: v2 handshakes
@@ -254,7 +257,7 @@ bool Server::registerStreams() {
     }
     return true;
   } catch (const std::bad_alloc&) {
-    error_ = "cannot allocate " + std::to_string(streams) + " streams";
+    error_ = std::move(failure);
     return false;
   }
 }

@@ -193,11 +193,11 @@ struct SocketSource::Impl {
     finish();
   }
 
-  /// The stream is over. A named one tells the router, which then answers
-  /// its client's reconnects with a fatal reply instead of parking them.
+  /// The stream is over. The router learns it, so it answers the
+  /// connections nothing will read any more instead of parking them.
   void finish() {
     state = State::kDone;
-    if (resumable()) router->endSlot(slot);
+    router->endSlot(slot);
   }
 
   // ---- resume staging ----

@@ -21,8 +21,9 @@
 //                 source starts reading at tableBytes.
 //     reply:      after the table the server always answers with 12
 //                 bytes: status u32 (0 ok, 1 unknown stream, 2 stream
-//                 already ended; the router sends 1 and 2 right after the
-//                 name and closes) |
+//                 already ended — for an empty name, every anonymous
+//                 stream; the router sends 1 and 2 right after the name
+//                 and closes) |
 //                 committedTime i64 — the earliest timestamp the server
 //                 still needs; the client skips everything before it
 //                 (kSocketNoCommit = nothing committed, always the answer
@@ -193,9 +194,10 @@ class SocketSource final : public RecordSource {
   std::size_t skipped_ = 0;
 };
 
-/// Client-side framing helpers (tests, the bench writer, `tiresias_cli
-/// send`). Records' `category` field is the file-id — the index into the
-/// handshake path list. An empty `streamName` opens an anonymous stream.
+/// Client-side framing helpers, used by StreamClient (stream_client.h) and
+/// by tests that write malformed bytes or a custom table. Records'
+/// `category` field is the file-id — the index into the handshake path
+/// list. An empty `streamName` opens an anonymous stream.
 std::vector<std::uint8_t> encodeSocketHandshakeV2(
     const std::vector<std::string>& paths, const std::string& streamName,
     std::uint64_t resumeToken);

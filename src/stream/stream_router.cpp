@@ -58,6 +58,7 @@ std::size_t StreamRouter::addAnonymousSlot() {
   const std::size_t id = slots_.size();
   slots_.push_back(Slot{{}, {}});
   ++anonymousSlots_;
+  ++anonymousLive_;
   return id;
 }
 
@@ -146,25 +147,20 @@ void StreamRouter::routeOne(net::TcpConn conn) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
     return;
   }
-  bool ended = false;
+  routed.conn = std::move(conn);
   {
     std::lock_guard lk(mu_);
     Slot& slot = slots_[it->second];
-    ended = slot.ended;
-    if (!ended) {
+    if (!slot.ended) {
       // Newest wins: a waiting connection for the same name is a client
       // retry we never served — drop it (RAII close) for the fresh one.
-      routed.conn = std::move(conn);
       slot.queue.clear();
       slot.queue.push_back(std::move(routed));
+      cv_.notify_all();
+      return;
     }
   }
-  if (ended) {
-    refuse(conn, kSocketResumeStreamEnded);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  cv_.notify_all();
+  turnAway(routed);
 }
 
 void StreamRouter::endSlot(std::size_t slot) {
@@ -172,14 +168,27 @@ void StreamRouter::endSlot(std::size_t slot) {
   {
     std::lock_guard lk(mu_);
     Slot& s = slots_[slot];
-    if (s.name.empty() || s.ended) return;
+    if (s.ended) return;
     s.ended = true;
-    waiting.swap(s.queue);
+    if (s.name.empty()) {
+      // The FIFO holds at most one connection per live anonymous slot;
+      // the newest beyond that would never be read.
+      --anonymousLive_;
+      while (anonymous_.size() > anonymousLive_) {
+        waiting.push_back(std::move(anonymous_.back()));
+        anonymous_.pop_back();
+      }
+    } else {
+      waiting.swap(s.queue);
+    }
   }
-  for (Routed& r : waiting) {
-    refuse(r.conn, kSocketResumeStreamEnded);
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-  }
+  for (Routed& r : waiting) turnAway(r);
+}
+
+void StreamRouter::turnAway(Routed& routed) {
+  // A binary client hears that the stream is gone; CSV has no reply.
+  if (routed.binary) refuse(routed.conn, kSocketResumeStreamEnded);
+  rejected_.fetch_add(1, std::memory_order_relaxed);
 }
 
 IoStatus StreamRouter::readPrefix(net::TcpConn& conn, std::uint8_t* dst,
@@ -204,15 +213,23 @@ IoStatus StreamRouter::readPrefix(net::TcpConn& conn, std::uint8_t* dst,
 }
 
 void StreamRouter::deliverAnonymous(Routed routed) {
+  bool allEnded = false;
   {
     std::lock_guard lk(mu_);
-    if (anonymousSlots_ == 0 || anonymous_.size() >= anonymousSlots_) {
-      rejected_.fetch_add(1, std::memory_order_relaxed);
+    if (anonymous_.size() < anonymousLive_) {
+      anonymous_.push_back(std::move(routed));
+      cv_.notify_all();
       return;
     }
-    anonymous_.push_back(std::move(routed));
+    allEnded = anonymousSlots_ > 0 && anonymousLive_ == 0;
   }
-  cv_.notify_all();
+  if (allEnded) {
+    turnAway(routed);
+    return;
+  }
+  // No anonymous slot at all, or every live one already has a connection
+  // waiting: a plain close, which a client may retry.
+  rejected_.fetch_add(1, std::memory_order_relaxed);
 }
 
 std::optional<StreamRouter::Routed> StreamRouter::await(std::size_t slot,

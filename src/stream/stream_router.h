@@ -23,9 +23,9 @@
 // cheapest place to refuse work: a shed predicate (the CLI wires it to
 // the engine's queue lag against --shed-watermark) closes connections
 // before reading a byte, and structurally unroutable connections
-// (unknown stream name, a named stream that has already ended, handshake
-// timeout, anonymous overflow) are counted and closed instead of wedging
-// a slot.
+// (unknown stream name, a named stream that has already ended, every
+// anonymous stream ended, handshake timeout, anonymous overflow) are
+// counted and closed instead of wedging a slot.
 #pragma once
 
 #include <atomic>
@@ -90,11 +90,13 @@ class StreamRouter {
   /// True once stop() was called: no connection will be routed any more.
   bool stopped() const { return stop_.load(std::memory_order_acquire); }
 
-  /// A named slot's stream has ended for good: connections waiting for it
-  /// and every later handshake naming it get a fatal
-  /// kSocketResumeStreamEnded reply and are closed, instead of parking
-  /// where nothing will ever read them. Thread-safe; no-op for anonymous
-  /// slots and on repeat calls.
+  /// A slot's stream has ended for good, so nothing will read another
+  /// connection for it. Named: connections waiting for it and every later
+  /// handshake naming it are turned away. Anonymous: the shared FIFO
+  /// shrinks to one connection per live anonymous slot, and once none is
+  /// live every later anonymous connection is turned away. Turned away
+  /// means counted in rejected() and closed, a binary one after a fatal
+  /// kSocketResumeStreamEnded reply. Thread-safe; no-op on repeat calls.
   void endSlot(std::size_t slot);
 
   /// Block until a connection is routed to `slot` (or the shared FIFO for
@@ -108,8 +110,8 @@ class StreamRouter {
   std::size_t shedConnections() const {
     return shed_.load(std::memory_order_relaxed);
   }
-  /// Connections that could not be routed: unknown stream name, a named
-  /// stream that has ended, handshake timeout/corruption, or no anonymous
+  /// Connections that could not be routed: unknown stream name, a stream
+  /// that has ended, handshake timeout/corruption, or no anonymous
   /// capacity.
   std::size_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
@@ -119,7 +121,7 @@ class StreamRouter {
   struct Slot {
     std::string name;  // empty = anonymous (drains the shared FIFO)
     std::deque<Routed> queue;
-    bool ended = false;  // named slots only; guarded by mu_
+    bool ended = false;  // guarded by mu_
   };
 
   void routeLoop();
@@ -132,6 +134,9 @@ class StreamRouter {
                            std::size_t n, std::size_t& got,
                            std::chrono::steady_clock::time_point start);
   void deliverAnonymous(Routed routed);
+  /// Close a connection whose stream has ended, with a fatal reply if it
+  /// is binary, and count it rejected.
+  void turnAway(Routed& routed);
 
   std::shared_ptr<net::TcpListener> listener_;
   Options opt_;
@@ -141,6 +146,7 @@ class StreamRouter {
   std::unordered_map<std::string, std::size_t> byName_;
   std::deque<Routed> anonymous_;
   std::size_t anonymousSlots_ = 0;
+  std::size_t anonymousLive_ = 0;  // not yet ended; guarded by mu_
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

@@ -1,7 +1,6 @@
 #include "tools/cli.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <exception>
@@ -15,7 +14,6 @@
 #include <random>
 #include <sstream>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "hierarchy/builder.h"
@@ -31,6 +29,7 @@
 #include "serve/server.h"
 #include "stream/binary_source.h"
 #include "stream/socket_source.h"
+#include "stream/stream_client.h"
 #include "workload/ccd.h"
 #include "workload/scd.h"
 
@@ -752,11 +751,7 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
   }
   const std::string host = to.substr(0, colon);
   const std::string& format = opt.str("format");
-  const long long frameIn = opt.num("frame");
-  const long long timeoutMs = opt.num("timeout-ms");
-  const long long retries = opt.num("retries");
-  const long long backoffMs = opt.num("backoff-ms");
-  const std::string& streamName = opt.str("stream-name");
+  const int timeoutMs = static_cast<int>(opt.num("timeout-ms"));
 
   net::ignoreSigpipe();
   const auto port = static_cast<std::uint16_t>(portIn);
@@ -768,8 +763,7 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
       err << "send: cannot open --trace '" << trace << "'\n";
       return 1;
     }
-    net::TcpConn conn =
-        net::connectTo(host, port, static_cast<int>(timeoutMs));
+    net::TcpConn conn = net::connectTo(host, port, timeoutMs);
     if (!conn.valid()) {
       err << "send: cannot connect to " << to << "\n";
       return 1;
@@ -780,7 +774,7 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
       in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
       const auto got = static_cast<std::size_t>(in.gcount());
       if (got == 0) break;
-      if (!conn.writeAll(chunk.data(), got)) {
+      if (!conn.writeAll(chunk.data(), got, timeoutMs)) {
         err << "send: connection lost after " << bytes << " bytes\n";
         return 1;
       }
@@ -791,139 +785,47 @@ int cmdSend(const Options& opt, std::ostream& out, std::ostream& err) {
     return 0;
   }
 
-  // Binary: resolve the trace against the dataset hierarchy, then frame
-  // its records with the hierarchy's own paths as the handshake table
-  // (file-id == NodeId, so records pass through unmapped).
+  // Binary: the one TSRS client, over the dataset hierarchy's own paths.
   WorkloadSpec spec;
   if (!parseDataset(opt, err, spec)) return 2;
-  const Hierarchy& h = spec.hierarchy;
-  std::vector<std::string> paths;
-  paths.reserve(h.size());
-  for (std::size_t n = 0; n < h.size(); ++n) {
-    paths.push_back(h.path(static_cast<NodeId>(n)));
-  }
-  // Client-chosen session token (informational — the name is the
-  // identity) which doubles as the backoff-jitter seed, so concurrent
-  // retrying clients spread out instead of reconnecting in lockstep.
+  // A client-chosen session token, which also seeds the backoff jitter.
   std::random_device rd;
-  const std::uint64_t token =
-      (static_cast<std::uint64_t>(rd()) << 32) ^ rd();
-  std::mt19937_64 jitterRng(token);
-  const int ioTimeout = static_cast<int>(timeoutMs);
-
-  std::uint64_t sent = 0, resumeSkipped = 0, skipped = 0;
-  std::string lastError;
-  for (long long attempt = 0;; ++attempt) {
-    if (attempt > 0) {
-      if (attempt > retries) {
-        err << "send: " << lastError << " (gave up after " << retries
-            << " retries)\n";
-        return 1;
-      }
-      // Jittered exponential backoff, capped at 10s: delay in
-      // [base/2, base] with base = backoffMs * 2^(attempt-1).
-      const long long shift = attempt - 1 < 10 ? attempt - 1 : 10;
-      const long long base = std::min(backoffMs << shift, 10'000LL);
-      std::uniform_int_distribution<long long> jitter(base / 2, base);
-      std::this_thread::sleep_for(std::chrono::milliseconds(jitter(jitterRng)));
-      err << "send: " << lastError << "; retrying (" << attempt << "/"
-          << retries << ")\n";
-    }
-    sent = 0;
-    resumeSkipped = 0;
-    // The trace reopens on every attempt, before connecting: a trace that
-    // cannot be read must not cost the server a connection.
-    const auto source = openTrace("send", trace, h, err);
-    if (!source) return 1;
-    net::TcpConn conn = net::connectTo(host, port, ioTimeout);
-    if (!conn.valid()) {
-      lastError = "cannot connect to " + to;
-      continue;
-    }
-    // An empty --stream-name opens an anonymous stream.
-    std::vector<std::uint8_t> wire =
-        encodeSocketHandshakeV2(paths, streamName, token);
-    if (!conn.writeAll(wire.data(), wire.size(), ioTimeout)) {
-      lastError = "connection lost during handshake";
-      continue;
-    }
-    // The server answers with the position it has already committed
-    // (named streams only); everything before it is skipped, not re-sent.
-    SocketResumeReply reply;
-    if (!readSocketResumeReply(conn, ioTimeout, reply)) {
-      lastError = "no resume reply from server";
-      continue;
-    }
-    if (reply.status == kSocketResumeUnknownStream) {
-      err << "send: server does not serve a stream named '" << streamName
-          << "'\n";
+  const StreamClientOptions copt{
+      .host = host,
+      .port = port,
+      .streamName = opt.str("stream-name"),
+      .token = (static_cast<std::uint64_t>(rd()) << 32) ^ rd(),
+      .timeoutMs = timeoutMs,
+      .frameRecords = static_cast<std::size_t>(opt.num("frame")),
+      .retries = opt.num("retries"),
+      .backoffMs = opt.num("backoff-ms")};
+  StreamClient client(spec.hierarchy, copt);
+  const SendStatus status = client.send(
+      [&] { return openTrace("send", trace, spec.hierarchy, err); },
+      [&](const std::string& line) { err << "send: " << line << "\n"; });
+  switch (status) {
+    case SendStatus::kOk:
+      // Records the server had already committed were delivered (by an
+      // earlier attempt or an earlier process), so they count as sent.
+      out << "sent " << (client.sent() + client.resumeSkipped())
+          << " records to " << to << " (" << client.traceSkipped()
+          << " skipped)\n";
+      return 0;
+    case SendStatus::kTransient:
+      err << "send: " << client.error() << " (gave up after "
+          << copt.retries << " retries)\n";
       return 1;
-    }
-    if (reply.status == kSocketResumeStreamEnded) {
-      err << "send: stream '" << streamName
-          << "' has already ended on the server\n";
-      return 1;
-    }
-    if (reply.status != kSocketResumeOk) {
-      lastError = "unexpected resume reply status " +
-                  std::to_string(reply.status);
-      continue;
-    }
-    const Timestamp committed = reply.committedTime;
-    if (committed != kSocketNoCommit && attempt > 0) {
-      err << "send: resuming '" << streamName << "' from t=" << committed
-          << "\n";
-    }
-    // The committed prefix is dropped record by record and the rest
-    // re-framed.
-    bool lost = false;
-    try {
-      std::vector<Record> batch, keep;
-      while (source->nextBatch(batch, static_cast<std::size_t>(frameIn)) >
-             0) {
-        keep.clear();
-        for (const Record& r : batch) {
-          if (r.time < committed) {
-            ++resumeSkipped;
-          } else {
-            keep.push_back(r);
-          }
-        }
-        if (keep.empty()) continue;
-        wire.clear();
-        appendSocketFrame(wire, keep.data(), keep.size());
-        if (!conn.writeAll(wire.data(), wire.size(), ioTimeout)) {
-          lastError =
-              "connection lost after " + std::to_string(sent) + " records";
-          lost = true;
-          break;
-        }
-        sent += keep.size();
+    case SendStatus::kBadTrace:
+      // An empty error: openTrace has already said why.
+      if (!client.error().empty()) {
+        err << "send: cannot read --trace '" << trace
+            << "': " << client.error() << "\n";
       }
-      if (!lost) {
-        skipped = source->skippedRecords();
-        wire.clear();
-        appendSocketEndOfStream(wire);
-        if (!conn.writeAll(wire.data(), wire.size(), ioTimeout)) {
-          lastError = "connection lost at end of stream";
-          lost = true;
-        }
-      }
-    } catch (const persist::SnapshotError& e) {
-      err << "send: cannot read --trace '" << trace << "': " << e.what()
-          << "\n";
       return 1;
-    }
-    if (lost) continue;
-    conn.shutdownWrite();
-    break;
+    default:
+      err << "send: " << client.error() << "\n";
+      return 1;
   }
-  // resumeSkipped counts records the server had already committed — they
-  // were delivered (by an earlier attempt or an earlier process), so the
-  // logical total stays the full trace.
-  out << "sent " << (sent + resumeSkipped) << " records to " << to << " ("
-      << skipped << " skipped)\n";
-  return 0;
 }
 
 struct Command {

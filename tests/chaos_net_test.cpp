@@ -7,7 +7,7 @@
 // and stream summaries *bit-identical* to a clean, fault-free run over
 // the same records. The unit-granular commit protocol is what makes that
 // true: no record is delivered twice, none is lost, no matter where the
-// connections tear.
+// connections tear. The client is the StreamClient that `send` runs.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -24,11 +24,10 @@
 #include "common/faultinject.h"
 #include "core/pipeline.h"
 #include "engine/engine.h"
-#include "net/tcp.h"
 #include "report/concurrent_store.h"
 #include "serve/server.h"
-#include "stream/socket_source.h"
 #include "stream/source.h"
+#include "stream/stream_client.h"
 #include "workload/ccd.h"
 
 namespace tiresias {
@@ -67,44 +66,6 @@ ServerConfig serverConfig(std::shared_ptr<const WorkloadSpec> spec,
   return cfg;
 }
 
-std::vector<std::string> allPaths(const Hierarchy& h) {
-  std::vector<std::string> paths;
-  paths.reserve(h.size());
-  for (std::size_t n = 0; n < h.size(); ++n) {
-    paths.push_back(h.path(static_cast<NodeId>(n)));
-  }
-  return paths;
-}
-
-/// One `send --stream-name` attempt: connect, v2 handshake, honor the
-/// server's committed position, stream frames, optionally finish with
-/// end-of-stream. False on any failure (the caller retries) and always
-/// false without `withEos` — a phase-1 attempt is a deliberate
-/// mid-stream disconnect once everything uncommitted has been pushed.
-bool sendOnce(std::uint16_t port, const std::vector<std::string>& paths,
-              const std::vector<Record>& records, bool withEos) {
-  net::TcpConn conn = net::connectLoopback(port, 2'000);
-  if (!conn.valid()) return false;
-  const auto hs = encodeSocketHandshakeV2(paths, kStream, /*resumeToken=*/99);
-  if (!conn.writeAll(hs.data(), hs.size(), 2'000)) return false;
-  SocketResumeReply reply;
-  if (!readSocketResumeReply(conn, 5'000, reply)) return false;
-  if (reply.status != kSocketResumeOk) return false;
-  std::size_t at = 0;
-  while (at < records.size() && records[at].time < reply.committedTime) ++at;
-  while (at < records.size()) {
-    const std::size_t n = std::min<std::size_t>(32, records.size() - at);
-    std::vector<std::uint8_t> wire;
-    appendSocketFrame(wire, records.data() + at, n);
-    if (!conn.writeAll(wire.data(), wire.size(), 2'000)) return false;
-    at += n;
-  }
-  if (!withEos) return false;
-  std::vector<std::uint8_t> eos;
-  appendSocketEndOfStream(eos);
-  return conn.writeAll(eos.data(), eos.size(), 2'000);
-}
-
 TEST(ChaosNet, KillRestoreReconnectIsBitIdenticalToFaultFreeRun) {
   const auto spec = std::make_shared<const WorkloadSpec>(
       workload::ccdNetworkWorkload(Scale::kTest));
@@ -115,7 +76,6 @@ TEST(ChaosNet, KillRestoreReconnectIsBitIdenticalToFaultFreeRun) {
     while (auto r = gen.next()) records.push_back(*r);
   }
   ASSERT_GT(records.size(), 500u);
-  const auto paths = allPaths(spec->hierarchy);
   const std::string dir = std::string(::testing::TempDir()) + "chaos_" +
                           std::to_string(::getpid());
   std::filesystem::remove_all(dir);
@@ -149,24 +109,28 @@ TEST(ChaosNet, KillRestoreReconnectIsBitIdenticalToFaultFreeRun) {
   // and the client never has to re-discover it.
   const std::uint16_t port = server1->ingestPort();
 
-  // The client: phase 1 keeps re-sending everything uncommitted and
-  // tearing the connection down (no end-of-stream) until the restarted
-  // server is up; phase 2 finishes the stream for real.
+  // The client: phase 1 keeps opening the stream, pushing everything
+  // uncommitted and dropping the client without finish() — a deliberate
+  // mid-stream disconnect — until the restarted server is up; phase 2
+  // sends the stream for real, retrying like `send --retries`.
+  const StreamClientOptions copt{.port = port, .streamName = kStream,
+                                 .token = 99, .timeoutMs = 5'000,
+                                 .frameRecords = 32, .retries = 30,
+                                 .backoffMs = 20};
   std::atomic<bool> restartReady{false};
   std::atomic<bool> delivered{false};
   std::thread client([&] {
     while (!restartReady.load(std::memory_order_acquire)) {
-      sendOnce(port, paths, records, /*withEos=*/false);
+      StreamClient attempt(spec->hierarchy, copt);
+      if (attempt.open() == SendStatus::kOk) {
+        VectorSource trace(records);
+        attempt.push(trace);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
     }
-    for (int i = 0; i < 500 && !delivered.load(std::memory_order_relaxed);
-         ++i) {
-      if (sendOnce(port, paths, records, /*withEos=*/true)) {
-        delivered.store(true, std::memory_order_release);
-      } else {
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      }
-    }
+    StreamClient finisher(spec->hierarchy, copt);
+    delivered.store(finisher.send(replayRecords(records)) == SendStatus::kOk,
+                    std::memory_order_release);
   });
 
   // Let real progress reach a checkpoint (best effort — the equivalence

@@ -5,6 +5,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,6 +14,7 @@
 #include <sstream>
 
 #include "common/faultinject.h"
+#include "net/tcp.h"
 #include "tools/cli.h"
 
 // ASan and TSan reserve terabytes of shadow address space, so a process
@@ -327,6 +329,31 @@ TEST(Cli, SendValidatesArguments) {
             2);
   EXPECT_NE(err.find("--backoff-ms must be in [1, 10000]"),
             std::string::npos);
+}
+
+TEST(Cli, SendCsvTimesOutOnAPeerThatNeverReads) {
+  // The listener never accepts, so nothing reads: once the loopback
+  // buffers are full, a write can only time out. The trace is far larger
+  // than those buffers.
+  net::TcpListener silent;
+  ASSERT_TRUE(silent.listen(0, /*loopbackOnly=*/true)) << silent.lastError();
+  const std::string trace = ::testing::TempDir() + "/cli_send_stall_" +
+                            std::to_string(::getpid()) + ".csv";
+  {
+    std::ofstream f(trace, std::ios::binary);
+    const std::string row = std::string(1023, 'x') + "\n";
+    for (int i = 0; i < 48 * 1024; ++i) f << row;  // 48 MiB
+  }
+  std::string err;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(run({"send", "--to", "127.0.0.1:" + std::to_string(silent.port()),
+                 "--trace", trace, "--format", "csv", "--timeout-ms", "1000"},
+                nullptr, &err),
+            1);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+  EXPECT_NE(err.find("send: connection lost after "), std::string::npos)
+      << err;
+  std::remove(trace.c_str());
 }
 
 TEST(Cli, AnalyzeFindsDiurnalSeason) {

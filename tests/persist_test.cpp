@@ -9,7 +9,6 @@
 #include <random>
 
 #include "core/ada.h"
-#include "core/multiscale_detector.h"
 #include "core/pipeline.h"
 #include "core/split_rules.h"
 #include "core/sta.h"
@@ -383,26 +382,6 @@ TEST(DetectorPersist, AdaDetectorTagMismatchIsCleanError) {
   AdaDetector ada(h, detectorConfig(4));
   Deserializer in(bytes.data());
   EXPECT_THROW(ada.loadState(in), persist::SnapshotError);
-}
-
-TEST(DetectorPersist, SlidingScaleRoundTrip) {
-  const auto h = HierarchyBuilder::balanced({2, 3});
-  std::mt19937_64 rng(29);
-  SlidingScaleConfig scale;
-  scale.lambda = 4;
-  SlidingScaleDetector original(h, detectorConfig(12), scale);
-  SlidingScaleDetector restored(h, detectorConfig(12), scale);
-  for (TimeUnit u = 0; u < 18; ++u) original.step(randomBatch(u, h, rng));
-
-  const Serializer bytes = saved(original);
-  Deserializer in(bytes.data());
-  restored.loadState(in);
-
-  std::mt19937_64 futureRng(31);
-  for (TimeUnit u = 18; u < 40; ++u) {
-    const auto batch = randomBatch(u, h, futureRng);
-    expectSameResult(restored.step(batch), original.step(batch), u);
-  }
 }
 
 // --- Batcher position ------------------------------------------------------

@@ -20,6 +20,7 @@
 #include "net/tcp.h"
 #include "serve/server.h"
 #include "stream/socket_source.h"
+#include "stream/stream_client.h"
 #include "tools/cli.h"
 #include "workload/ccd.h"
 
@@ -89,18 +90,11 @@ TEST(Server, StopWithIdleClientsReturnsPromptly) {
 
   // A named client that completed its handshake, and an anonymous one
   // that connected and never sent a byte. Both stay silent.
-  std::vector<std::string> paths;
-  for (std::size_t n = 0; n < cfg.spec->hierarchy.size(); ++n) {
-    paths.push_back(cfg.spec->hierarchy.path(static_cast<NodeId>(n)));
-  }
-  net::TcpConn named = net::connectLoopback(server.ingestPort(),
-                                            kTestTimeoutMs);
-  ASSERT_TRUE(named.valid());
-  const auto hs = encodeSocketHandshakeV2(paths, "s0", 1);
-  ASSERT_TRUE(named.writeAll(hs.data(), hs.size(), kTestTimeoutMs));
-  SocketResumeReply reply;
-  ASSERT_TRUE(readSocketResumeReply(named, kTestTimeoutMs, reply));
-  EXPECT_EQ(reply.status, kSocketResumeOk);
+  StreamClient named(cfg.spec->hierarchy,
+                     {.port = server.ingestPort(), .streamName = "s0",
+                      .timeoutMs = kTestTimeoutMs});
+  ASSERT_EQ(named.open(), SendStatus::kOk) << named.error();
+  EXPECT_EQ(named.reply().status, kSocketResumeOk);
   net::TcpConn quiet = net::connectLoopback(server.ingestPort(),
                                             kTestTimeoutMs);
   ASSERT_TRUE(quiet.valid());

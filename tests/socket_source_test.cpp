@@ -5,6 +5,8 @@
 // corruption without ever crashing or throwing (the engine's ingest loop
 // has no exception handling), and must account structural failures in
 // protocolErrors() and record-level junk in skippedRecords().
+// Well-formed clients are the StreamClient that `send` runs; raw wire
+// images are for the malformed, dribbled and custom-table cases.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -18,19 +20,12 @@
 #include "net/tcp.h"
 #include "stream/socket_source.h"
 #include "stream/source.h"
+#include "stream/stream_client.h"
 #include "stream/stream_router.h"
+#include "socket_test_util.h"
 
 namespace tiresias {
 namespace {
-
-constexpr int kTestTimeoutMs = 10'000;
-
-/// Through next(), which retries while the source is idle.
-std::vector<Record> drainPerRecord(RecordSource& src) {
-  std::vector<Record> out;
-  while (auto r = src.next()) out.push_back(*r);
-  return out;
-}
 
 std::vector<Record> drainBatched(RecordSource& src, std::size_t max) {
   std::vector<Record> out, chunk;
@@ -40,13 +35,6 @@ std::vector<Record> drainBatched(RecordSource& src, std::size_t max) {
     out.insert(out.end(), chunk.begin(), chunk.end());
   }
   return out;
-}
-
-std::shared_ptr<net::TcpListener> loopbackListener() {
-  auto listener = std::make_shared<net::TcpListener>();
-  EXPECT_TRUE(listener->listen(0, /*loopbackOnly=*/true))
-      << listener->lastError();
-  return listener;
 }
 
 /// A source on its own router: the anonymous slot, or the slot named
@@ -64,54 +52,6 @@ SocketSource routedSource(std::shared_ptr<net::TcpListener> listener,
   return SocketSource(std::move(router), slot, h, std::move(opt));
 }
 
-/// End a client's stream with a FIN, then read until the server closes.
-/// A binary client must consume the server's resume reply: closing with
-/// it unread resets the connection, which can discard bytes the server
-/// has not read yet.
-void finishClient(net::TcpConn& conn) {
-  conn.shutdownWrite();
-  char sink[64];
-  std::size_t got = 0;
-  while (conn.readSome(sink, sizeof(sink), got, kTestTimeoutMs) ==
-         net::IoStatus::kOk) {
-  }
-}
-
-/// Connect to `port`, write `bytes`, then finishClient(). The returned
-/// thread must be joined before the test ends.
-std::thread writeAsync(std::uint16_t port, std::vector<std::uint8_t> bytes) {
-  return std::thread([port, bytes = std::move(bytes)] {
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    if (!bytes.empty()) {
-      EXPECT_TRUE(conn.writeAll(bytes.data(), bytes.size()));
-    }
-    finishClient(conn);
-  });
-}
-
-/// Handshake paths for `h` with fileId == NodeId, the same table the
-/// `send` CLI builds.
-std::vector<std::string> allPaths(const Hierarchy& h) {
-  std::vector<std::string> paths;
-  paths.reserve(h.size());
-  for (std::size_t n = 0; n < h.size(); ++n) {
-    paths.push_back(h.path(static_cast<NodeId>(n)));
-  }
-  return paths;
-}
-
-/// A well-formed record run over h's leaves with non-decreasing times.
-std::vector<Record> sampleRecords(const Hierarchy& h, std::size_t count) {
-  std::vector<Record> records;
-  const auto& leaves = h.leaves();
-  for (std::size_t i = 0; i < count; ++i) {
-    records.push_back(
-        Record{leaves[i % leaves.size()], static_cast<Timestamp>(100 + i)});
-  }
-  return records;
-}
-
 /// Anonymous-stream handshake: a v2 handshake with an empty name.
 std::vector<std::uint8_t> anonymousHello(
     const std::vector<std::string>& paths) {
@@ -123,7 +63,7 @@ std::vector<std::uint8_t> anonymousHello(
 std::vector<std::uint8_t> binaryWire(const Hierarchy& h,
                                      const std::vector<Record>& records,
                                      std::size_t frameLen) {
-  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(StreamClient::pathTable(h));
   for (std::size_t at = 0; at < records.size(); at += frameLen) {
     appendSocketFrame(wire, records.data() + at,
                       std::min(frameLen, records.size() - at));
@@ -135,11 +75,15 @@ std::vector<std::uint8_t> binaryWire(const Hierarchy& h,
 TEST(SocketSource, BinaryRoundTripAtAnyChunkSize) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 157);
-  const auto wire = binaryWire(h, want, 31);
 
   for (std::size_t max : {1u, 3u, 64u, 4096u}) {
     auto listener = loopbackListener();
-    std::thread writer = writeAsync(listener->port(), wire);
+    std::thread writer([&h, &want, port = listener->port()] {
+      StreamClientOptions opt = clientOptions(port);
+      opt.frameRecords = 31;
+      StreamClient conn(h, opt);
+      EXPECT_EQ(conn.send(replayRecords(want)), SendStatus::kOk);
+    });
     SocketSource src = routedSource(listener, h);
     EXPECT_EQ(drainBatched(src, max), want) << "max=" << max;
     EXPECT_EQ(src.skippedRecords(), 0u) << "max=" << max;
@@ -230,7 +174,7 @@ TEST(SocketSource, AcceptTimeoutIsProtocolError) {
 TEST(SocketSource, MidFrameDisconnectEndsStreamCleanly) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 10);
-  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(StreamClient::pathTable(h));
   appendSocketFrame(wire, want.data(), want.size());
   wire.resize(wire.size() - 5);  // peer dies mid-record
 
@@ -245,11 +189,13 @@ TEST(SocketSource, MidFrameDisconnectEndsStreamCleanly) {
 TEST(SocketSource, EofAtFrameBoundaryIsCleanWithoutMarker) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 24);
-  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
-  appendSocketFrame(wire, want.data(), want.size());
-  // No end-of-stream marker: the FIN lands exactly on a frame boundary.
   auto listener = loopbackListener();
-  std::thread writer = writeAsync(listener->port(), wire);
+  std::thread writer([&h, &want, port = listener->port()] {
+    StreamClient conn(h, clientOptions(port));
+    ASSERT_EQ(conn.open(), SendStatus::kOk) << conn.error();
+    VectorSource records(want);
+    EXPECT_EQ(conn.push(records), SendStatus::kOk);
+  });  // no finish(): the FIN lands exactly on a frame boundary
   SocketSource src = routedSource(listener, h);
   EXPECT_EQ(drainBatched(src, 64), want);
   EXPECT_EQ(src.protocolErrors(), 0u);
@@ -264,7 +210,7 @@ TEST(SocketSource, BackwardsTimestampsAreSkippedNotFatal) {
       {leaves[1], 200}, {leaves[2], 150},  // backwards again: skipped
       {leaves[2], 200},
   };
-  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(StreamClient::pathTable(h));
   appendSocketFrame(wire, sent.data(), sent.size());
   appendSocketEndOfStream(wire);
 
@@ -281,7 +227,7 @@ TEST(SocketSource, BackwardsTimestampsAreSkippedNotFatal) {
 
 TEST(SocketSource, UnresolvablePathsSkipTheirRecords) {
   const auto h = HierarchyBuilder::balanced({3, 2});
-  std::vector<std::string> paths = allPaths(h);
+  std::vector<std::string> paths = StreamClient::pathTable(h);
   paths.push_back("no/such/path");
   const auto ghost = static_cast<NodeId>(paths.size() - 1);
   const std::vector<Record> sent = {
@@ -306,7 +252,7 @@ TEST(SocketSource, FileIdOutsideTableIsProtocolError) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const std::vector<Record> sent = {{h.leaves()[0], 100},
                                     {static_cast<NodeId>(9999), 150}};
-  std::vector<std::uint8_t> wire = anonymousHello(allPaths(h));
+  std::vector<std::uint8_t> wire = anonymousHello(StreamClient::pathTable(h));
   appendSocketFrame(wire, sent.data(), sent.size());
 
   auto listener = loopbackListener();
@@ -400,18 +346,10 @@ TEST(SocketSource, V2HandshakeRepliesAndDelivers) {
   const auto want = sampleRecords(h, 20);
   auto listener = loopbackListener();
   std::thread client([port = listener->port(), &h, &want] {
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    const auto hs = encodeSocketHandshakeV2(allPaths(h), "s0", 42);
-    ASSERT_TRUE(conn.writeAll(hs.data(), hs.size()));
-    SocketResumeReply reply;
-    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-    EXPECT_EQ(reply.status, kSocketResumeOk);
-    EXPECT_EQ(reply.committedTime, kSocketNoCommit);  // fresh stream
-    std::vector<std::uint8_t> wire;
-    appendSocketFrame(wire, want.data(), want.size());
-    appendSocketEndOfStream(wire);
-    EXPECT_TRUE(conn.writeAll(wire.data(), wire.size()));
+    StreamClient conn(h, clientOptions(port, "s0"));
+    EXPECT_EQ(conn.send(replayRecords(want)), SendStatus::kOk);
+    EXPECT_EQ(conn.reply().status, kSocketResumeOk);
+    EXPECT_EQ(conn.reply().committedTime, kSocketNoCommit);  // fresh stream
   });
   SocketSourceOptions opt;
   opt.streamName = "s0";
@@ -437,35 +375,18 @@ TEST(SocketSource, V2ReconnectResumesFromCommittedUnit) {
   std::thread client([port = listener->port(), &h, &want] {
     // Connection 1: all 30 records, then a crash (no end-of-stream).
     {
-      net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-      ASSERT_TRUE(conn.valid());
-      const auto hs = encodeSocketHandshakeV2(allPaths(h), "s0", 7);
-      ASSERT_TRUE(conn.writeAll(hs.data(), hs.size()));
-      SocketResumeReply reply;
-      ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-      EXPECT_EQ(reply.committedTime, kSocketNoCommit);
-      std::vector<std::uint8_t> wire;
-      appendSocketFrame(wire, want.data(), want.size());
-      ASSERT_TRUE(conn.writeAll(wire.data(), wire.size()));
-    }  // RAII close without EOS = mid-stream disconnect
+      StreamClient conn(h, clientOptions(port, "s0"));
+      ASSERT_EQ(conn.open(), SendStatus::kOk) << conn.error();
+      EXPECT_EQ(conn.reply().committedTime, kSocketNoCommit);
+      VectorSource records(want);
+      ASSERT_EQ(conn.push(records), SendStatus::kOk);
+    }  // dropped without finish() = mid-stream disconnect
     // Connection 2: the server must ask for the uncommitted suffix (the
     // last, still-open unit) and nothing else.
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    const auto hs = encodeSocketHandshakeV2(allPaths(h), "s0", 7);
-    ASSERT_TRUE(conn.writeAll(hs.data(), hs.size()));
-    SocketResumeReply reply;
-    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-    EXPECT_EQ(reply.status, kSocketResumeOk);
-    EXPECT_EQ(reply.committedTime, 120);  // units 100/110 committed
-    std::vector<Record> tail;
-    for (const Record& r : want) {
-      if (r.time >= reply.committedTime) tail.push_back(r);
-    }
-    std::vector<std::uint8_t> wire;
-    appendSocketFrame(wire, tail.data(), tail.size());
-    appendSocketEndOfStream(wire);
-    EXPECT_TRUE(conn.writeAll(wire.data(), wire.size()));
+    StreamClient conn(h, clientOptions(port, "s0"));
+    EXPECT_EQ(conn.send(replayRecords(want)), SendStatus::kOk);
+    EXPECT_EQ(conn.reply().status, kSocketResumeOk);
+    EXPECT_EQ(conn.reply().committedTime, 120);  // units 100/110 committed
   });
   SocketSourceOptions opt;
   opt.streamName = "s0";
@@ -484,18 +405,10 @@ TEST(SocketSource, NoteResumePointSeedsTheFirstReply) {
   const auto& leaves = h.leaves();
   auto listener = loopbackListener();
   std::thread client([port = listener->port(), &h, &leaves] {
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    const auto hs = encodeSocketHandshakeV2(allPaths(h), "s0", 1);
-    ASSERT_TRUE(conn.writeAll(hs.data(), hs.size()));
-    SocketResumeReply reply;
-    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-    EXPECT_EQ(reply.committedTime, 500);  // the restore position
-    const std::vector<Record> tail = {{leaves[0], 500}, {leaves[1], 503}};
-    std::vector<std::uint8_t> wire;
-    appendSocketFrame(wire, tail.data(), tail.size());
-    appendSocketEndOfStream(wire);
-    EXPECT_TRUE(conn.writeAll(wire.data(), wire.size()));
+    StreamClient conn(h, clientOptions(port, "s0"));
+    EXPECT_EQ(conn.send(replayRecords({{leaves[0], 500}, {leaves[1], 503}})),
+              SendStatus::kOk);
+    EXPECT_EQ(conn.reply().committedTime, 500);  // the restore position
   });
   SocketSourceOptions opt;
   opt.streamName = "s0";
@@ -512,7 +425,7 @@ TEST(SocketSource, NoteResumePointSeedsTheFirstReply) {
 
 TEST(SocketSource, JunkBudgetDropsGarbageConnections) {
   const auto h = HierarchyBuilder::balanced({3, 2});
-  std::vector<std::string> paths = allPaths(h);
+  std::vector<std::string> paths = StreamClient::pathTable(h);
   paths.push_back("no/such/path");
   const auto ghost = static_cast<NodeId>(paths.size() - 1);
   std::vector<Record> garbage;
@@ -545,21 +458,30 @@ TEST(SocketSourceFuzz, RandomByteFlipsNeverCrash) {
   const auto wire = binaryWire(h, sampleRecords(h, 30), 10);
   SocketSourceOptions opt;
   opt.readTimeoutMs = 2000;  // corrupt counts may stall the reader briefly
-  // One router for every round: each round's source takes the one
-  // connection of that round from the anonymous slot (a router stops only
-  // on its next accept tick, too slow to pay once per round).
+  std::vector<std::size_t> offsets;
+  for (std::size_t at = 0; at < wire.size();
+       at += std::max<std::size_t>(1, wire.size() / 97)) {
+    offsets.push_back(at);
+  }
+  // One router for every round (a router stops only on its next accept
+  // tick, too slow to pay once per round), with one anonymous slot per
+  // round, since a source that ends also ends its slot: each round's
+  // source takes the one connection of that round from the shared FIFO.
   auto listener = loopbackListener();
   StreamRouter::Options ropt;
   ropt.handshakeTimeoutMs = opt.readTimeoutMs;
   auto router = std::make_shared<StreamRouter>(listener, ropt);
-  const std::size_t slot = router->addAnonymousSlot();
+  std::vector<std::size_t> slots;
+  for (std::size_t i = 0; i < offsets.size(); ++i) {
+    slots.push_back(router->addAnonymousSlot());
+  }
   router->start();
-  for (std::size_t at = 0; at < wire.size();
-       at += std::max<std::size_t>(1, wire.size() / 97)) {
+  for (std::size_t round = 0; round < offsets.size(); ++round) {
+    const std::size_t at = offsets[round];
     auto mutated = wire;
     mutated[at] ^= 0x5A;
     std::thread writer = writeAsync(listener->port(), mutated);
-    SocketSource src(router, slot, h, opt);
+    SocketSource src(router, slots[round], h, opt);
     const auto got = drainBatched(src, 64);
     // Accounting sanity: a failed stream is counted, a clean one is not.
     EXPECT_LE(src.protocolErrors(), 1u) << "at=" << at;

@@ -1,12 +1,13 @@
 // StreamRouter: one accept thread must route v2 named connections to
 // their slot, empty-name v2 and CSV connections to the shared anonymous
 // FIFO (a retired v1 prologue is CSV junk, never binary), refuse
-// unknown and ended names with a fatal reply, shed under the overload
-// predicate, and reject anonymous overflow — always by closing the
-// socket, never by wedging a slot or crashing.
+// unknown and ended names — and anonymous connections once every
+// anonymous stream has ended — with a fatal reply, shed under the
+// overload predicate, and reject anonymous overflow — always by closing
+// the socket, never by wedging a slot or crashing. Well-formed clients
+// are the StreamClient that `send` runs.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,75 +17,16 @@
 #include "hierarchy/builder.h"
 #include "net/tcp.h"
 #include "stream/socket_source.h"
+#include "stream/stream_client.h"
 #include "stream/stream_router.h"
+#include "socket_test_util.h"
 
 namespace tiresias {
 namespace {
 
-constexpr int kTestTimeoutMs = 10'000;
-
-std::shared_ptr<net::TcpListener> loopbackListener() {
-  auto listener = std::make_shared<net::TcpListener>();
-  EXPECT_TRUE(listener->listen(0, /*loopbackOnly=*/true))
-      << listener->lastError();
-  return listener;
-}
-
-std::vector<std::string> allPaths(const Hierarchy& h) {
-  std::vector<std::string> paths;
-  paths.reserve(h.size());
-  for (std::size_t n = 0; n < h.size(); ++n) {
-    paths.push_back(h.path(static_cast<NodeId>(n)));
-  }
-  return paths;
-}
-
-std::vector<Record> sampleRecords(const Hierarchy& h, std::size_t count) {
-  std::vector<Record> records;
-  const auto& leaves = h.leaves();
-  for (std::size_t i = 0; i < count; ++i) {
-    records.push_back(
-        Record{leaves[i % leaves.size()], static_cast<Timestamp>(100 + i)});
-  }
-  return records;
-}
-
-std::vector<Record> drainPerRecord(RecordSource& src) {
-  std::vector<Record> out;
-  while (auto r = src.next()) out.push_back(*r);
-  return out;
-}
-
-/// Write `wire`, half-close, and read until the server closes, so any
-/// resume reply is consumed before the socket goes away.
-void sendAndFinish(std::uint16_t port, const std::vector<std::uint8_t>& wire) {
-  net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-  ASSERT_TRUE(conn.valid());
-  EXPECT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
-  conn.shutdownWrite();
-  char sink[64];
-  std::size_t got = 0;
-  while (conn.readSome(sink, sizeof(sink), got, kTestTimeoutMs) ==
-         net::IoStatus::kOk) {
-  }
-}
-
-/// Routing is asynchronous: poll a counter until it reaches `want`.
-template <typename Fn>
-bool waitFor(Fn&& fn, int timeoutMs = kTestTimeoutMs) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeoutMs);
-  while (!fn()) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  return true;
-}
-
 TEST(StreamRouter, EmptyNameV2LandsOnAnAnonymousSlot) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 64);
-  const auto hello = encodeSocketHandshakeV2(allPaths(h), "", 0);
 
   auto listener = loopbackListener();
   auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
@@ -92,18 +34,11 @@ TEST(StreamRouter, EmptyNameV2LandsOnAnAnonymousSlot) {
   const std::size_t slot = router->addAnonymousSlot();
   router->start();
 
-  std::thread client([port = listener->port(), hello, &want] {
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    ASSERT_TRUE(conn.writeAll(hello.data(), hello.size(), kTestTimeoutMs));
-    SocketResumeReply reply;
-    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-    EXPECT_EQ(reply.status, kSocketResumeOk);
-    EXPECT_EQ(reply.committedTime, kSocketNoCommit);
-    std::vector<std::uint8_t> frames;
-    appendSocketFrame(frames, want.data(), want.size());
-    appendSocketEndOfStream(frames);
-    EXPECT_TRUE(conn.writeAll(frames.data(), frames.size(), kTestTimeoutMs));
+  std::thread client([&h, port = listener->port(), &want] {
+    StreamClient conn(h, clientOptions(port));
+    EXPECT_EQ(conn.send(replayRecords(want)), SendStatus::kOk);
+    EXPECT_EQ(conn.reply().status, kSocketResumeOk);
+    EXPECT_EQ(conn.reply().committedTime, kSocketNoCommit);
   });
   SocketSource src(router, slot, h);
   EXPECT_EQ(drainPerRecord(src), want);
@@ -121,7 +56,8 @@ TEST(StreamRouter, V1PrologueIsNotBinary) {
   // The retired v1 handshake: magic | version 1 | tableBytes | table. An
   // empty-name v2 handshake is magic | 2 | nameLen 0 | token | tableBytes
   // | table: drop nameLen and token, patch the version.
-  std::vector<std::uint8_t> wire = encodeSocketHandshakeV2(allPaths(h), "", 0);
+  std::vector<std::uint8_t> wire =
+      encodeSocketHandshakeV2(StreamClient::pathTable(h), "", 0);
   wire.erase(wire.begin() + 8, wire.begin() + 20);
   wire[4] = 1;
   appendSocketFrame(wire, records.data(), records.size());
@@ -136,7 +72,7 @@ TEST(StreamRouter, V1PrologueIsNotBinary) {
     auto router = std::make_shared<StreamRouter>(listener, ropt);
     const std::size_t slot = router->addAnonymousSlot();
     router->start();
-    std::thread client(sendAndFinish, listener->port(), wire);
+    std::thread client = writeAsync(listener->port(), wire);
     SocketSourceOptions opt;
     opt.format = format;
     SocketSource src(router, slot, h, opt);
@@ -182,8 +118,6 @@ TEST(StreamRouter, CsvLandsOnAnAnonymousSlot) {
 TEST(StreamRouter, V2NamedConnectionRoutesToItsSlot) {
   const auto h = HierarchyBuilder::balanced({3, 2});
   const auto want = sampleRecords(h, 48);
-  std::vector<std::uint8_t> wire =
-      encodeSocketHandshakeV2(allPaths(h), "s0", /*resumeToken=*/7);
 
   auto listener = loopbackListener();
   auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
@@ -191,18 +125,11 @@ TEST(StreamRouter, V2NamedConnectionRoutesToItsSlot) {
   router->addAnonymousSlot();  // must NOT receive the v2 connection
   router->start();
 
-  std::thread client([port = listener->port(), wire, &want] {
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
-    SocketResumeReply reply;
-    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-    EXPECT_EQ(reply.status, kSocketResumeOk);
-    EXPECT_EQ(reply.committedTime, kSocketNoCommit);
-    std::vector<std::uint8_t> frames;
-    appendSocketFrame(frames, want.data(), want.size());
-    appendSocketEndOfStream(frames);
-    EXPECT_TRUE(conn.writeAll(frames.data(), frames.size(), kTestTimeoutMs));
+  std::thread client([&h, port = listener->port(), &want] {
+    StreamClient conn(h, clientOptions(port, "s0"));
+    EXPECT_EQ(conn.send(replayRecords(want)), SendStatus::kOk);
+    EXPECT_EQ(conn.reply().status, kSocketResumeOk);
+    EXPECT_EQ(conn.reply().committedTime, kSocketNoCommit);
   });
   SocketSourceOptions opts;
   opts.streamName = "s0";
@@ -218,19 +145,15 @@ TEST(StreamRouter, V2NamedConnectionRoutesToItsSlot) {
 
 TEST(StreamRouter, UnknownStreamNameGetsAFatalReply) {
   const auto h = HierarchyBuilder::balanced({3, 2});
-  const auto wire = encodeSocketHandshakeV2(allPaths(h), "ghost", 0);
 
   auto listener = loopbackListener();
   auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
   router->addNamedSlot("s0");
   router->start();
 
-  net::TcpConn conn = net::connectLoopback(listener->port(), kTestTimeoutMs);
-  ASSERT_TRUE(conn.valid());
-  ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
-  SocketResumeReply reply;
-  ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-  EXPECT_EQ(reply.status, kSocketResumeUnknownStream);
+  StreamClient conn(h, clientOptions(listener->port(), "ghost"));
+  ASSERT_EQ(conn.open(), SendStatus::kUnknownStream) << conn.error();
+  EXPECT_EQ(conn.reply().status, kSocketResumeUnknownStream);
   EXPECT_TRUE(waitFor([&] { return router->rejected() == 1; }));
   router->stop();
 }
@@ -240,9 +163,6 @@ TEST(StreamRouter, UnknownStreamNameGetsAFatalReply) {
 // its whole timeout for a reply (and retrying into the same wait).
 TEST(StreamRouter, HandshakeForAnEndedNamedStreamGetsAFatalReply) {
   const auto h = HierarchyBuilder::balanced({3, 2});
-  const auto wire = encodeSocketHandshakeV2(allPaths(h), "s0", 0);
-  std::vector<std::uint8_t> eos;
-  appendSocketEndOfStream(eos);
 
   auto listener = loopbackListener();
   auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
@@ -250,14 +170,10 @@ TEST(StreamRouter, HandshakeForAnEndedNamedStreamGetsAFatalReply) {
   router->start();
 
   // First connection: an empty stream, which ends s0.
-  std::thread client([port = listener->port(), wire, eos] {
-    net::TcpConn conn = net::connectLoopback(port, kTestTimeoutMs);
-    ASSERT_TRUE(conn.valid());
-    ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
-    SocketResumeReply reply;
-    ASSERT_TRUE(readSocketResumeReply(conn, kTestTimeoutMs, reply));
-    EXPECT_EQ(reply.status, kSocketResumeOk);
-    EXPECT_TRUE(conn.writeAll(eos.data(), eos.size(), kTestTimeoutMs));
+  std::thread client([&h, port = listener->port()] {
+    StreamClient conn(h, clientOptions(port, "s0"));
+    EXPECT_EQ(conn.send(replayRecords({})), SendStatus::kOk);
+    EXPECT_EQ(conn.reply().status, kSocketResumeOk);
   });
   SocketSourceOptions opts;
   opts.streamName = "s0";
@@ -268,12 +184,11 @@ TEST(StreamRouter, HandshakeForAnEndedNamedStreamGetsAFatalReply) {
 
   // A reconnect to the ended stream gets the fatal reply well inside a
   // client's timeout.
-  net::TcpConn conn = net::connectLoopback(listener->port(), kTestTimeoutMs);
-  ASSERT_TRUE(conn.valid());
-  ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
-  SocketResumeReply reply;
-  ASSERT_TRUE(readSocketResumeReply(conn, 3'000, reply));
-  EXPECT_EQ(reply.status, kSocketResumeStreamEnded);
+  StreamClientOptions late = clientOptions(listener->port(), "s0");
+  late.timeoutMs = 3'000;
+  StreamClient conn(h, late);
+  ASSERT_EQ(conn.open(), SendStatus::kStreamEnded) << conn.error();
+  EXPECT_EQ(conn.reply().status, kSocketResumeStreamEnded);
   EXPECT_TRUE(waitFor([&] { return router->rejected() == 1; }));
   router->stop();
 }
@@ -304,7 +219,7 @@ TEST(StreamRouter, AnonymousOverflowIsRejected) {
   router->addNamedSlot("s0");  // no anonymous capacity at all
   router->start();
 
-  const auto wire = encodeSocketHandshakeV2(allPaths(h), "", 0);
+  const auto wire = encodeSocketHandshakeV2(StreamClient::pathTable(h), "", 0);
   net::TcpConn conn = net::connectLoopback(listener->port(), kTestTimeoutMs);
   ASSERT_TRUE(conn.valid());
   ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
@@ -315,6 +230,47 @@ TEST(StreamRouter, AnonymousOverflowIsRejected) {
   const net::IoStatus st = conn.readSome(&byte, 1, got, kTestTimeoutMs);
   EXPECT_TRUE(st == net::IoStatus::kEof || st == net::IoStatus::kError);
   EXPECT_TRUE(waitFor([&] { return router->rejected() == 1; }));
+  router->stop();
+}
+
+// Once every anonymous stream has ended, nothing will read another
+// anonymous connection: a binary client must hear so at once, and a CSV
+// one be closed, both counted rejected — not parked in the FIFO, where
+// the client would wait out its whole timeout for a reply.
+TEST(StreamRouter, AnonymousConnectionAfterEveryAnonymousStreamEndedIsTurnedAway) {
+  const auto h = HierarchyBuilder::balanced({3, 2});
+  auto listener = loopbackListener();
+  auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
+  router->addNamedSlot("s0");  // still live: the run would go on
+  const std::size_t slot = router->addAnonymousSlot();
+  router->start();
+
+  // First connection: an empty stream, which ends the only anonymous slot.
+  std::thread client([&h, port = listener->port()] {
+    StreamClient conn(h, clientOptions(port));
+    EXPECT_EQ(conn.send(replayRecords({})), SendStatus::kOk);
+  });
+  SocketSource src(router, slot, h);
+  EXPECT_TRUE(drainPerRecord(src).empty());
+  EXPECT_FALSE(src.idle());
+  client.join();
+
+  StreamClientOptions late = clientOptions(listener->port());
+  late.timeoutMs = 3'000;
+  StreamClient binary(h, late);
+  ASSERT_EQ(binary.open(), SendStatus::kStreamEnded) << binary.error();
+  EXPECT_EQ(binary.reply().status, kSocketResumeStreamEnded);
+
+  net::TcpConn csv = net::connectLoopback(listener->port(), kTestTimeoutMs);
+  ASSERT_TRUE(csv.valid());
+  const std::string row = h.path(h.leaves()[0]) + ",100\n";
+  ASSERT_TRUE(csv.writeAll(row.data(), row.size(), kTestTimeoutMs));
+  csv.shutdownWrite();
+  char byte = 0;
+  std::size_t got = 0;
+  const net::IoStatus st = csv.readSome(&byte, 1, got, 3'000);
+  EXPECT_TRUE(st == net::IoStatus::kEof || st == net::IoStatus::kError);
+  EXPECT_TRUE(waitFor([&] { return router->rejected() == 2; }));
   router->stop();
 }
 

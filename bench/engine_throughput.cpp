@@ -1,54 +1,25 @@
-// Ingestion + engine scaling bench (BENCH_ingest.json + BENCH_engine.json).
+// Engine scaling bench: the two engine throughput claims that need at
+// least 4 hardware threads to resolve, over the CCD-network workload.
 //
-// Five measurements, all over the CCD-network workload:
+//  1. Worker grid: aggregate detection throughput of the task-scheduled
+//     engine for 8 uniform generated streams at 1/2/4/8 workers. 4
+//     workers must reach >= 2x the records/sec of 1 worker.
 //
-//  1. Ingest layer in isolation (source -> timeunit batching, no
-//     detection): RecordSource::nextBatch under the TimeUnitBatcher for
-//     csv, vector, generated and binary (converted trace, parse-free
-//     memcpy decode) sources. Batched binary ingest must beat batched CSV
-//     ingest by >= 2x (the binary-format headline). Written to
-//     BENCH_ingest.json (schema v4).
+//  2. Metrics overhead: the uniform workers=1 scenario with the
+//     obs::MetricsRegistry on vs off (best of 3 alternating runs per
+//     side); the overhead must stay < 2%.
 //
-//  2. Worker grid: aggregate detection throughput of the task-scheduled
-//     engine for 8 uniform generated streams at 1/2/4/8 workers. Written
-//     to BENCH_engine.json (schema v6).
-//
-//  3. Metrics overhead + stage percentiles: the uniform workers=1 scenario
-//     with the obs::MetricsRegistry on vs off (best-of-3 alternating runs;
-//     the committed overhead delta must stay < 2%), plus the per-stage
-//     latency percentiles of the metrics-on run. Both land in the
-//     BENCH_engine.json "metrics" section.
-//
-//  4. Residency: a fleet (default 100k streams, argv[4]) sharing ONE
-//     hierarchy, advanced under an aggressive resident cap with pooled
-//     workspaces and idle-stream hibernation. The committed figure is the
-//     resident workspace-bytes reduction vs the pre-refactor
-//     one-bound-workspace-per-stream layout (must be >= 50x). Written to
-//     the BENCH_engine.json "residency" section.
-//
-//  5. Socket ingest: the same materialized trace streamed over loopback
-//     TCP in the framed binary protocol, through a StreamRouter's
-//     anonymous slot, into a SocketSource-fed engine stream. Reports end-to-end records/sec plus the ingest-latency
-//     percentiles (p50/p90/p99 of engine.unit_latency — queue entry to
-//     detection done). Written to the BENCH_engine.json "socket_ingest"
-//     section.
+// Both CHECKs are skipped below 4 hardware threads. Prints its tables and
+// writes nothing. Usage: bench_engine_throughput [units-per-stream]
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "common/timer.h"
-#include "core/workspace.h"
 #include "engine/engine.h"
-#include "net/tcp.h"
-#include "stream/binary_source.h"
-#include "stream/socket_source.h"
-#include "stream/stream_router.h"
 #include "timeseries/ewma.h"
 #include "workload/generator.h"
 
@@ -62,32 +33,6 @@ using workload::GeneratorSource;
 using workload::Scale;
 using workload::WorkloadSpec;
 
-struct PathStats {
-  std::size_t records = 0;
-  double seconds = 0.0;
-  double recordsPerSec = 0.0;
-};
-
-using SourceFactory = std::function<std::unique_ptr<RecordSource>()>;
-
-/// Repeats full passes over a fresh source until enough records have been
-/// ingested for a stable records/sec figure.
-PathStats measureIngest(const SourceFactory& make, Duration delta,
-                        std::size_t targetRecords) {
-  PathStats out;
-  while (out.records < targetRecords) {
-    auto src = make();
-    Stopwatch watch;
-    TimeUnitBatcher batcher(*src, delta, 0);
-    TimeUnitBatch batch;
-    while (batcher.next(batch)) out.records += batch.records.size();
-    out.seconds += watch.elapsedSeconds();
-  }
-  out.recordsPerSec =
-      out.seconds > 0 ? static_cast<double>(out.records) / out.seconds : 0.0;
-  return out;
-}
-
 PipelineConfig pipelineConfig(const WorkloadSpec& spec) {
   PipelineConfig cfg;
   cfg.delta = spec.unit;
@@ -97,206 +42,57 @@ PipelineConfig pipelineConfig(const WorkloadSpec& spec) {
   return cfg;
 }
 
-struct BenchResult {
-  std::size_t workers = 0;
-  EngineStats stats;
-};
-
-BenchResult runEngine(const WorkloadSpec& spec, std::size_t workers,
-                      const std::vector<SourceFactory>& sources,
-                      std::size_t ingestThreads = 2, bool metrics = true) {
+/// `streams` uniform generated streams of `units` units each.
+EngineStats runEngine(const WorkloadSpec& spec, std::size_t streams,
+                      TimeUnit units, std::size_t workers, bool metrics) {
   EngineConfig cfg;
   cfg.workers = workers;
-  cfg.ingestThreads = ingestThreads;
+  cfg.ingestThreads = 2;
   cfg.streamQueueCapacity = 32;
   cfg.totalQueueCapacity = 256;
   cfg.metrics = metrics;
   // Null sink: measure pure scheduling + detection, not result-store
   // insertion.
   DetectionEngine eng(cfg, nullptr);
-  for (std::size_t i = 0; i < sources.size(); ++i) {
-    eng.addStream("s" + std::to_string(i), borrowHierarchy(spec.hierarchy),
-                  pipelineConfig(spec), sources[i]());
-  }
-  eng.start();
-  return {workers, eng.drain()};
-}
-
-/// Result row of the residency scenario (pooled workspaces + hibernation
-/// at fleet scale).
-struct ResidencyResult {
-  std::size_t streams = 0;
-  std::size_t workers = 0;
-  std::size_t maxResident = 0;
-  std::size_t perStreamWorkspaceBytes = 0;  // one bound workspace
-  EngineStats stats;
-  /// streams * perStreamWorkspaceBytes / pooled bytes: the resident-memory
-  /// factor saved by lending M pooled workspaces instead of giving every
-  /// stream its own (the pre-refactor layout).
-  double reductionX = 0.0;
-};
-
-/// A fleet of `streams` streams sharing ONE spec/hierarchy, advanced under
-/// a hard resident cap: pooled workspaces bound per-claim, cold streams
-/// hibernated to in-memory blobs and woken on their next unit. Skewed: one
-/// in a thousand streams is ~8x heavier than the rest.
-ResidencyResult runResidency(std::size_t streams, std::size_t workers,
-                             std::size_t maxResident) {
-  WorkloadSpec base = workload::ccdNetworkWorkload(Scale::kTest);
-  base.baseRatePerUnit = 4;  // thin per-stream traffic: fleet-shaped load
-  const auto spec = std::make_shared<const WorkloadSpec>(std::move(base));
-
-  ResidencyResult out;
-  out.streams = streams;
-  out.workers = workers;
-  out.maxResident = maxResident;
-  {
-    DetectWorkspace probe;
-    probe.bind(spec->hierarchy.size());
-    out.perStreamWorkspaceBytes = probe.bytes();
-  }
-
-  EngineConfig cfg;
-  cfg.workers = workers;
-  cfg.ingestThreads = 2;
-  cfg.streamQueueCapacity = 8;
-  cfg.totalQueueCapacity = 4096;
-  cfg.maxResidentStreams = maxResident;
-  cfg.metricsSampleMillis = 500;  // 100k-stream stat sweeps are not free
-  DetectionEngine eng(cfg, nullptr);
-  const TimeUnit lightUnits = 3;
-  const TimeUnit heavyUnits = 24;
   for (std::size_t i = 0; i < streams; ++i) {
-    const TimeUnit n = (i % 1000 == 0) ? heavyUnits : lightUnits;
-    eng.addStream("r" + std::to_string(i), workload::sharedHierarchy(spec),
-                  pipelineConfig(*spec),
-                  std::make_unique<GeneratorSource>(*spec, 0, n, 1 + i));
+    eng.addStream("s" + std::to_string(i), borrowHierarchy(spec.hierarchy),
+                  pipelineConfig(spec),
+                  std::make_unique<GeneratorSource>(spec, 0, units, 1));
   }
   eng.start();
-  out.stats = eng.drain();
-  const std::size_t pooled = out.stats.workspaceBytes;
-  if (pooled > 0) {
-    out.reductionX =
-        static_cast<double>(out.perStreamWorkspaceBytes) *
-        static_cast<double>(streams) / static_cast<double>(pooled);
-  }
-  return out;
+  return eng.drain();
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const TimeUnit units = argc > 1 ? std::atoll(argv[1]) : 512;
-  const std::string ingestJsonPath = argc > 2 ? argv[2] : "BENCH_ingest.json";
-  const std::string engineJsonPath = argc > 3 ? argv[3] : "BENCH_engine.json";
-  const std::size_t residencyStreams =
-      argc > 4 ? static_cast<std::size_t>(std::atoll(argv[4])) : 100000;
   const std::size_t streams = 8;
   const std::size_t workerGrid[] = {1, 2, 4, 8};
-  const char* kinds[] = {"csv", "vector", "generated", "binary"};
-  constexpr int kKinds = 4;
 
-  bench::banner("ingest fast path + task-scheduled engine (src/stream, "
-                "src/engine)",
-                "batched ingest per source; aggregate records/sec of 8 "
-                "uniform streams at 1/2/4/8 workers");
+  bench::banner("task-scheduled engine (src/engine)",
+                "aggregate records/sec of 8 uniform streams at 1/2/4/8 "
+                "workers; metrics-on overhead at 1 worker");
   const unsigned cores = std::thread::hardware_concurrency();
   bench::note("hardware threads: " + std::to_string(cores));
   bench::note("per-stream units: " + std::to_string(units));
-
   const WorkloadSpec spec = workload::ccdNetworkWorkload(Scale::kMedium);
-
-  // Materialize one fixed trace (same records for every source kind, so
-  // the three ingest paths chew identical work).
-  std::vector<Record> records;
-  {
-    GeneratorSource gen(spec, 0, units, 1);
-    std::vector<Record> chunk;
-    while (gen.nextBatch(chunk, 65536) > 0) {
-      records.insert(records.end(), chunk.begin(), chunk.end());
-    }
-  }
-  const std::string tracePath = "bench_ingest_trace.csv";
-  writeRecordsCsv(tracePath, spec.hierarchy, records);
-  bench::note("trace: " + std::to_string(records.size()) + " records (" +
-              std::to_string(units) + " units of " +
-              std::to_string(spec.unit / 60) + " min)");
-
-  // The binary trace is the same records, converted once (the one-time
-  // convert cost is reported but not part of the ingest measurement).
-  const std::string binaryTracePath = "bench_ingest_trace.tsrb";
-  {
-    Stopwatch watch;
-    const auto cs = convertCsvTraceToBinary(tracePath, binaryTracePath);
-    bench::note("convert: " + std::to_string(cs.records) + " records, " +
-                std::to_string(cs.paths) + " paths, " +
-                std::to_string(cs.bytesWritten) + " bytes in " +
-                std::to_string(watch.elapsedSeconds()) + "s (one-time)");
-  }
-
-  const SourceFactory makeCsv = [&] {
-    return std::make_unique<CsvSource>(tracePath, spec.hierarchy);
-  };
-  const SourceFactory makeVector = [&] {
-    return std::make_unique<VectorSource>(records);
-  };
-  const SourceFactory makeGenerated = [&] {
-    return std::make_unique<GeneratorSource>(spec, 0, units, 1);
-  };
-  const SourceFactory makeBinary = [&] {
-    return std::make_unique<BinarySource>(binaryTracePath, spec.hierarchy);
-  };
-  const SourceFactory factories[] = {makeCsv, makeVector, makeGenerated,
-                                     makeBinary};
-
-  // ---- Ingest layer ----
-  const std::size_t targetRecords = 2'000'000;
-  PathStats batched[kKinds];
-  std::printf("\ningest layer (no detection), %zu+ records per source:\n",
-              targetRecords);
-  std::printf("%-10s %14s\n", "source", "batched/s");
-  for (int k = 0; k < kKinds; ++k) {
-    batched[k] = measureIngest(factories[k], spec.unit, targetRecords);
-    std::printf("%-10s %14.0f\n", kinds[k], batched[k].recordsPerSec);
-  }
-
   bool ok = true;
-  // The binary format's headline: batched binary ingest vs batched CSV
-  // ingest over the identical record stream. No parallelism involved, so
-  // this CHECK holds on any core count.
-  const double binaryVsCsv =
-      batched[0].recordsPerSec > 0
-          ? batched[3].recordsPerSec / batched[0].recordsPerSec
-          : 0.0;
-  std::printf("binary vs csv (batched): %.2fx\n", binaryVsCsv);
-  ok &= bench::check(binaryVsCsv >= 2.0,
-                     "batched binary ingest >= 2x batched CSV ingest");
 
-  // ---- Engine: uniform streams over the worker grid ----
-  std::vector<SourceFactory> uniformSources(streams, makeGenerated);
-  std::vector<BenchResult> grid;
+  // ---- Worker grid ----
+  double perSecond[4] = {};
   std::printf("\nengine, %zu uniform generated streams:\n", streams);
   std::printf("%-8s %12s %12s %10s %10s %9s %14s\n", "workers", "records",
               "elapsed(s)", "claims", "requeues", "bp-waits", "records/sec");
-  for (std::size_t workers : workerGrid) {
-    const auto r = runEngine(spec, workers, uniformSources);
-    grid.push_back(r);
-    std::printf("%-8zu %12zu %12.3f %10zu %10zu %9zu %14.0f\n", r.workers,
-                r.stats.recordsProcessed, r.stats.elapsedSeconds,
-                r.stats.scheduler.claims, r.stats.scheduler.requeues,
-                r.stats.backpressureWaits, r.stats.recordsPerSecond);
+  for (std::size_t i = 0; i < 4; ++i) {
+    const EngineStats s = runEngine(spec, streams, units, workerGrid[i], true);
+    perSecond[i] = s.recordsPerSecond;
+    std::printf("%-8zu %12zu %12.3f %10zu %10zu %9zu %14.0f\n",
+                workerGrid[i], s.recordsProcessed, s.elapsedSeconds,
+                s.scheduler.claims, s.scheduler.requeues, s.backpressureWaits,
+                s.recordsPerSecond);
   }
-
-  // Same input => every worker count must do identical work.
-  for (const auto& r : grid) {
-    ok &= bench::check(
-        r.stats.recordsProcessed == grid[0].stats.recordsProcessed &&
-            r.stats.unitsProcessed == grid[0].stats.unitsProcessed,
-        "workers=" + std::to_string(r.workers) +
-            " processed identical work to workers=1 (determinism)");
-  }
-  const double scale4 =
-      grid[2].stats.recordsPerSecond / grid[0].stats.recordsPerSecond;
+  const double scale4 = perSecond[2] / perSecond[0];
   std::printf("4-worker speedup over 1 worker: %.2fx\n", scale4);
   if (cores >= 4) {
     ok &= bench::check(scale4 >= 2.0,
@@ -306,17 +102,17 @@ int main(int argc, char** argv) {
   }
 
   // ---- Metrics overhead: registry on vs off, uniform workers=1 ----
-  // Alternating runs absorb thermal/cache drift; best-of-3 per side is the
-  // committed figure. workers=1 is the least forgiving scenario: every
-  // per-unit recording cost lands on the one thread doing all the work.
+  // Alternating runs absorb thermal/cache drift; best of 3 per side.
+  // workers=1 is the least forgiving scenario: every per-unit recording
+  // cost lands on the one thread doing all the work.
   double metricsOffBest = 0.0, metricsOnBest = 0.0;
   for (int rep = 0; rep < 3; ++rep) {
-    metricsOffBest = std::max(
-        metricsOffBest,
-        runEngine(spec, 1, uniformSources, 2, false).stats.recordsPerSecond);
-    metricsOnBest = std::max(
-        metricsOnBest,
-        runEngine(spec, 1, uniformSources, 2, true).stats.recordsPerSecond);
+    metricsOffBest =
+        std::max(metricsOffBest,
+                 runEngine(spec, streams, units, 1, false).recordsPerSecond);
+    metricsOnBest =
+        std::max(metricsOnBest,
+                 runEngine(spec, streams, units, 1, true).recordsPerSecond);
   }
   const double overheadPct =
       metricsOffBest > 0.0
@@ -332,264 +128,7 @@ int main(int argc, char** argv) {
                        "scenario");
   } else {
     bench::note("< 4 hardware threads: metrics-overhead CHECK skipped "
-                "(single-core timing too noisy for a 2% bound; the "
-                "committed baseline still carries the measured delta)");
+                "(timing too noisy for a 2% bound)");
   }
-
-  // ---- Stage percentiles from the metrics-on workers=1 grid run ----
-  const obs::MetricsSnapshot& stageSnap = grid[0].stats.metrics;
-  std::printf("\nstage latency percentiles (uniform, workers=1):\n");
-  std::printf("%-28s %10s %10s %10s %10s %10s\n", "stage", "count", "p50 us",
-              "p90 us", "p99 us", "max us");
-  for (const auto& s : stageSnap.stages) {
-    std::printf("%-28s %10llu %10.1f %10.1f %10.1f %10.1f\n", s.name.c_str(),
-                static_cast<unsigned long long>(s.count), s.p50 * 1e6,
-                s.p90 * 1e6, s.p99 * 1e6, s.max * 1e6);
-  }
-  ok &= bench::check(stageSnap.stage(obs::Stage::kRunSlice) != nullptr &&
-                         stageSnap.stage(obs::Stage::kUnitLatency) != nullptr,
-                     "metrics-on run exposes run-slice and unit-latency "
-                     "stage histograms");
-
-  // ---- Residency: fleet-scale memory under pooled workspaces +
-  // hibernation ----
-  // A skewed fleet sharing one hierarchy, advanced under a resident cap a
-  // tiny fraction of the fleet size. Pre-refactor, every stream owned a
-  // bound workspace; now only the M pooled ones (M = workers) hold planes,
-  // so resident workspace bytes shrink by ~streams/workers regardless of
-  // hierarchy size. Hibernation keeps cold per-stream state paged out.
-  const std::size_t residencyWorkers = 4;
-  const std::size_t residencyCap =
-      std::max<std::size_t>(residencyStreams / 100, 64);
-  std::printf("\nresidency fleet (%zu streams, %zu workers, cap %zu):\n",
-              residencyStreams, residencyWorkers, residencyCap);
-  const ResidencyResult res =
-      runResidency(residencyStreams, residencyWorkers, residencyCap);
-  std::printf("%-22s %12zu records %10.3fs %14.0f records/sec\n",
-              "pooled + hibernate", res.stats.recordsProcessed,
-              res.stats.elapsedSeconds, res.stats.recordsPerSecond);
-  std::printf("workspace bytes: per-stream layout %zu (%zu streams x %zu), "
-              "pooled %zu -> %.0fx smaller\n",
-              res.perStreamWorkspaceBytes * res.streams, res.streams,
-              res.perStreamWorkspaceBytes, res.stats.workspaceBytes,
-              res.reductionX);
-  std::printf("residency: hierarchies=%zu resident=%zu hibernated=%zu "
-              "evictions=%zu wakes=%zu\n",
-              res.stats.distinctHierarchies, res.stats.residentStreams,
-              res.stats.hibernatedStreams, res.stats.hibernateEvictions,
-              res.stats.hibernateWakes);
-  ok &= bench::check(res.stats.distinctHierarchies == 1,
-                     "fleet shares a single engine-owned hierarchy");
-  ok &= bench::check(res.reductionX >= 50.0,
-                     "pooled workspaces cut resident workspace bytes by >= "
-                     "50x vs one-workspace-per-stream");
-  ok &= bench::check(
-      res.stats.hibernateEvictions > 0 && res.stats.hibernateWakes > 0,
-      "resident cap exercised hibernation (evictions and wakes > 0)");
-  ok &= bench::check(res.stats.residentStreams <=
-                         residencyCap + residencyWorkers,
-                     "resident streams stay within the best-effort cap");
-
-  // ---- Socket ingest: loopback TCP -> StreamRouter -> SocketSource ->
-  // engine ----
-  // The materialized trace, framed with the binary stream protocol and
-  // pushed over a real loopback socket by a writer thread into the one
-  // anonymous slot of a router, as `serve --listen` wires it. One stream,
-  // one worker: the figure is the serving surface's single-connection
-  // ingest path, and the unit-latency histogram (queue entry to detection
-  // done) is the committed ingest-latency percentile baseline.
-  std::printf("\nsocket ingest (loopback, framed binary, 1 stream):\n");
-  std::vector<std::uint8_t> socketHello, socketWire;
-  {
-    std::vector<std::string> paths;
-    paths.reserve(spec.hierarchy.size());
-    for (std::size_t n = 0; n < spec.hierarchy.size(); ++n) {
-      paths.push_back(spec.hierarchy.path(static_cast<NodeId>(n)));
-    }
-    socketHello = encodeSocketHandshakeV2(paths, /*streamName=*/"", 0);
-    constexpr std::size_t kFrame = 8192;
-    for (std::size_t at = 0; at < records.size(); at += kFrame) {
-      appendSocketFrame(socketWire, records.data() + at,
-                        std::min(kFrame, records.size() - at));
-    }
-    appendSocketEndOfStream(socketWire);
-  }
-  auto socketListener = std::make_shared<net::TcpListener>();
-  ok &= bench::check(socketListener->listen(0, /*loopbackOnly=*/true),
-                     "loopback listener binds an ephemeral port");
-  auto socketRouter =
-      std::make_shared<StreamRouter>(socketListener, StreamRouter::Options{});
-  const std::size_t socketSlot = socketRouter->addAnonymousSlot();
-  socketRouter->start();
-  std::thread socketWriter(
-      [port = socketListener->port(), &socketHello, &socketWire] {
-        net::TcpConn conn = net::connectLoopback(port, 30'000);
-        SocketResumeReply reply;
-        if (conn.valid() &&
-            conn.writeAll(socketHello.data(), socketHello.size()) &&
-            readSocketResumeReply(conn, 30'000, reply)) {
-          conn.writeAll(socketWire.data(), socketWire.size());
-        }
-      });
-  EngineStats socketStats;
-  std::size_t socketProtocolErrors = 0;
-  {
-    EngineConfig cfg;
-    cfg.workers = 1;
-    cfg.ingestThreads = 1;
-    cfg.streamQueueCapacity = 32;
-    cfg.totalQueueCapacity = 256;
-    cfg.metrics = true;
-    DetectionEngine eng(cfg, nullptr);
-    SocketSourceOptions sopt;
-    sopt.format = SocketSourceOptions::Format::kBinary;
-    auto src = std::make_unique<SocketSource>(socketRouter, socketSlot,
-                                              spec.hierarchy, sopt);
-    const SocketSource* view = src.get();
-    eng.addStream("net-0", borrowHierarchy(spec.hierarchy),
-                  pipelineConfig(spec), std::move(src));
-    eng.start();
-    socketStats = eng.drain();
-    socketProtocolErrors = view->protocolErrors();
-  }
-  socketWriter.join();
-  socketRouter->stop();
-  const obs::StageStats* socketLatency =
-      socketStats.metrics.stage(obs::Stage::kUnitLatency);
-  std::printf("%-22s %12zu records %10.3fs %14.0f records/sec\n",
-              "loopback binary", socketStats.recordsProcessed,
-              socketStats.elapsedSeconds, socketStats.recordsPerSecond);
-  if (socketLatency != nullptr) {
-    std::printf("unit latency: p50 %.1fus p90 %.1fus p99 %.1fus (max "
-                "%.1fus over %llu units)\n",
-                socketLatency->p50 * 1e6, socketLatency->p90 * 1e6,
-                socketLatency->p99 * 1e6, socketLatency->max * 1e6,
-                static_cast<unsigned long long>(socketLatency->count));
-  }
-  ok &= bench::check(socketStats.recordsProcessed == records.size() &&
-                         socketProtocolErrors == 0,
-                     "socket ingest delivered the whole trace with zero "
-                     "protocol errors");
-  ok &= bench::check(socketLatency != nullptr && socketLatency->count > 0,
-                     "socket run exposes the unit-latency histogram");
-
-  // ---- Machine-readable baselines ----
-  {
-    std::FILE* f = std::fopen(ingestJsonPath.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", ingestJsonPath.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"tiresias_bench_ingest/v4\",\n");
-    std::fprintf(f, "  \"workload\": \"ccd-net/medium\",\n");
-    std::fprintf(f, "  \"units_per_stream\": %lld,\n",
-                 static_cast<long long>(units));
-    std::fprintf(f, "  \"trace_records\": %zu,\n", records.size());
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", cores);
-    std::fprintf(f, "  \"ingest\": {\n");
-    for (int k = 0; k < kKinds; ++k) {
-      std::fprintf(f,
-                   "    \"%s\": {\"batched\": {\"records\": %zu, "
-                   "\"seconds\": %.6f, \"records_per_sec\": %.0f}}%s\n",
-                   kinds[k], batched[k].records, batched[k].seconds,
-                   batched[k].recordsPerSec, k < kKinds - 1 ? "," : "");
-    }
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"binary_vs_csv_batched\": %.2f\n", binaryVsCsv);
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", ingestJsonPath.c_str());
-  }
-  {
-    std::FILE* f = std::fopen(engineJsonPath.c_str(), "w");
-    if (!f) {
-      std::fprintf(stderr, "cannot write %s\n", engineJsonPath.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n");
-    std::fprintf(f, "  \"schema\": \"tiresias_bench_engine/v6\",\n");
-    std::fprintf(f, "  \"workload\": \"ccd-net/medium\",\n");
-    std::fprintf(f, "  \"hardware_threads\": %u,\n", cores);
-    std::fprintf(f, "  \"uniform\": {\n");
-    std::fprintf(f, "    \"streams\": %zu,\n", streams);
-    std::fprintf(f, "    \"units_per_stream\": %lld,\n",
-                 static_cast<long long>(units));
-    std::fprintf(f, "    \"grid\": [\n");
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      const auto& r = grid[i];
-      std::fprintf(f,
-                   "      {\"workers\": %zu, \"records\": %zu, \"seconds\": "
-                   "%.6f, \"records_per_sec\": %.0f, \"claims\": %zu, "
-                   "\"requeues\": %zu}%s\n",
-                   r.workers, r.stats.recordsProcessed,
-                   r.stats.elapsedSeconds, r.stats.recordsPerSecond,
-                   r.stats.scheduler.claims, r.stats.scheduler.requeues,
-                   i + 1 < grid.size() ? "," : "");
-    }
-    std::fprintf(f, "    ]\n  },\n");
-    std::fprintf(f, "  \"residency\": {\n");
-    std::fprintf(f, "    \"streams\": %zu,\n", res.streams);
-    std::fprintf(f, "    \"workers\": %zu,\n", res.workers);
-    std::fprintf(f, "    \"max_resident\": %zu,\n", res.maxResident);
-    std::fprintf(f, "    \"records\": %zu,\n", res.stats.recordsProcessed);
-    std::fprintf(f, "    \"seconds\": %.3f,\n", res.stats.elapsedSeconds);
-    std::fprintf(f, "    \"records_per_sec\": %.0f,\n",
-                 res.stats.recordsPerSecond);
-    std::fprintf(f, "    \"workspace_bytes_per_stream\": %zu,\n",
-                 res.perStreamWorkspaceBytes);
-    std::fprintf(f, "    \"per_stream_workspace_bytes\": %zu,\n",
-                 res.perStreamWorkspaceBytes * res.streams);
-    std::fprintf(f, "    \"pooled_workspace_bytes\": %zu,\n",
-                 res.stats.workspaceBytes);
-    std::fprintf(f, "    \"reduction_x\": %.1f,\n", res.reductionX);
-    std::fprintf(f, "    \"distinct_hierarchies\": %zu,\n",
-                 res.stats.distinctHierarchies);
-    std::fprintf(f, "    \"resident_streams\": %zu,\n",
-                 res.stats.residentStreams);
-    std::fprintf(f, "    \"hibernated_streams\": %zu,\n",
-                 res.stats.hibernatedStreams);
-    std::fprintf(f, "    \"hibernate_evictions\": %zu,\n",
-                 res.stats.hibernateEvictions);
-    std::fprintf(f, "    \"hibernate_wakes\": %zu\n",
-                 res.stats.hibernateWakes);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"socket_ingest\": {\n");
-    std::fprintf(f, "    \"transport\": \"loopback tcp, framed binary, "
-                    "router anonymous slot\",\n");
-    std::fprintf(f, "    \"streams\": 1,\n");
-    std::fprintf(f, "    \"frame_records\": 8192,\n");
-    std::fprintf(f, "    \"records\": %zu,\n", socketStats.recordsProcessed);
-    std::fprintf(f, "    \"seconds\": %.6f,\n", socketStats.elapsedSeconds);
-    std::fprintf(f, "    \"records_per_sec\": %.0f,\n",
-                 socketStats.recordsPerSecond);
-    std::fprintf(f, "    \"protocol_errors\": %zu,\n", socketProtocolErrors);
-    std::fprintf(f,
-                 "    \"unit_latency_us\": {\"count\": %llu, \"p50\": %.1f, "
-                 "\"p90\": %.1f, \"p99\": %.1f, \"max\": %.1f}\n",
-                 static_cast<unsigned long long>(
-                     socketLatency != nullptr ? socketLatency->count : 0),
-                 socketLatency != nullptr ? socketLatency->p50 * 1e6 : 0.0,
-                 socketLatency != nullptr ? socketLatency->p90 * 1e6 : 0.0,
-                 socketLatency != nullptr ? socketLatency->p99 * 1e6 : 0.0,
-                 socketLatency != nullptr ? socketLatency->max * 1e6 : 0.0);
-    std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"metrics\": {\n");
-    std::fprintf(f,
-                 "    \"overhead\": {\"scenario\": \"uniform workers=1\", "
-                 "\"runs_per_side\": 3, \"metrics_off_records_per_sec\": "
-                 "%.0f, \"metrics_on_records_per_sec\": %.0f, "
-                 "\"overhead_pct\": %.2f},\n",
-                 metricsOffBest, metricsOnBest, overheadPct);
-    std::fprintf(f, "    \"stages\": %s\n",
-                 obs::stagesJson(stageSnap).c_str());
-    std::fprintf(f, "  }\n");
-    std::fprintf(f, "}\n");
-    std::fclose(f);
-    std::printf("wrote %s\n", engineJsonPath.c_str());
-  }
-  std::remove(tracePath.c_str());
-  std::remove(binaryTracePath.c_str());
-
   return ok ? 0 : 1;
 }

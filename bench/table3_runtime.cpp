@@ -11,7 +11,7 @@
 // per-instance window copy and full reconstruction. The production
 // StaDetector keeps incremental sliding-window aggregates (see DESIGN.md
 // "Detection hot path") and no longer has the cost shape Table III
-// describes; bench/detect_throughput.cpp measures that rewrite.
+// describes; sta_test's StaSpeed case times that rewrite.
 #include "bench/bench_util.h"
 
 #include "core/shhh_reference.h"

@@ -26,7 +26,7 @@
 //
 // Disarmed cost is one relaxed atomic load per I/O call — the hooks are
 // in cold syscall wrappers, so the serving hot path is unaffected; the
-// BENCH_engine socket_ingest section keeps that honest. Defining
+// benchmark's socket_live workload keeps that honest. Defining
 // TIRESIAS_NO_FAULTINJECT (e.g. -DCMAKE_CXX_FLAGS=-DTIRESIAS_NO_FAULTINJECT)
 // compiles the whole harness to constant no-ops for deployments that want
 // the code gone.

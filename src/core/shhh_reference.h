@@ -3,10 +3,9 @@
 // These are the pre-flat-workspace evaluators, kept verbatim as an
 // independent oracle: the equivalence property tests assert that the dense
 // epoch-stamped hot path (shhh.cpp, sta.cpp) produces bit-identical output,
-// and bench/detect_throughput.cpp measures the flat path against them as
-// its committed before/after baseline. Nothing in src/ outside tests and
-// benches should call these — they allocate several unordered_maps per
-// unit by design.
+// and timed tests (fixed_set_property_test, sta_test) assert the flat path
+// stays faster than them. Nothing in src/ outside tests and benches should
+// call these — they allocate several unordered_maps per unit by design.
 #pragma once
 
 #include <deque>
@@ -34,8 +33,8 @@ std::unordered_map<NodeId, std::vector<double>> rawSeries(
 /// copy the window and rebuild every member series from scratch with
 /// modifiedSeriesFixedSet (the exact shape of the pre-rewrite
 /// StaDetector::step, including the per-step window copy). Used as the
-/// "before" side of BENCH_detect.json, as the oracle for the STA
-/// equivalence property test, and as the paper-faithful STA cost model
+/// oracle for the STA equivalence property test, as the slow side of
+/// sta_test's timed check, and as the paper-faithful STA cost model
 /// for the Table III runtime reproduction (it keeps the historical
 /// per-stage timers — the production StaDetector no longer has the
 /// paper's cost shape).

@@ -84,9 +84,6 @@ struct DetectionEngine::StreamState {
   std::atomic<std::size_t> recordsProcessed{0};
   std::atomic<std::size_t> instancesDetected{0};
   std::atomic<std::size_t> anomaliesReported{0};
-  /// Resident bytes of the stream's dense detection workspace, refreshed
-  /// by the owning worker after each claim (stats() polls it live).
-  std::atomic<std::size_t> workspaceBytes{0};
   /// Ingest-side batcher state; null until ingest begins. Touched only by
   /// the stream's single ingest thread.
   std::unique_ptr<TimeUnitBatcher> batcher;
@@ -258,15 +255,12 @@ void DetectionEngine::sampleGauges() {
     total += q.unitsProcessed;
   }
   registry_->recordValue(obs::Gauge::kMaxStreamQueueDepth, deepest);
-  // Workspace residency: the per-worker pool (mirrored into poolBytes_ by
+  // Workspace residency: the per-worker pool, mirrored into poolBytes_ by
   // the owning workers — never read off a live workspace, which a worker
-  // could be rebinding) plus any stream-owned workspaces.
+  // could be rebinding.
   std::size_t workspace = 0;
   for (const auto& bytes : poolBytes_) {
     workspace += bytes.load(std::memory_order_relaxed);
-  }
-  for (const auto& stream : streams_) {
-    workspace += stream->workspaceBytes.load(std::memory_order_relaxed);
   }
   registry_->recordValue(obs::Gauge::kWorkspaceBytes, workspace);
   registry_->recordValue(obs::Gauge::kResidentStreams,
@@ -847,7 +841,6 @@ EngineStats DetectionEngine::stats() const {
         stream.anomaliesReported.load(std::memory_order_relaxed);
     s.junkRowsSkipped = stream.sourceSkipped.load(std::memory_order_relaxed);
     s.warmupUnitsBuffered = stream.warmupBuffered.load(std::memory_order_relaxed);
-    s.workspaceBytes = stream.workspaceBytes.load(std::memory_order_relaxed);
     out.unitsIngested += s.unitsIngested;
     out.unitsProcessed += s.unitsProcessed;
     out.unitsDiscarded += s.unitsDiscarded;
@@ -856,7 +849,6 @@ EngineStats DetectionEngine::stats() const {
     out.anomaliesReported += s.anomaliesReported;
     out.junkRowsSkipped += s.junkRowsSkipped;
     out.warmupUnitsBuffered += s.warmupUnitsBuffered;
-    out.workspaceBytes += s.workspaceBytes;
     out.maxQueueDepth = std::max(out.maxQueueDepth, s.maxQueueDepth);
     out.busiestStreamUnits = std::max(out.busiestStreamUnits, s.unitsProcessed);
     out.perStream.push_back(std::move(s));
@@ -865,8 +857,8 @@ EngineStats DetectionEngine::stats() const {
     out.busiestStreamShare = static_cast<double>(out.busiestStreamUnits) /
                              static_cast<double>(out.unitsProcessed);
   }
-  // The pooled workspaces on top of any stream-owned ones (mirrors written
-  // by the owning workers; see poolBytes_).
+  // The pooled workspaces (mirrors written by the owning workers; see
+  // poolBytes_).
   for (const auto& bytes : poolBytes_) {
     out.workspaceBytes += bytes.load(std::memory_order_relaxed);
   }

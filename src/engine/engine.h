@@ -74,9 +74,9 @@ struct EngineConfig {
   /// holds no matter how many streams are registered).
   std::size_t totalQueueCapacity = 1024;
   /// Per-stage latency histograms + gauge sampling (obs::MetricsRegistry).
-  /// On by default: the record path is lock-free and the measured overhead
-  /// is committed in BENCH_engine.json (<2% target). Off = zero-cost
-  /// (spans compile to one null-pointer branch).
+  /// On by default: the record path is lock-free (< 2% overhead target,
+  /// not yet resolved by a measurement; see bench_engine_throughput). Off
+  /// = zero-cost (spans compile to one null-pointer branch).
   bool metrics = true;
   /// Gauge sampling period for the background sampler thread; 0 disables
   /// the sampler (stage histograms still record).
@@ -108,10 +108,6 @@ struct StreamStats {
   std::size_t anomaliesReported = 0;
   std::size_t junkRowsSkipped = 0;   // source-side skipped rows (CSV junk)
   std::size_t warmupUnitsBuffered = 0;  // units held in pipeline warm-up
-  /// Stream-owned workspace bytes. 0 whenever the stream borrows from the
-  /// engine's per-worker pool (the normal case); the pool itself shows up
-  /// in EngineStats::workspaceBytes.
-  std::size_t workspaceBytes = 0;
   std::size_t queueDepth = 0;        // current
   std::size_t maxQueueDepth = 0;     // high-water mark
   std::size_t runs = 0;              // worker claims of this stream
@@ -149,9 +145,8 @@ struct EngineStats {
   /// Units absorbed by pipelines still in warm-up (streams shorter than
   /// the detector window never leave warm-up and report zero instances).
   std::size_t warmupUnitsBuffered = 0;
-  /// Total resident detect-workspace bytes: the engine's per-worker pool
-  /// plus any stream-owned workspaces. Scales with `workers`, not with
-  /// the stream count.
+  /// Total resident detect-workspace bytes: the engine's per-worker pool.
+  /// Scales with `workers`, not with the stream count.
   std::size_t workspaceBytes = 0;
   /// Distinct Hierarchy objects behind the registered streams (streams
   /// sharing a handle share one hierarchy's memory).

@@ -22,8 +22,8 @@
 //     reply:      after the table the server always answers with 12
 //                 bytes: status u32 (0 ok, 1 unknown stream, 2 stream
 //                 already ended — for an empty name, every anonymous
-//                 stream; the router sends 1 and 2 right after the name
-//                 and closes) |
+//                 stream has ended or taken its one connection; the
+//                 router sends 1 and 2 right after the name and closes) |
 //                 committedTime i64 — the earliest timestamp the server
 //                 still needs; the client skips everything before it
 //                 (kSocketNoCommit = nothing committed, always the answer

@@ -76,7 +76,7 @@ SendStatus StreamClient::open() {
   if (reply_.status == kSocketResumeStreamEnded) {
     conn_.close();
     error_ = opt_.streamName.empty()
-                 ? "every anonymous stream has already ended on the server"
+                 ? "every anonymous stream on the server has ended or is taken"
                  : "stream '" + opt_.streamName +
                        "' has already ended on the server";
     return SendStatus::kStreamEnded;

@@ -55,7 +55,7 @@ enum class SendStatus : std::uint8_t {
   kOk,
   kTransient,      // no connection, connection lost or no reply: retryable
   kUnknownStream,  // fatal reply: the server serves no stream of that name
-  kStreamEnded,    // fatal reply: the stream (every anonymous one) ended
+  kStreamEnded,    // fatal reply: the stream ended (anonymous: none free)
   kBadTrace,       // the trace could not be opened or read
 };
 

@@ -58,7 +58,7 @@ std::size_t StreamRouter::addAnonymousSlot() {
   const std::size_t id = slots_.size();
   slots_.push_back(Slot{{}, {}});
   ++anonymousSlots_;
-  ++anonymousLive_;
+  ++anonymousOpen_;
   return id;
 }
 
@@ -171,10 +171,10 @@ void StreamRouter::endSlot(std::size_t slot) {
     if (s.ended) return;
     s.ended = true;
     if (s.name.empty()) {
-      // The FIFO holds at most one connection per live anonymous slot;
+      // The FIFO holds at most one connection per open anonymous slot;
       // the newest beyond that would never be read.
-      --anonymousLive_;
-      while (anonymous_.size() > anonymousLive_) {
+      if (!s.taken) --anonymousOpen_;
+      while (anonymous_.size() > anonymousOpen_) {
         waiting.push_back(std::move(anonymous_.back()));
         anonymous_.pop_back();
       }
@@ -186,7 +186,7 @@ void StreamRouter::endSlot(std::size_t slot) {
 }
 
 void StreamRouter::turnAway(Routed& routed) {
-  // A binary client hears that the stream is gone; CSV has no reply.
+  // A binary client hears that no stream will read it; CSV has no reply.
   if (routed.binary) refuse(routed.conn, kSocketResumeStreamEnded);
   rejected_.fetch_add(1, std::memory_order_relaxed);
 }
@@ -213,22 +213,21 @@ IoStatus StreamRouter::readPrefix(net::TcpConn& conn, std::uint8_t* dst,
 }
 
 void StreamRouter::deliverAnonymous(Routed routed) {
-  bool allEnded = false;
   {
     std::lock_guard lk(mu_);
-    if (anonymous_.size() < anonymousLive_) {
+    if (anonymous_.size() < anonymousOpen_) {
       anonymous_.push_back(std::move(routed));
       cv_.notify_all();
       return;
     }
-    allEnded = anonymousSlots_ > 0 && anonymousLive_ == 0;
   }
-  if (allEnded) {
+  if (anonymousSlots_ > 0) {
+    // Every anonymous slot has ended, has taken its one connection or has
+    // one waiting: nothing will ever read this one.
     turnAway(routed);
     return;
   }
-  // No anonymous slot at all, or every live one already has a connection
-  // waiting: a plain close, which a client may retry.
+  // No anonymous slot at all: a plain close.
   rejected_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -249,6 +248,10 @@ std::optional<StreamRouter::Routed> StreamRouter::await(std::size_t slot,
   if (queue.empty()) return std::nullopt;  // woken by stop()
   Routed r = std::move(queue.front());
   queue.pop_front();
+  if (!named && !slots_[slot].taken) {
+    slots_[slot].taken = true;  // an anonymous slot serves one connection
+    --anonymousOpen_;
+  }
   return r;
 }
 

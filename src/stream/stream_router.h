@@ -23,9 +23,9 @@
 // cheapest place to refuse work: a shed predicate (the CLI wires it to
 // the engine's queue lag against --shed-watermark) closes connections
 // before reading a byte, and structurally unroutable connections
-// (unknown stream name, a named stream that has already ended, every
-// anonymous stream ended, handshake timeout, anonymous overflow) are
-// counted and closed instead of wedging a slot.
+// (unknown stream name, a named stream that has already ended, an
+// anonymous connection that no anonymous slot will take, handshake
+// timeout) are counted and closed instead of wedging a slot.
 #pragma once
 
 #include <atomic>
@@ -93,14 +93,16 @@ class StreamRouter {
   /// A slot's stream has ended for good, so nothing will read another
   /// connection for it. Named: connections waiting for it and every later
   /// handshake naming it are turned away. Anonymous: the shared FIFO
-  /// shrinks to one connection per live anonymous slot, and once none is
-  /// live every later anonymous connection is turned away. Turned away
+  /// shrinks to one connection per open anonymous slot (one that has
+  /// neither ended nor taken its one connection), and an anonymous
+  /// connection beyond that is turned away as it arrives. Turned away
   /// means counted in rejected() and closed, a binary one after a fatal
   /// kSocketResumeStreamEnded reply. Thread-safe; no-op on repeat calls.
   void endSlot(std::size_t slot);
 
   /// Block until a connection is routed to `slot` (or the shared FIFO for
-  /// anonymous slots), the timeout passes, or the router stops.
+  /// anonymous slots), the timeout passes, or the router stops. An
+  /// anonymous slot that takes a connection stops counting as open.
   std::optional<Routed> await(std::size_t slot, int timeoutMs);
 
   std::size_t accepted() const {
@@ -111,8 +113,8 @@ class StreamRouter {
     return shed_.load(std::memory_order_relaxed);
   }
   /// Connections that could not be routed: unknown stream name, a stream
-  /// that has ended, handshake timeout/corruption, or no anonymous
-  /// capacity.
+  /// that has ended, handshake timeout/corruption, or no open anonymous
+  /// slot.
   std::size_t rejected() const {
     return rejected_.load(std::memory_order_relaxed);
   }
@@ -122,6 +124,7 @@ class StreamRouter {
     std::string name;  // empty = anonymous (drains the shared FIFO)
     std::deque<Routed> queue;
     bool ended = false;  // guarded by mu_
+    bool taken = false;  // anonymous: took its connection; guarded by mu_
   };
 
   void routeLoop();
@@ -134,7 +137,7 @@ class StreamRouter {
                            std::size_t n, std::size_t& got,
                            std::chrono::steady_clock::time_point start);
   void deliverAnonymous(Routed routed);
-  /// Close a connection whose stream has ended, with a fatal reply if it
+  /// Close a connection that no slot will read, with a fatal reply if it
   /// is binary, and count it rejected.
   void turnAway(Routed& routed);
 
@@ -145,8 +148,10 @@ class StreamRouter {
   std::deque<Slot> slots_;
   std::unordered_map<std::string, std::size_t> byName_;
   std::deque<Routed> anonymous_;
-  std::size_t anonymousSlots_ = 0;
-  std::size_t anonymousLive_ = 0;  // not yet ended; guarded by mu_
+  std::size_t anonymousSlots_ = 0;  // fixed after start(): read unlocked
+  /// Anonymous slots neither ended nor holding their connection yet: the
+  /// FIFO's capacity. Guarded by mu_.
+  std::size_t anonymousOpen_ = 0;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

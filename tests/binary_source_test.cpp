@@ -1,8 +1,9 @@
 // Binary record traces: the CSV→binary→ingest round trip must be
 // indistinguishable from reading the CSV directly (identical record
 // sequences, identical skip accounting, bit-identical anomalies through
-// the pipeline), and a corrupted or truncated file must always surface as
-// a clean persist::SnapshotError — never a crash, over-read, or OOM.
+// the pipeline), at least twice as fast to ingest, and a corrupted or
+// truncated file must always surface as a clean persist::SnapshotError —
+// never a crash, over-read, or OOM.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -18,6 +19,7 @@
 #include "stream/source.h"
 #include "timeseries/ewma.h"
 #include "workload/ccd.h"
+#include "cpu_timing.h"
 
 namespace tiresias {
 namespace {
@@ -206,6 +208,43 @@ TEST(BinaryTrace, PipelineEquivalentToCsvIngest) {
     EXPECT_EQ(fromBin[i].path, fromCsv[i].path);
   }
   EXPECT_GT(fromBin.size(), 0u);
+  std::remove(csv.c_str());
+  std::remove(bin.c_str());
+}
+
+// The binary format's reason to exist: batched ingest of a converted
+// trace (parse-free decode) must be at least twice as fast as batched
+// ingest of the same records from CSV.
+TEST(BinaryTrace, BatchedIngestAtLeastTwiceCsv) {
+  SKIP_TIMING_UNDER_SANITIZERS();
+  const auto spec = workload::ccdNetworkWorkload(workload::Scale::kMedium);
+  workload::GeneratorSource gen(spec, 0, 512, 1);
+  const std::vector<Record> records = drainBatched(gen, 65536);
+  const std::string csv = ::testing::TempDir() + "/bin_speed.csv";
+  const std::string bin = ::testing::TempDir() + "/bin_speed.tsrb";
+  writeRecordsCsv(csv, spec.hierarchy, records);
+  convertCsvTraceToBinary(csv, bin);
+
+  // One full pass through the timeunit batcher, after opening the source.
+  const auto passSeconds = [&](const auto& open) {
+    return bestOfThree([&] {
+      auto src = open();
+      const CpuStopwatch watch;
+      TimeUnitBatcher batcher(*src, spec.unit, 0);
+      TimeUnitBatch batch;
+      std::size_t n = 0;
+      while (batcher.next(batch)) n += batch.records.size();
+      EXPECT_EQ(n, records.size());
+      return watch.elapsedSeconds();
+    });
+  };
+  const double csvSeconds = passSeconds(
+      [&] { return std::make_unique<CsvSource>(csv, spec.hierarchy); });
+  const double binSeconds = passSeconds(
+      [&] { return std::make_unique<BinarySource>(bin, spec.hierarchy); });
+  const double speedup = csvSeconds / binSeconds;
+  RecordProperty("speedup", std::to_string(speedup));
+  EXPECT_GE(speedup, 2.0) << "batched binary vs batched CSV ingest";
   std::remove(csv.c_str());
   std::remove(bin.c_str());
 }

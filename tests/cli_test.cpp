@@ -19,13 +19,7 @@
 
 // ASan and TSan reserve terabytes of shadow address space, so a process
 // under them cannot run with a small RLIMIT_AS at all.
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-#define TIRESIAS_SHADOW_MEMORY 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-#define TIRESIAS_SHADOW_MEMORY 1
-#endif
-#endif
+#include "cpu_timing.h"  // TIRESIAS_SANITIZED
 
 namespace tiresias::tools {
 namespace {
@@ -601,7 +595,7 @@ int runUnderAddressCap(const std::vector<std::string>& args,
 // in an uncaught std::system_error: thread stacks run out under the cap
 // long before the --workers ceiling is reached.
 TEST(Cli, ServeFailsCleanlyWhenThreadsCannotStart) {
-#ifdef TIRESIAS_SHADOW_MEMORY
+#ifdef TIRESIAS_SANITIZED
   GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan/TSan";
 #endif
   const std::string maxWorkers = optionCeiling("workers");
@@ -618,7 +612,7 @@ TEST(Cli, ServeFailsCleanlyWhenThreadsCannotStart) {
 // uncaught std::bad_alloc: registering the --streams ceiling needs far
 // more than the cap.
 TEST(Cli, ServeFailsCleanlyWhenStreamsCannotBeAllocated) {
-#ifdef TIRESIAS_SHADOW_MEMORY
+#ifdef TIRESIAS_SANITIZED
   GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan/TSan";
 #endif
   const std::string maxStreams = optionCeiling("streams");

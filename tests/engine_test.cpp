@@ -14,6 +14,7 @@
 #include <tuple>
 
 #include "core/pipeline.h"
+#include "core/workspace.h"
 #include "engine/bounded_queue.h"
 #include "engine/engine.h"
 #include "engine/scheduler.h"
@@ -849,6 +850,52 @@ TEST(Engine, HibernationEquivalentToUnlimitedResidency) {
       }
     }
   }
+}
+
+/// Resident memory follows the worker count, not the fleet size: a fleet
+/// of 64 streams per worker over one shared hierarchy, advanced under a
+/// resident cap, holds at most one full-size workspace per worker — at
+/// least 50x less than one bound workspace per stream — while hibernation
+/// cycles streams in and out within the best-effort cap.
+TEST(Engine, FleetResidencyIsBoundedByWorkersNotStreams) {
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kStreams = 64 * kWorkers;
+  constexpr std::size_t kCap = 16;
+  WorkloadSpec base = workload::ccdNetworkWorkload(Scale::kTest);
+  base.baseRatePerUnit = 4;  // thin per-stream traffic: fleet-shaped load
+  const auto spec = std::make_shared<const WorkloadSpec>(std::move(base));
+  const std::size_t nodes = spec->hierarchy.size();
+  DetectWorkspace bound;
+  bound.bind(nodes);
+  // Use grows only the touched-node buffer; this fleet's thin units touch
+  // far fewer nodes than the hierarchy holds, so one entry per node caps it.
+  const std::size_t fullSize = bound.bytes() + nodes * sizeof(NodeId);
+
+  EngineConfig cfg;
+  cfg.workers = kWorkers;
+  cfg.streamQueueCapacity = 2;  // several ingest visits per stream: wakes
+  cfg.maxResidentStreams = kCap;
+  DetectionEngine eng(cfg, nullptr);
+  for (std::size_t i = 0; i < kStreams; ++i) {
+    // Skewed: every 64th stream is 8x longer than the rest.
+    const TimeUnit units = i % 64 == 0 ? 24 : 3;
+    eng.addStream("r" + std::to_string(i), workload::sharedHierarchy(spec),
+                  testPipelineConfig(*spec),
+                  std::make_unique<GeneratorSource>(*spec, 0, units, 1 + i));
+  }
+  eng.start();
+  const auto stats = eng.drain();
+
+  EXPECT_EQ(stats.distinctHierarchies, 1u);
+  ASSERT_GT(stats.workspaceBytes, 0u);
+  EXPECT_LE(stats.workspaceBytes, kWorkers * fullSize);
+  const double reduction = static_cast<double>(kStreams * bound.bytes()) /
+                           static_cast<double>(stats.workspaceBytes);
+  RecordProperty("reduction_x", std::to_string(reduction));
+  EXPECT_GE(reduction, 50.0) << "vs one bound workspace per stream";
+  EXPECT_GT(stats.hibernateEvictions, 0u);
+  EXPECT_GT(stats.hibernateWakes, 0u);
+  EXPECT_LE(stats.residentStreams, kCap + kWorkers);
 }
 
 /// A capped fleet must not thrash its LRU: with the default queue bounds a

@@ -3,7 +3,8 @@
 // an independent dense brute force on random trees, random member sets and
 // random multi-unit count streams, and asserted bit-identical to the
 // retained map-based reference implementation (shhh_reference.h) so the
-// flat-workspace rewrite can never drift from the historical evaluator.
+// flat-workspace rewrite can never drift from the historical evaluator —
+// and timed against it, so the rewrite keeps earning its code.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "core/shhh.h"
 #include "core/shhh_reference.h"
 #include "hierarchy/builder.h"
+#include "cpu_timing.h"
 
 namespace tiresias {
 namespace {
@@ -169,6 +171,41 @@ TEST_P(FixedSetProperty, ComputeShhhMatchesReferenceBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FixedSetProperty,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256));
+
+// On the CCD-network workload (theta 8) the flat kernel must evaluate
+// Definition 2 at least 1.5x as fast as the map-based reference.
+TEST(ComputeShhhSpeed, FlatBeatsMapBasedReference) {
+  SKIP_TIMING_UNDER_SANITIZERS();
+  constexpr double kTheta = 8.0;
+  const auto w = ccdMediumWorkload(192);
+  std::vector<CountMap> unitCounts(w.units.size());
+  for (std::size_t u = 0; u < w.units.size(); ++u) {
+    for (const Record& r : w.units[u].records) unitCounts[u][r.category] += 1.0;
+  }
+  const Hierarchy& h = w.spec.hierarchy;
+  std::size_t sink = 0;  // keeps every evaluation observable
+  const double referenceSeconds = bestOfThree([&] {
+    const CpuStopwatch watch;
+    for (const CountMap& counts : unitCounts) {
+      sink += reference::computeShhh(h, counts, kTheta).shhh.size();
+    }
+    return watch.elapsedSeconds();
+  });
+  DetectWorkspace ws;
+  ShhhResult flat;
+  const double flatSeconds = bestOfThree([&] {
+    const CpuStopwatch watch;
+    for (const CountMap& counts : unitCounts) {
+      computeShhh(h, counts, kTheta, ws, flat);
+      sink += flat.shhh.size();
+    }
+    return watch.elapsedSeconds();
+  });
+  EXPECT_GT(sink, 0u);
+  const double speedup = referenceSeconds / flatSeconds;
+  RecordProperty("speedup", std::to_string(speedup));
+  EXPECT_GE(speedup, 1.5) << "flat computeShhh vs map-based reference";
+}
 
 }  // namespace
 }  // namespace tiresias

@@ -1,13 +1,16 @@
-// Unit tests for the STA strawman detector (Fig 4), plus the randomized
+// Unit tests for the STA strawman detector (Fig 4), the randomized
 // equivalence property pinning the incremental sliding-window rewrite to
-// the retained window-copy reference implementation.
+// the retained window-copy reference implementation, and the timed check
+// that the rewrite is worth its code.
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/ada.h"
 #include "core/shhh_reference.h"
 #include "core/sta.h"
 #include "hierarchy/builder.h"
 #include "timeseries/ewma.h"
+#include "cpu_timing.h"
 
 namespace tiresias {
 namespace {
@@ -180,6 +183,47 @@ TEST(Sta, MemoryStatsCountLTrees) {
   // Each unit tree holds the leaf + 2 ancestors.
   EXPECT_EQ(stats.treeNodesStored, 4u * 3u);
   EXPECT_GT(stats.bytesEstimate, 0u);
+}
+
+/// Best-of-3 CPU seconds of stepping a fresh `Detector` through every unit
+/// after the first window, warmed untimed on that window.
+template <typename Detector>
+double steadyStepSeconds(const TimedWorkload& w, const DetectorConfig& cfg) {
+  return bestOfThree([&] {
+    Detector detector(w.spec.hierarchy, cfg);
+    for (std::size_t u = 0; u < cfg.windowLength; ++u) {
+      detector.step(w.units[u]);
+    }
+    const CpuStopwatch watch;
+    for (std::size_t u = cfg.windowLength; u < w.units.size(); ++u) {
+      detector.step(w.units[u]);
+    }
+    return watch.elapsedSeconds();
+  });
+}
+
+// Warm steady state on the CCD-network workload (window 64): stepping the
+// incremental STA must cost at most half of the window-copy reference's
+// step, and ADA at most twice STA's — a sanity floor, not a ranking.
+TEST(StaSpeed, IncrementalBeatsReferenceAndAdaKeepsUp) {
+  SKIP_TIMING_UNDER_SANITIZERS();
+  DetectorConfig cfg;
+  cfg.theta = 8.0;
+  cfg.windowLength = 64;
+  cfg.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
+  const auto w = ccdMediumWorkload(cfg.windowLength + 32);
+  ASSERT_GT(w.units.size(), cfg.windowLength);
+
+  const double replicaSeconds =
+      steadyStepSeconds<reference::StaReplica>(w, cfg);
+  const double staSeconds = steadyStepSeconds<StaDetector>(w, cfg);
+  const double adaSeconds = steadyStepSeconds<AdaDetector>(w, cfg);
+  const double staSpeedup = replicaSeconds / staSeconds;
+  const double adaVsSta = staSeconds / adaSeconds;
+  RecordProperty("sta_speedup", std::to_string(staSpeedup));
+  RecordProperty("ada_vs_sta", std::to_string(adaVsSta));
+  EXPECT_GE(staSpeedup, 2.0) << "incremental STA vs window-copy reference";
+  EXPECT_GE(adaVsSta, 0.5) << "ADA step rate relative to STA's";
 }
 
 }  // namespace

@@ -109,7 +109,7 @@ TEST(StreamClient, FatalOutcomesCostExactlyOneAttempt) {
       {"s0", replayRecords({}), SendStatus::kStreamEnded,
        "stream 's0' has already ended on the server"},
       {"", replayRecords({}), SendStatus::kStreamEnded,
-       "every anonymous stream has already ended on the server"},
+       "every anonymous stream on the server has ended or is taken"},
       {"", [] { return std::unique_ptr<RecordSource>(); },
        SendStatus::kBadTrace, ""},
   };

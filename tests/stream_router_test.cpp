@@ -1,13 +1,14 @@
 // StreamRouter: one accept thread must route v2 named connections to
 // their slot, empty-name v2 and CSV connections to the shared anonymous
 // FIFO (a retired v1 prologue is CSV junk, never binary), refuse
-// unknown and ended names — and anonymous connections once every
-// anonymous stream has ended — with a fatal reply, shed under the
-// overload predicate, and reject anonymous overflow — always by closing
-// the socket, never by wedging a slot or crashing. Well-formed clients
-// are the StreamClient that `send` runs.
+// unknown and ended names — and anonymous connections that no anonymous
+// slot will take — with a fatal reply, shed under the overload
+// predicate, and reject anonymous connections when there is no anonymous
+// slot — always by closing the socket, never by wedging a slot or
+// crashing. Well-formed clients are the StreamClient that `send` runs.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -271,6 +272,59 @@ TEST(StreamRouter, AnonymousConnectionAfterEveryAnonymousStreamEndedIsTurnedAway
   const net::IoStatus st = csv.readSome(&byte, 1, got, 3'000);
   EXPECT_TRUE(st == net::IoStatus::kEof || st == net::IoStatus::kError);
   EXPECT_TRUE(waitFor([&] { return router->rejected() == 2; }));
+  router->stop();
+}
+
+// An anonymous slot serves exactly one connection, so while net-0
+// streams nothing will read a second anonymous connection: a binary
+// client must hear so at once, and a CSV one be closed, both counted
+// rejected — not parked in the FIFO until net-0 ends, the client waiting
+// out its whole timeout for a reply.
+TEST(StreamRouter, AnonymousConnectionWhileTheOnlySlotStreamsIsTurnedAway) {
+  const auto h = HierarchyBuilder::balanced({3, 2});
+  const auto want = sampleRecords(h, 32);
+  auto listener = loopbackListener();
+  auto router = std::make_shared<StreamRouter>(listener, StreamRouter::Options{});
+  const std::size_t slot = router->addAnonymousSlot();
+  router->start();
+
+  std::vector<Record> got;
+  std::thread source([&] {
+    SocketSource src(router, slot, h);
+    got = drainPerRecord(src);
+  });
+  StreamClient first(h, clientOptions(listener->port()));
+  ASSERT_EQ(first.open(), SendStatus::kOk) << first.error();
+
+  constexpr int kLateTimeoutMs = 3'000;
+  StreamClientOptions late = clientOptions(listener->port());
+  late.timeoutMs = kLateTimeoutMs;
+  StreamClient binary(h, late);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(binary.open(), SendStatus::kStreamEnded) << binary.error();
+  EXPECT_EQ(binary.reply().status, kSocketResumeStreamEnded);
+
+  net::TcpConn csv = net::connectLoopback(listener->port(), kTestTimeoutMs);
+  ASSERT_TRUE(csv.valid());
+  const std::string row = h.path(h.leaves()[0]) + ",100\n";
+  ASSERT_TRUE(csv.writeAll(row.data(), row.size(), kTestTimeoutMs));
+  csv.shutdownWrite();
+  char byte = 0;
+  std::size_t n = 0;
+  const net::IoStatus st = csv.readSome(&byte, 1, n, kLateTimeoutMs);
+  EXPECT_TRUE(st == net::IoStatus::kEof || st == net::IoStatus::kError);
+  const auto waitedMs = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+  EXPECT_LT(waitedMs, kLateTimeoutMs / 2) << "both answered at once";
+  EXPECT_TRUE(waitFor([&] { return router->rejected() == 2; }));
+
+  // net-0 was never disturbed: it streams on and ends cleanly.
+  auto trace = replayRecords(want)();
+  EXPECT_EQ(first.push(*trace), SendStatus::kOk) << first.error();
+  EXPECT_EQ(first.finish(), SendStatus::kOk) << first.error();
+  source.join();
+  EXPECT_EQ(got, want);
   router->stop();
 }
 

@@ -1,7 +1,6 @@
 #include "core/ada.h"
 
 #include <algorithm>
-#include <set>
 
 #include "common/expect.h"
 #include "core/state_io.h"
@@ -62,10 +61,10 @@ void AdaDetector::copyState(SeriesState& dst, const SeriesState& src) const {
   dst.model->copyFrom(*src.model);
 }
 
-void AdaDetector::markReceived(NodeId n) {
-  if (ws().mark(DetectWorkspace::kReceivedPlane, n)) {
-    receivedNodes_.push_back(n);
-  }
+void AdaDetector::initState(SeriesState& st) const {
+  st.actual = RingSeries(config_.windowLength);
+  st.forecastSeries = RingSeries(config_.windowLength);
+  st.model = config_.forecasterFactory->make();
 }
 
 std::optional<InstanceResult> AdaDetector::step(const TimeUnitBatch& batch) {
@@ -101,75 +100,62 @@ std::optional<InstanceResult> AdaDetector::step(const TimeUnitBatch& batch) {
 
 void AdaDetector::bootstrapInstance(const TimeUnitBatch& batch) {
   StageTimer::Scope scope(stages_, kStageUpdateHierarchies);
-  CountMap counts;
-  counts.reserve(batch.records.size());
-  for (const auto& r : batch.records) counts[r.category] += 1.0;
-  bootstrapUnits_.push_back(std::move(counts));
+  DetectWorkspace& w = ws();
+  w.beginUnit();
+  w.touched.clear();
+  for (const auto& r : batch.records) stageCount(w, r.category, 1.0);
+  w.orderTouched();
+  auto& unit = bootstrapUnits_.emplace_back();
+  unit.reserve(w.touched.size());
+  for (auto it = w.touched.rbegin(); it != w.touched.rend(); ++it) {
+    unit.emplace_back(*it, w.raw(*it));
+  }
 }
 
 void AdaDetector::finishBootstrap() {
   StageTimer::Scope scope(stages_, kStageCreateSeries);
-  // One STA-style reconstruction (Fig 5 lines 2-5).
-  const auto shhhResult =
-      computeShhh(hierarchy_, bootstrapUnits_.back(), config_.theta);
-  const auto& shhh = shhhResult.shhh;
-
-  const auto series =
-      modifiedSeriesFixedSet(hierarchy_, bootstrapUnits_, shhh);
-  for (const auto& [node, actual] : series) {
-    SeriesState& st = bindSlot(node);
-    st.actual = RingSeries(config_.windowLength);
-    st.forecastSeries = RingSeries(config_.windowLength);
-    st.model = config_.forecasterFactory->make();
-    for (double v : actual) {
-      st.forecastSeries.push(st.model->forecast());
-      st.actual.push(v);
-      st.model->update(v);
-    }
+  DetectWorkspace& w = ws();
+  // One STA-style reconstruction (Fig 5 lines 2-5). The last unit's SHHH
+  // set is the fixed member set; the root always holds a series.
+  stageUnit(w, bootstrapUnits_.back());
+  computeShhhStaged(hierarchy_, config_.theta, w, shhhScratch_);
+  const auto& shhh = shhhScratch_.shhh;
+  rootIsMember_ = !shhh.empty() && shhh.front() == hierarchy_.root();
+  w.beginMarks(DetectWorkspace::kMemberPlane);
+  initState(bindSlot(hierarchy_.root()));
+  for (NodeId n : shhh) {
+    w.mark(DetectWorkspace::kMemberPlane, n);
+    if (n != hierarchy_.root()) initState(bindSlot(n));
   }
-  rootIsMember_ =
-      std::binary_search(shhh.begin(), shhh.end(), hierarchy_.root());
 
-  // Reference series for the root and depths 2..h+1 (§V-B5).
-  std::vector<NodeId> refNodes{hierarchy_.root()};
+  // Reference series for the root and depths 2..h+1 (§V-B5); BFS ids make
+  // the list ascending.
+  refNodes_.assign(1, hierarchy_.root());
   for (std::size_t h = 0; h < config_.referenceLevels; ++h) {
     for (NodeId n : hierarchy_.nodesAtDepth(static_cast<int>(h) + 2)) {
-      refNodes.push_back(n);
+      refNodes_.push_back(n);
     }
   }
-  const auto rawHist = rawSeries(hierarchy_, bootstrapUnits_, refNodes);
-  refNodes_.clear();
-  refNodes_.reserve(rawHist.size());
-  for (const auto& [node, hist] : rawHist) {
-    (void)hist;
-    refNodes_.push_back(node);
-  }
-  std::sort(refNodes_.begin(), refNodes_.end());
   refStates_.clear();
-  refStates_.reserve(refNodes_.size());
+  refStates_.resize(refNodes_.size());
   for (std::size_t i = 0; i < refNodes_.size(); ++i) {
-    const NodeId node = refNodes_[i];
-    RefState ref;
-    ref.actual = RingSeries(config_.windowLength);
-    ref.forecastSeries = RingSeries(config_.windowLength);
-    ref.model = config_.forecasterFactory->make();
-    for (double v : rawHist.at(node)) {
-      ref.forecastSeries.push(ref.model->forecast());
-      ref.actual.push(v);
-      ref.model->update(v);
-    }
-    refSlot_[node] = static_cast<std::int32_t>(i);
-    refStates_.push_back(std::move(ref));
+    initState(refStates_[i]);
+    refSlot_[refNodes_[i]] = static_cast<std::int32_t>(i);
   }
 
-  // Seed the split-rule statistics with the bootstrap history.
+  // One climb and one sweep per buffered unit: members' fixed-set W_n,
+  // reference nodes' A_n and the split-rule seed.
   for (const auto& unit : bootstrapUnits_) {
-    const auto result = computeShhh(hierarchy_, unit, config_.theta);
-    splitRules_.observeTouched(result.touched);
+    stageUnit(w, unit);
+    fixedSetSweepStaged(hierarchy_, w, shhhScratch_.touched);
+    for (NodeId n : holders_) append(stateOf(n), w.modifiedOrZero(n));
+    for (std::size_t i = 0; i < refNodes_.size(); ++i) {
+      append(refStates_[i], w.rawOrZero(refNodes_[i]));
+    }
+    splitRules_.observeTouched(shhhScratch_.touched);
   }
 
-  bootstrapUnits_.clear();
-  bootstrapUnits_.shrink_to_fit();
+  bootstrapUnits_ = {};
   bootstrapped_ = true;
 }
 
@@ -200,14 +186,14 @@ void AdaDetector::split(NodeId n) {
     share.actual.scale(ratios[i]);
     share.forecastSeries.scale(ratios[i]);
     share.model->scale(ratios[i]);
-    markReceived(group[i]);
+    ws().received.insert(group[i]);
   }
   if (n == hierarchy_.root()) {
     // The root always keeps a series object for future splits; its
     // residual history is rebuilt from the root reference series in the
     // correction phase.
     rootIsMember_ = false;
-    markReceived(n);
+    ws().received.insert(n);
   } else {
     eraseState(n);
   }
@@ -249,7 +235,7 @@ void AdaDetector::mergeGroupOf(NodeId n) {
     }
     eraseState(c);
   }
-  markReceived(np);
+  ws().received.insert(np);
   if (np == hierarchy_.root()) rootIsMember_ = true;
 }
 
@@ -276,13 +262,11 @@ bool AdaDetector::correctFromRef(NodeId n) {
 }
 
 void AdaDetector::applyReferenceCorrections() {
-  if (receivedNodes_.empty()) return;
-  // Deepest first so corrected descendants feed ancestors' corrections.
-  // Nodes that received a series and lost it again fail correctFromRef's
-  // holds() check, so the marks need no erase support.
-  std::sort(receivedNodes_.begin(), receivedNodes_.end(),
-            std::greater<NodeId>());
-  for (NodeId n : receivedNodes_) correctFromRef(n);
+  // Deepest (highest id) first so corrected descendants feed ancestors'
+  // corrections. Nodes that received a series and lost it again fail
+  // correctFromRef's holds() check, so the set needs no erase support.
+  NodeBitSet& received = ws().received;
+  while (!received.empty()) correctFromRef(received.popMax());
 }
 
 std::optional<InstanceResult> AdaDetector::adaptiveInstance(
@@ -305,9 +289,7 @@ std::optional<InstanceResult> AdaDetector::adaptiveInstance(
   {
     StageTimer::Scope scope(stages_, kStageCreateSeries);
     w.beginMarks(DetectWorkspace::kSplitPlane);
-    w.beginMarks(DetectWorkspace::kReceivedPlane);
     tosplitNodes_.clear();
-    receivedNodes_.clear();
 
     // Bottom-up tosplit marking (lines 13-17): a node that needs a series
     // but has none asks its parent to split.
@@ -334,7 +316,7 @@ std::optional<InstanceResult> AdaDetector::adaptiveInstance(
           // a reference series is available, repair its history before
           // distributing it further down (§V-B5 applies corrections at
           // split time).
-          if (w.isMarked(DetectWorkspace::kReceivedPlane, n)) {
+          if (w.received.contains(n)) {
             correctFromRef(n);
           }
           split(n);
@@ -343,17 +325,17 @@ std::optional<InstanceResult> AdaDetector::adaptiveInstance(
     }
 
     // Bottom-up merges (lines 21-23): members that are no longer heavy
-    // fold into their parent; cascades handled by a descending worklist.
+    // fold into their parent; cascades handled by a descending worklist
+    // (a parent's id is below its child's, so it only ever shrinks).
     {
-      std::set<NodeId, std::greater<NodeId>> worklist;
+      NodeBitSet& worklist = w.worklist;
       for (NodeId n : holders_) {
         if (n != hierarchy_.root() && isMember(n) && !freshHeavy(n)) {
           worklist.insert(n);
         }
       }
       while (!worklist.empty()) {
-        const NodeId n = *worklist.begin();
-        worklist.erase(worklist.begin());
+        const NodeId n = worklist.popMax();
         if (!isMember(n) || freshHeavy(n)) continue;
         const NodeId np = hierarchy_.parent(n);
         mergeGroupOf(n);
@@ -385,20 +367,10 @@ std::optional<InstanceResult> AdaDetector::adaptiveInstance(
 
     // Append the fresh W_n and advance forecasts (lines 26-29). The root
     // appends even when not a member so its series stays current.
-    for (NodeId n : holders_) {
-      auto& st = stateOf(n);
-      const double weight = w.modifiedOrZero(n);
-      st.forecastSeries.push(st.model->forecast());
-      st.actual.push(weight);
-      st.model->update(weight);
-    }
+    for (NodeId n : holders_) append(stateOf(n), w.modifiedOrZero(n));
     // Reference series track raw aggregates unconditionally.
     for (std::size_t i = 0; i < refNodes_.size(); ++i) {
-      auto& ref = refStates_[i];
-      const double a = w.rawOrZero(refNodes_[i]);
-      ref.forecastSeries.push(ref.model->forecast());
-      ref.actual.push(a);
-      ref.model->update(a);
+      append(refStates_[i], w.rawOrZero(refNodes_[i]));
     }
     // Split-rule statistics absorb this instance *after* adaptation.
     splitRules_.observeTouched(touched);
@@ -451,7 +423,7 @@ void AdaDetector::saveState(persist::Serializer& out) const {
   out.u64(config_.windowLength);
   out.boolean(bootstrapped_);
   out.u64(bootstrapUnits_.size());
-  for (const auto& unit : bootstrapUnits_) state_io::writeCountMap(out, unit);
+  for (const auto& unit : bootstrapUnits_) state_io::writeCountRuns(out, unit);
   out.i64(newestUnit_);
   out.boolean(rootIsMember_);
   out.u64(splitCount_);
@@ -490,10 +462,10 @@ void AdaDetector::loadState(persist::Deserializer& in) {
                         "ADA snapshot: more bootstrap units than the window");
   Deserializer::require(bootstrapped || nBootstrap < config_.windowLength,
                         "ADA snapshot: bootstrap buffer full but not promoted");
-  std::vector<CountMap> bootstrapUnits;
-  bootstrapUnits.reserve(nBootstrap);
-  for (std::size_t i = 0; i < nBootstrap; ++i) {
-    bootstrapUnits.push_back(state_io::readCountMap(in, hierarchy_));
+  std::vector<std::vector<std::pair<NodeId, double>>> bootstrapUnits(
+      nBootstrap);
+  for (auto& unit : bootstrapUnits) {
+    unit = state_io::readCountRuns(in, hierarchy_);
   }
   const TimeUnit newestUnit = in.i64();
   const bool rootIsMember = in.boolean();
@@ -589,7 +561,6 @@ void AdaDetector::loadState(persist::Deserializer& in) {
   // Per-instance scratch never survives a step, so a restored detector
   // starts with it empty, exactly like one that just finished step().
   tosplitNodes_.clear();
-  receivedNodes_.clear();
   lastTouched_ = 0;
 }
 

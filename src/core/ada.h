@@ -14,15 +14,20 @@
 //      applies the Definition-4 anomaly test.
 //
 // The first ℓ timeunits are a bootstrap phase that buffers per-unit counts
-// and then performs one STA-style reconstruction (Fig 5 lines 2-5).
+// and then performs one STA-style reconstruction (Fig 5 lines 2-5): the
+// last unit's SHHH set is the fixed member set, and one climb and one
+// bottom-up sweep per buffered unit yield every member's W_n, every
+// reference node's A_n and the split-rule statistics together.
 //
-// Hot-path layout: per-instance scratch (A_n, W_n, tosplit, received)
-// lives in the pipeline's DetectWorkspace — dense epoch-stamped arrays,
-// invalidated per unit by a generation bump. Series holders sit in a dense
-// NodeId→slot table with a free list (holder lookups are array indexing);
-// `holders_` keeps the ascending id order the adaptation sweeps and the
-// snapshot encoding rely on. Reference series are fixed after bootstrap
-// and live in parallel ascending arrays with their own dense index.
+// Hot-path layout: per-instance scratch (A_n, W_n, tosplit, the merge
+// worklist and the received set) lives in the pipeline's DetectWorkspace —
+// dense epoch-stamped arrays invalidated per unit by a generation bump, and
+// descending-id bit sets drained within the instance. Series holders sit
+// in a dense NodeId→slot table with a free list (holder lookups are array
+// indexing); `holders_` keeps the ascending id order the adaptation sweeps
+// and the snapshot encoding rely on. Reference series are fixed after
+// bootstrap and live in parallel ascending arrays with their own dense
+// index.
 //
 // Documented deviations from the paper's pseudocode (see DESIGN.md,
 // "Faithful-intent corrections"): SPLIT also fires on a pending child
@@ -94,6 +99,13 @@ class AdaDetector final : public Detector {
   void applyReferenceCorrections();
   /// Overwrite `dst` with a copy of `src`, reusing dst's buffers.
   void copyState(SeriesState& dst, const SeriesState& src) const;
+  /// Fresh empty rings and model for a bootstrap series.
+  void initState(SeriesState& st) const;
+  /// Append `value` to st's series and its forecast to the forecast series.
+  static void append(SeriesState& st, double value) {
+    st.forecastSeries.push(st.model->advance(value));
+    st.actual.push(value);
+  }
 
   // --- dense holder slot table -----------------------------------------
   bool holds(NodeId n) const { return stateSlot_[n] >= 0; }
@@ -123,16 +135,14 @@ class AdaDetector final : public Detector {
     return freshWeight(n) >= config_.theta;
   }
 
-  /// Flag n as having acquired a series this instance.
-  void markReceived(NodeId n);
-
   const Hierarchy& hierarchy_;
   DetectorConfig config_;
   SplitRuleEngine splitRules_;
 
   // --- bootstrap phase ---
   bool bootstrapped_ = false;
-  std::vector<CountMap> bootstrapUnits_;
+  /// Buffered warm-up units, each as ascending (node, count) runs.
+  std::vector<std::vector<std::pair<NodeId, double>>> bootstrapUnits_;
 
   // --- adaptive phase ---
   TimeUnit newestUnit_ = 0;
@@ -151,10 +161,9 @@ class AdaDetector final : public Detector {
   std::vector<std::int32_t> refSlot_;     // NodeId → refStates_ index
 
   // Per-instance scratch: A_n/W_n live in the workspace value plane,
-  // tosplit/received in its mark planes; these vectors enumerate the
-  // marked nodes (reused capacity).
+  // tosplit in its split mark plane (enumerated by tosplitNodes_, reused
+  // capacity), the merge worklist and received set in its bit sets.
   std::vector<NodeId> tosplitNodes_;
-  std::vector<NodeId> receivedNodes_;
   ShhhResult shhhScratch_;                // reused across units
   std::size_t lastTouched_ = 0;           // |touched| of the last instance
 

@@ -1,24 +1,24 @@
 #include "core/shhh.h"
 
-#include <algorithm>
-
 #include "common/expect.h"
 
 namespace tiresias {
 namespace {
 
-/// Workspace for the CountMap convenience overloads (tests, benches,
-/// bootstrap); the detectors pass their pipeline's workspace instead.
+/// Workspace for the CountMap convenience overloads (tests, benches); the
+/// detectors pass their pipeline's workspace instead.
 DetectWorkspace& localWorkspace(const Hierarchy& hierarchy) {
   static thread_local DetectWorkspace ws;
   ws.bind(hierarchy.size());
   return ws;
 }
 
+}  // namespace
+
 /// Extend ws.touched (currently the counted nodes) with every ancestor,
-/// deduplicated by the value-plane epoch stamps, and sort it descending —
-/// BFS ids make that a valid bottom-up order.
-void climbAndSort(const Hierarchy& hierarchy, DetectWorkspace& ws) {
+/// deduplicated by the value-plane epoch stamps, and put it in descending
+/// id order — BFS ids make that a valid bottom-up order.
+void collectTouchedStaged(const Hierarchy& hierarchy, DetectWorkspace& ws) {
   auto& touched = ws.touched;
   const std::size_t counted = touched.size();
   for (std::size_t i = 0; i < counted; ++i) {
@@ -28,55 +28,70 @@ void climbAndSort(const Hierarchy& hierarchy, DetectWorkspace& ws) {
       touched.push_back(cur);
     }
   }
-  std::sort(touched.begin(), touched.end(), std::greater<NodeId>());
+  ws.orderTouched();
 }
 
-}  // namespace
+namespace {
 
-void collectTouchedStaged(const Hierarchy& hierarchy, DetectWorkspace& ws) {
-  climbAndSort(hierarchy, ws);
-}
-
-void computeShhhStaged(const Hierarchy& hierarchy, double theta,
-                       DetectWorkspace& ws, ShhhResult& out) {
-  TIRESIAS_EXPECT(theta > 0.0, "theta must be positive");
-  out.clear();
-  climbAndSort(hierarchy, ws);
-  // The sweep itself is loop-carried (children accumulate into parents
-  // before the parent is visited), so it stays scalar — but branch-free:
-  // the Definition-2 discount is a lane select on the heavy mask (a
-  // no-op keeps the parent's exact bits, so this is bit-identical to the
-  // historical `if (!heavy)`), the SHHH set is a branchless compaction,
-  // and output slots are written in place instead of push_back + reverse.
+/// Climb, then one bottom-up sweep: A_n always propagates to the parent,
+/// W_n only when `cut(n, W_n)` is false. `out` receives every touched node
+/// in ascending id order with `heavy` = cut(n, W_n).
+///
+/// The sweep itself is loop-carried (children accumulate into parents
+/// before the parent is visited), so it stays scalar — but branch-free:
+/// the discount is a lane select on the cut mask (a no-op keeps the
+/// parent's exact bits, so this is bit-identical to the historical `if`),
+/// and output slots are written in place instead of push_back + reverse.
+template <typename Cut>
+void sweepStaged(const Hierarchy& hierarchy, DetectWorkspace& ws,
+                 std::vector<NodeWeights>& out, const Cut& cut) {
+  collectTouchedStaged(hierarchy, ws);
   const std::size_t total = ws.touched.size();
-  out.touched.resize(total);
-  out.shhh.resize(total);
-  std::size_t shhhLen = 0;
+  out.resize(total);
   for (std::size_t i = 0; i < total; ++i) {
     const NodeId n = ws.touched[i];
     const double a = ws.raw(n);
     const double w = ws.modified(n);
-    const bool heavy = w >= theta;
-    out.touched[total - 1 - i] = {n, a, w, heavy};  // ascending-id output
+    const bool c = cut(n, w);
+    out[total - 1 - i] = {n, a, w, c};  // ascending-id output
     const NodeId p = hierarchy.parent(n);
     if (p != kInvalidNode) {
       ws.raw(p) += a;
       double& mp = ws.modified(p);
-      mp = heavy ? mp : mp + w;  // Definition 2: HH children discounted
+      mp = c ? mp : mp + w;
     }
-    out.shhh[shhhLen] = n;
-    shhhLen += heavy;
+  }
+}
+
+}  // namespace
+
+void computeShhhStaged(const Hierarchy& hierarchy, double theta,
+                       DetectWorkspace& ws, ShhhResult& out) {
+  TIRESIAS_EXPECT(theta > 0.0, "theta must be positive");
+  // Definition 2: heavy hitters keep their weight from their ancestors.
+  sweepStaged(hierarchy, ws, out.touched,
+              [theta](NodeId, double w) { return w >= theta; });
+  // Branchless compaction of the SHHH set, already ascending.
+  out.shhh.resize(out.touched.size());
+  std::size_t shhhLen = 0;
+  for (const NodeWeights& t : out.touched) {
+    out.shhh[shhhLen] = t.node;
+    shhhLen += t.heavy;
   }
   out.shhh.resize(shhhLen);
-  std::reverse(out.shhh.begin(), out.shhh.end());
+}
+
+void fixedSetSweepStaged(const Hierarchy& hierarchy, DetectWorkspace& ws,
+                         std::vector<NodeWeights>& out) {
+  sweepStaged(hierarchy, ws, out, [&ws](NodeId n, double) {
+    return ws.isMarked(DetectWorkspace::kMemberPlane, n);
+  });
 }
 
 void computeShhh(const Hierarchy& hierarchy, const CountMap& counts,
                  double theta, DetectWorkspace& ws, ShhhResult& out) {
   ws.bind(hierarchy.size());
-  ws.beginUnit();
-  ws.touched.clear();
-  for (const auto& [node, weight] : counts) stageCount(ws, node, weight);
+  stageUnit(ws, counts);
   computeShhhStaged(hierarchy, theta, ws, out);
 }
 
@@ -85,73 +100,6 @@ ShhhResult computeShhh(const Hierarchy& hierarchy, const CountMap& counts,
   ShhhResult result;
   computeShhh(hierarchy, counts, theta, localWorkspace(hierarchy), result);
   return result;
-}
-
-namespace {
-
-/// Shared body of modifiedSeriesFixedSet / rawSeries: one bottom-up sweep
-/// per unit over the staged counts, writing touched output-map entries and
-/// propagating weight to the parent unless `cut` says the node keeps it.
-template <typename Cut>
-std::unordered_map<NodeId, std::vector<double>> seriesSweep(
-    const Hierarchy& hierarchy, const std::vector<CountMap>& unitCounts,
-    const std::vector<NodeId>& outputNodes, DetectWorkspace& ws,
-    const Cut& cut) {
-  std::unordered_map<NodeId, std::vector<double>> series;
-  for (NodeId n : outputNodes) {
-    auto& s = series[n];
-    if (s.empty()) s.assign(unitCounts.size(), 0.0);
-  }
-
-  for (std::size_t u = 0; u < unitCounts.size(); ++u) {
-    ws.beginUnit();
-    ws.touched.clear();
-    for (const auto& [node, weight] : unitCounts[u]) {
-      stageCount(ws, node, weight);
-    }
-    climbAndSort(hierarchy, ws);
-    for (NodeId n : ws.touched) {
-      const double w = ws.raw(n);
-      auto it = series.find(n);
-      if (it != series.end()) it->second[u] = w;
-      const NodeId p = hierarchy.parent(n);
-      if (p != kInvalidNode) {
-        // Mark-plane select, not a branch: a cut node leaves the parent's
-        // exact bits untouched, same as skipping the add.
-        double& rp = ws.raw(p);
-        rp = cut(n) ? rp : rp + w;
-      }
-    }
-  }
-  return series;
-}
-
-}  // namespace
-
-std::unordered_map<NodeId, std::vector<double>> modifiedSeriesFixedSet(
-    const Hierarchy& hierarchy, const std::vector<CountMap>& unitCounts,
-    const std::vector<NodeId>& fixedSet) {
-  DetectWorkspace& ws = localWorkspace(hierarchy);
-  ws.beginMarks(DetectWorkspace::kMemberPlane);
-  for (NodeId n : fixedSet) ws.mark(DetectWorkspace::kMemberPlane, n);
-
-  std::vector<NodeId> outputNodes;
-  outputNodes.reserve(fixedSet.size() + 1);
-  outputNodes.push_back(hierarchy.root());
-  outputNodes.insert(outputNodes.end(), fixedSet.begin(), fixedSet.end());
-
-  // Members of the fixed set cut their weight off from ancestors,
-  // regardless of this unit's magnitudes (fixed-membership semantics).
-  return seriesSweep(hierarchy, unitCounts, outputNodes, ws, [&](NodeId n) {
-    return ws.isMarked(DetectWorkspace::kMemberPlane, n);
-  });
-}
-
-std::unordered_map<NodeId, std::vector<double>> rawSeries(
-    const Hierarchy& hierarchy, const std::vector<CountMap>& unitCounts,
-    const std::vector<NodeId>& nodes) {
-  return seriesSweep(hierarchy, unitCounts, nodes, localWorkspace(hierarchy),
-                     [](NodeId) { return false; });
 }
 
 }  // namespace tiresias

@@ -1,23 +1,24 @@
 // Succinct Hierarchical Heavy Hitters (Definitions 1-3).
 //
-// computeShhh is the authoritative bottom-up evaluation of Definition 2 for
-// one timeunit; both detectors use it (STA per instance, ADA for its weight
-// pass and the tests as ground truth). modifiedSeriesFixedSet reconstructs
-// Definition-3 time series for a *fixed* heavy-hitter set across a window
-// of timeunits — STA's per-instance reconstruction and ADA's bootstrap.
+// computeShhhStaged is the authoritative bottom-up evaluation of
+// Definition 2 for one timeunit; both detectors use it (STA per instance,
+// ADA for its weight pass and the tests as ground truth).
+// fixedSetSweepStaged is the Definition-3 sweep for a *fixed* heavy-hitter
+// set: one unit of ADA's bootstrap reconstruction.
 //
 // Sparse convention: only nodes on the root-path of a nonzero leaf count
 // are materialized; all others implicitly have A = W = 0 (θ > 0 keeps them
 // out of every heavy-hitter set).
 //
 // Hot path: every kernel runs on a DetectWorkspace — dense NodeId-indexed,
-// epoch-stamped arrays instead of per-call unordered_maps. The detectors
-// stage record counts straight into the workspace and call
-// computeShhhStaged; the CountMap-taking overloads below stage a sparse
-// map into a thread-local workspace and wrap the same kernel, so every
-// entry point computes the identical floating-point sequence (the
-// equivalence tests assert bit-identity against the retained map-based
-// implementation in shhh_reference.h).
+// epoch-stamped arrays instead of per-call unordered_maps, and a bit set
+// that yields the bottom-up (descending id) order without a sort. The
+// detectors stage record counts straight into the workspace; the
+// CountMap-taking overloads below stage a sparse map into a thread-local
+// workspace and wrap the same kernel, so every entry point computes the
+// identical floating-point sequence (the equivalence tests assert
+// bit-identity against the retained map-based implementation in
+// shhh_reference.h).
 #pragma once
 
 #include <unordered_map>
@@ -31,8 +32,8 @@ namespace tiresias {
 
 /// Sparse per-unit counts: node -> weight contributed directly at that node
 /// (for leaf-categorised operational data, keys are leaves). This stays the
-/// public ingest-facing type; the detectors only use it off the hot path
-/// (bootstrap buffers, snapshots, tests).
+/// public ingest-facing type; the detectors do not use it (tests, benches
+/// and the reference evaluators do).
 using CountMap = std::unordered_map<NodeId, double>;
 
 struct NodeWeights {
@@ -47,11 +48,6 @@ struct ShhhResult {
   std::vector<NodeWeights> touched;
   /// The SHHH set (ascending id). Unique per Definition 2.
   std::vector<NodeId> shhh;
-
-  void clear() {
-    touched.clear();
-    shhh.clear();
-  }
 };
 
 /// Stage one direct count into a workspace whose value plane was opened
@@ -62,17 +58,35 @@ inline void stageCount(DetectWorkspace& ws, NodeId node, double weight) {
   ws.modified(node) += weight;
 }
 
+/// Start a unit in `ws` (value plane and touched list) and stage sparse
+/// (node, weight) counts into it.
+template <typename Counts>
+void stageUnit(DetectWorkspace& ws, const Counts& counts) {
+  ws.beginUnit();
+  ws.touched.clear();
+  for (const auto& [node, weight] : counts) stageCount(ws, node, weight);
+}
+
 /// Evaluate Definition 2 over the counts staged in `ws` (beginUnit +
 /// stageCount since the last generation). Extends ws.touched with every
-/// ancestor of a counted node and leaves it sorted bottom-up (descending
-/// id); on return ws.raw/ws.modified hold A_n / W_n for each touched node.
-/// `out` is cleared and refilled (capacity reused across units).
+/// ancestor of a counted node and leaves it in bottom-up (descending id)
+/// order; on return ws.raw/ws.modified hold A_n / W_n for each touched
+/// node. `out` is refilled (capacity reused across units).
 void computeShhhStaged(const Hierarchy& hierarchy, double theta,
                        DetectWorkspace& ws, ShhhResult& out);
 
-/// Collect ws.touched ∪ ancestors for the staged counts without the
-/// Definition-2 sweep (sorted bottom-up). Used to walk a unit's resident
-/// tree, e.g. when expiring it from an incremental window.
+/// Definition-3 sweep of the staged counts against a fixed member set, the
+/// nodes marked in ws's kMemberPlane: a member keeps its weight from its
+/// ancestors regardless of this unit's magnitudes. Orders ws.touched like
+/// computeShhhStaged; on return ws.raw holds A_n and ws.modified holds the
+/// fixed-set weight of each touched node, and `out` lists the touched
+/// nodes ascending with those two values and `heavy` = member.
+void fixedSetSweepStaged(const Hierarchy& hierarchy, DetectWorkspace& ws,
+                         std::vector<NodeWeights>& out);
+
+/// Collect ws.touched ∪ ancestors for the staged counts without a sweep
+/// (bottom-up order). Used to walk a unit's resident tree, e.g. when
+/// expiring it from an incremental window.
 void collectTouchedStaged(const Hierarchy& hierarchy, DetectWorkspace& ws);
 
 /// Evaluate Definition 2 for one timeunit of counts (workspace-reusing
@@ -83,19 +97,5 @@ void computeShhh(const Hierarchy& hierarchy, const CountMap& counts,
 /// Convenience overload over a thread-local workspace.
 ShhhResult computeShhh(const Hierarchy& hierarchy, const CountMap& counts,
                        double theta);
-
-/// Definition-3 reconstruction: given per-unit counts (oldest first) and a
-/// fixed heavy-hitter set (ascending ids), return each set member's series
-/// of modified weights computed against that fixed membership, plus the
-/// root's series (always included, keyed by the root id).
-std::unordered_map<NodeId, std::vector<double>> modifiedSeriesFixedSet(
-    const Hierarchy& hierarchy, const std::vector<CountMap>& unitCounts,
-    const std::vector<NodeId>& fixedSet);
-
-/// Raw-aggregate series A_n for the requested nodes over the window
-/// (§V-B5 reference time series; also used by the reference method).
-std::unordered_map<NodeId, std::vector<double>> rawSeries(
-    const Hierarchy& hierarchy, const std::vector<CountMap>& unitCounts,
-    const std::vector<NodeId>& nodes);
 
 }  // namespace tiresias

@@ -26,11 +26,7 @@ void StaDetector::expireUnit(std::size_t pos) {
   // Re-derive the expiring unit's touched set from its direct counts (one
   // mark-climb, no per-unit seen map) and zero its ring entries.
   DetectWorkspace& w = ws();
-  w.beginUnit();
-  w.touched.clear();
-  for (const auto& [node, c] : windowUnits_[pos].counts) {
-    stageCount(w, node, c);
-  }
+  stageUnit(w, windowUnits_[pos].counts);
   collectTouchedStaged(hierarchy_, w);
   const std::size_t len = config_.windowLength;
   for (NodeId n : w.touched) {
@@ -159,10 +155,7 @@ void StaDetector::rebuildSeries() {
     auto& fc = resultForecast_[i];
     fc.resize(len);
     auto model = config_.forecasterFactory->make();
-    for (std::size_t u = 0; u < len; ++u) {
-      fc[u] = model->forecast();
-      model->update(actual[u]);
-    }
+    for (std::size_t u = 0; u < len; ++u) fc[u] = model->advance(actual[u]);
   }
 }
 
@@ -243,15 +236,11 @@ void StaDetector::saveState(persist::Serializer& out) const {
     const WindowUnit& unit = windowUnits_[ringIndex(age)];
     sorted.assign(unit.counts.begin(), unit.counts.end());
     std::sort(sorted.begin(), sorted.end());
-    out.u64(sorted.size());
-    for (const auto& [node, c] : sorted) {
-      out.u32(node);
-      out.f64(c);
-    }
+    state_io::writeCountRuns(out, sorted);
   }
   state_io::writeNodeVec(out, shhh_);
   // The materialized series, keyed ascending — byte-identical to the
-  // historical writeSortedNodeMap encoding of the per-node map.
+  // historical sorted encoding of the per-node map.
   const auto writeSeriesVec =
       [&](const std::vector<std::vector<double>>& series) {
         out.u64(resultNodes_.size());
@@ -269,13 +258,8 @@ void StaDetector::rebuildSlots() {
   slotRings_.clear();
   slotPresent_.clear();
   freeSlots_.clear();
-  DetectWorkspace& w = ws();
   for (std::size_t pos = 0; pos < windowSize_; ++pos) {
-    w.beginUnit();
-    w.touched.clear();
-    for (const auto& [node, c] : windowUnits_[pos].counts) {
-      stageCount(w, node, c);
-    }
+    stageUnit(ws(), windowUnits_[pos].counts);
     recordUnitAggregates(pos);
   }
 }

@@ -1,10 +1,11 @@
-// Snapshot helpers shared by the detectors: node-keyed maps and per-unit
-// sparse counts. Maps are written sorted by NodeId so equal state always
-// encodes to identical bytes, and every node id read back is validated
-// against the hierarchy it will index into.
+// Snapshot helpers shared by the detectors: node lists and per-unit sparse
+// counts. Counts are written sorted by NodeId so equal state always encodes
+// to identical bytes, and every node id read back is validated against the
+// hierarchy it will index into.
 #pragma once
 
-#include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "core/shhh.h"
@@ -12,28 +13,35 @@
 
 namespace tiresias::state_io {
 
-/// Write any node-keyed map as `count u64` + ascending `(node u32, value)`
-/// pairs; `writeValue` encodes one mapped value. The single writer keeps
-/// every node-map payload byte-format-consistent and deterministic.
-template <typename Map, typename WriteValue>
-inline void writeSortedNodeMap(persist::Serializer& out, const Map& map,
-                               const WriteValue& writeValue) {
-  std::vector<NodeId> keys;
-  keys.reserve(map.size());
-  for (const auto& [node, value] : map) {
-    (void)value;
-    keys.push_back(node);
-  }
-  std::sort(keys.begin(), keys.end());
-  out.u64(keys.size());
-  for (NodeId n : keys) {
-    out.u32(n);
-    writeValue(map.at(n));
+/// Write ascending (node, count) runs as `count u64` + `(node u32, f64)`
+/// pairs — the historical sorted CountMap encoding, byte for byte.
+inline void writeCountRuns(persist::Serializer& out,
+                           std::span<const std::pair<NodeId, double>> runs) {
+  out.u64(runs.size());
+  for (const auto& [node, c] : runs) {
+    out.u32(node);
+    out.f64(c);
   }
 }
 
-inline void writeCountMap(persist::Serializer& out, const CountMap& counts) {
-  writeSortedNodeMap(out, counts, [&out](double w) { out.f64(w); });
+/// Read one writeCountRuns payload. Ids must be strictly ascending and
+/// inside the hierarchy.
+inline std::vector<std::pair<NodeId, double>> readCountRuns(
+    persist::Deserializer& in, const Hierarchy& hierarchy) {
+  const std::size_t n = in.count(sizeof(std::uint32_t) + sizeof(double));
+  std::vector<std::pair<NodeId, double>> runs;
+  runs.reserve(n);
+  NodeId prev = kInvalidNode;
+  for (std::size_t i = 0; i < n; ++i) {
+    const NodeId node = in.u32();
+    persist::Deserializer::require(node < hierarchy.size(),
+                                   "snapshot: node id outside hierarchy");
+    persist::Deserializer::require(prev == kInvalidNode || node > prev,
+                                   "snapshot: count ids not strictly ascending");
+    prev = node;
+    runs.emplace_back(node, in.f64());
+  }
+  return runs;
 }
 
 inline CountMap readCountMap(persist::Deserializer& in,

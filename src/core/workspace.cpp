@@ -15,6 +15,7 @@ void DetectWorkspace::bind(std::size_t nodes) {
     for (unsigned p = 0; p < kPlaneCount; ++p) {
       bump(markGen_[p], markEpoch_[p]);
     }
+    for (NodeBitSet* set : {&order, &worklist, &received}) set->clear();
     return;
   }
   // Grow *or shrink* to the new node count. assign() resizes in both
@@ -31,6 +32,7 @@ void DetectWorkspace::bind(std::size_t nodes) {
     markEpoch_[p].assign(nodes, 0);
     markGen_[p] = 1;
   }
+  for (NodeBitSet* set : {&order, &worklist, &received}) set->resize(nodes);
   // A shrink keeps the old capacity in reserve; a pooled workspace
   // bouncing between a large and a small hierarchy should not reallocate
   // on every hop, and bytes() reports capacity, so the residency math
@@ -42,7 +44,8 @@ std::size_t DetectWorkspace::bytes() const {
   std::size_t b = raw_.capacity() * sizeof(double) +
                   modified_.capacity() * sizeof(double) +
                   valueEpoch_.capacity() * sizeof(std::uint32_t) +
-                  touched.capacity() * sizeof(NodeId);
+                  touched.capacity() * sizeof(NodeId) + order.bytes() +
+                  worklist.bytes() + received.bytes();
   for (unsigned p = 0; p < kPlaneCount; ++p) {
     b += markEpoch_[p].capacity() * sizeof(std::uint32_t);
   }

@@ -70,7 +70,10 @@ SendStatus StreamClient::open() {
   if (reply_.status == kSocketResumeOk) return SendStatus::kOk;
   if (reply_.status == kSocketResumeUnknownStream) {
     conn_.close();
-    error_ = "server does not serve a stream named '" + opt_.streamName + "'";
+    error_ = opt_.streamName.empty()
+                 ? "server serves no anonymous stream (pass --stream-name)"
+                 : "server does not serve a stream named '" +
+                       opt_.streamName + "'";
     return SendStatus::kUnknownStream;
   }
   if (reply_.status == kSocketResumeStreamEnded) {

@@ -227,7 +227,9 @@ void StreamRouter::deliverAnonymous(Routed routed) {
     turnAway(routed);
     return;
   }
-  // No anonymous slot at all: a plain close.
+  // No anonymous slot at all: the empty name is as unknown as a wrong one,
+  // and a binary client hears so at once instead of retrying.
+  if (routed.binary) refuse(routed.conn, kSocketResumeUnknownStream);
   rejected_.fetch_add(1, std::memory_order_relaxed);
 }
 

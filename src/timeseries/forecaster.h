@@ -32,6 +32,15 @@ class Forecaster {
   /// Feed the observed value for the current timeunit and advance.
   virtual void update(double actual) = 0;
 
+  /// forecast() then update(actual), returning that forecast: one step of
+  /// a series append. Overrides share work between the two halves and
+  /// must stay bit-identical to the pair.
+  virtual double advance(double actual) {
+    const double predicted = forecast();
+    update(actual);
+    return predicted;
+  }
+
   /// Initialize/refit from a full history window, oldest first. Equivalent
   /// to feeding the history to a fresh instance, but implementations may use
   /// their closed-form bootstrap (Holt-Winters' 2υ initialization).

@@ -58,8 +58,19 @@ void HoltWintersForecaster::update(double actual) {
     }
     return;
   }
+  updateWith(actual, combinedSeasonAhead());
+}
 
-  const double seasonOld = combinedSeasonAhead();
+double HoltWintersForecaster::advance(double actual) {
+  if (!bootstrapped_) return Forecaster::advance(actual);
+  // The forecast and the update read the same seasonal term.
+  const double season = combinedSeasonAhead();
+  const double predicted = level_ + trend_ + season;
+  updateWith(actual, season);
+  return predicted;
+}
+
+void HoltWintersForecaster::updateWith(double actual, double seasonOld) {
   const double newLevel = params_.alpha * (actual - seasonOld) +
                           (1.0 - params_.alpha) * (level_ + trend_);
   trend_ =
@@ -67,7 +78,7 @@ void HoltWintersForecaster::update(double actual) {
   for (std::size_t i = 0; i < seasons_.size(); ++i) {
     double& slot = seasonal_[i][cursor_[i]];
     slot = params_.gamma * (actual - newLevel) + (1.0 - params_.gamma) * slot;
-    cursor_[i] = (cursor_[i] + 1) % seasons_[i].period;
+    cursor_[i] = cursor_[i] + 1 == seasons_[i].period ? 0 : cursor_[i] + 1;
   }
   level_ = newLevel;
 }

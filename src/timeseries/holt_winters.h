@@ -45,6 +45,7 @@ class HoltWintersForecaster final : public Forecaster {
 
   double forecast() const override;
   void update(double actual) override;
+  double advance(double actual) override;
   void initFromHistory(std::span<const double> history) override;
   void scale(double ratio) override;
   void addScaled(const Forecaster& other, double k) override;
@@ -66,6 +67,8 @@ class HoltWintersForecaster final : public Forecaster {
 
  private:
   double combinedSeasonAhead() const;
+  /// The bootstrapped recursions, given combinedSeasonAhead().
+  void updateWith(double actual, double seasonOld);
 
   HoltWintersParams params_;
   std::vector<SeasonSpec> seasons_;

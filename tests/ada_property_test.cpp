@@ -14,8 +14,10 @@
 #include "core/sta.h"
 #include "hierarchy/builder.h"
 #include "persist/snapshot.h"
+#include "stream/window.h"
 #include "timeseries/ewma.h"
 #include "timeseries/holt_winters.h"
+#include "workload/ccd.h"
 
 namespace tiresias {
 namespace {
@@ -230,6 +232,58 @@ TEST(AdaStateDigest, FullStateIsBitIdenticalAfterEveryUnit) {
     EXPECT_EQ(adaStateDigest(c.holtWinters, c.refLevels, c.seed), c.digest)
         << (c.holtWinters ? "Holt-Winters" : "EWMA") << " referenceLevels "
         << c.refLevels << " seed " << c.seed;
+  }
+}
+
+// The same pin at the paper's scale: the CCD network hierarchy at Table II
+// degrees (46,117 nodes), generated traffic at 4x the preset's call volume,
+// θ=2 (so the run makes ~600 splits and ~1,000 merges), Holt-Winters and
+// the ℓ=288 window of the `detect` defaults. 320 units cover the warm-up
+// (whose buffered counts are part of the snapshot), the one-shot bootstrap
+// reconstruction and 32 adaptive units; the state is digested every 16th
+// warm-up unit and after every unit from the bootstrap on. The default
+// split rule and each of the three others get their own digest. The
+// expected values were recorded with the sort-ordered climb and the
+// three-pass map-based bootstrap.
+std::uint64_t paperStateDigest(SplitRule rule) {
+  auto spec = workload::ccdNetworkWorkload(workload::Scale::kPaper);
+  spec.baseRatePerUnit *= 4.0;  // busy enough for hundreds of splits
+  DetectorConfig cfg;
+  cfg.theta = 2.0;
+  cfg.windowLength = 288;
+  cfg.splitRule = rule;
+  cfg.forecasterFactory = std::make_shared<HoltWintersFactory>(
+      HoltWintersParams{0.5, 0.1, 0.3},
+      std::vector<SeasonSpec>{{48, 0.6}, {96, 0.4}});
+  AdaDetector ada(spec.hierarchy, cfg);
+  workload::GeneratorSource src(spec, 0, 320, 23);
+  TimeUnitBatcher batcher(src, spec.unit, 0);
+  std::uint64_t digest = 0xcbf29ce484222325ULL;
+  TimeUnit u = 0;
+  while (auto batch = batcher.next()) {
+    ada.step(*batch);
+    if (u++ % 16 != 0 && u < static_cast<TimeUnit>(cfg.windowLength)) {
+      continue;
+    }
+    persist::Serializer s;
+    ada.saveState(s);
+    for (std::uint8_t b : s.data()) {
+      digest = (digest ^ b) * 0x100000001b3ULL;
+    }
+  }
+  EXPECT_EQ(u, 320);
+  return digest;
+}
+
+TEST(AdaStateDigest, PaperScaleStateIsBitIdentical) {
+  const std::pair<SplitRule, std::uint64_t> cases[] = {
+      {SplitRule::kLongTermHistory, 0xf25c48234e78cc49ULL},
+      {SplitRule::kUniform, 0xb86f518f74786e27ULL},
+      {SplitRule::kLastTimeUnit, 0xec398c1dd773c7c5ULL},
+      {SplitRule::kEwma, 0xc10fd80a99beabf5ULL},
+  };
+  for (const auto& [rule, expected] : cases) {
+    EXPECT_EQ(paperStateDigest(rule), expected) << splitRuleName(rule);
   }
 }
 

@@ -15,7 +15,9 @@
 
 #include "common/faultinject.h"
 #include "net/tcp.h"
+#include "serve/server.h"
 #include "tools/cli.h"
+#include "workload/ccd.h"
 
 // ASan and TSan reserve terabytes of shadow address space, so a process
 // under them cannot run with a small RLIMIT_AS at all.
@@ -348,6 +350,47 @@ TEST(Cli, SendCsvTimesOutOnAPeerThatNeverReads) {
   EXPECT_NE(err.find("send: connection lost after "), std::string::npos)
       << err;
   std::remove(trace.c_str());
+}
+
+TEST(Cli, SendWithoutStreamNameToANamedOnlyServerFailsAtOnce) {
+  // `serve --listen 0 --net-streams 0 --stream-names a`: no anonymous
+  // stream at all, so an anonymous send is refused with a fatal reply and
+  // exits 1 at once instead of retrying into a silent close.
+  serve::ServerConfig cfg;
+  cfg.engine.workers = 1;
+  cfg.window = 16;
+  cfg.listenPort = 0;
+  cfg.loopback = true;
+  cfg.spec = std::make_shared<const workload::WorkloadSpec>(
+      workload::ccdNetworkWorkload(workload::Scale::kTest));
+  cfg.streamNames = {"a"};
+  cfg.netStreams = 0;
+  std::ostringstream serveOut, serveErr;
+  serve::Server server(cfg, serveOut, serveErr);
+  ASSERT_TRUE(server.start()) << server.error();
+  const std::string empty = ::testing::TempDir() + "/cli_send_anon_" +
+                            std::to_string(::getpid()) + ".csv";
+  std::ofstream(empty).close();
+  const std::vector<std::string> send = {
+      "send", "--to", "127.0.0.1:" + std::to_string(server.ingestPort()),
+      "--trace", empty, "--dataset", "ccd-net", "--scale", "test",
+      "--retries", "3", "--backoff-ms", "1000"};
+
+  std::string err;
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_EQ(run(send, nullptr, &err), 1);
+  // Three retries at a 1 s backoff would take seconds.
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_NE(err.find("serves no anonymous stream"), std::string::npos) << err;
+  EXPECT_EQ(err.find("retrying"), std::string::npos) << err;
+
+  // Ending the one named stream ends the run.
+  std::vector<std::string> endA = send;
+  endA.insert(endA.end(), {"--stream-name", "a"});
+  ASSERT_EQ(run(endA), 0);
+  EXPECT_EQ(server.drain().unitsProcessed, 0u);
+  EXPECT_EQ(server.netTotals().rejected, 1u);
+  std::remove(empty.c_str());
 }
 
 TEST(Cli, AnalyzeFindsDiurnalSeason) {

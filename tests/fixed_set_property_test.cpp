@@ -1,6 +1,7 @@
 // Property tests for the Definition-3 fixed-set reconstruction — the
-// primitive both STA and ADA's bootstrap stand on. Cross-validated against
-// an independent dense brute force on random trees, random member sets and
+// primitive both STA and ADA's bootstrap stand on. ADA's one-sweep-per-unit
+// bootstrap kernel (fixedSetSweepStaged) is cross-validated against an
+// independent dense brute force on random trees, random member sets and
 // random multi-unit count streams, and asserted bit-identical to the
 // retained map-based reference implementation (shhh_reference.h) so the
 // flat-workspace rewrite can never drift from the historical evaluator —
@@ -12,8 +13,9 @@
 #include "common/rng.h"
 #include "core/shhh.h"
 #include "core/shhh_reference.h"
-#include "hierarchy/builder.h"
 #include "cpu_timing.h"
+#include "fixed_set_sweep.h"
+#include "hierarchy/builder.h"
 
 namespace tiresias {
 namespace {
@@ -66,7 +68,8 @@ TEST_P(FixedSetProperty, MatchesBruteForceAndConservesMass) {
     }
   }
 
-  const auto series = modifiedSeriesFixedSet(h, stream, fixedSet);
+  const SweptSeries swept = sweepSeries(h, stream, fixedSet);
+  const auto& series = swept.modified;
 
   // 0. Bit-identical to the retained map-based reference implementation
   //    (not merely close: the flat path must compute the same FP sums).
@@ -77,6 +80,19 @@ TEST_P(FixedSetProperty, MatchesBruteForceAndConservesMass) {
       const auto it = ref.find(n);
       ASSERT_TRUE(it != ref.end()) << "node " << n;
       EXPECT_EQ(s, it->second) << "node " << n << " seed " << GetParam();
+    }
+  }
+  // The same sweep's touched list — what seeds the split rules — has the
+  // Definition-2 pass's nodes and A_n, and flags exactly the members.
+  for (std::size_t u = 0; u < units; ++u) {
+    const auto ref = reference::computeShhh(h, stream[u], 1.0).touched;
+    const auto& got = swept.touched[u];
+    ASSERT_EQ(got.size(), ref.size()) << "unit " << u;
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      EXPECT_EQ(got[i].node, ref[i].node);
+      EXPECT_EQ(got[i].raw, ref[i].raw);
+      EXPECT_EQ(got[i].heavy, std::binary_search(fixedSet.begin(),
+                                                 fixedSet.end(), got[i].node));
     }
   }
 
@@ -117,7 +133,7 @@ TEST_P(FixedSetProperty, RawSeriesMatchesSubtreeSums) {
   }
   std::vector<NodeId> all(h.size());
   for (NodeId n = 0; n < h.size(); ++n) all[n] = n;
-  const auto raw = rawSeries(h, stream, all);
+  const auto raw = sweepSeries(h, stream, {}, all).raw;
   for (std::size_t u = 0; u < units; ++u) {
     for (NodeId n = 0; n < h.size(); ++n) {
       double expected = 0.0;

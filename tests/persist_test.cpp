@@ -13,6 +13,7 @@
 #include "core/split_rules.h"
 #include "core/sta.h"
 #include "hierarchy/builder.h"
+#include "persist/le.h"
 #include "persist/snapshot.h"
 #include "report/concurrent_store.h"
 #include "report/store.h"
@@ -382,6 +383,45 @@ TEST(DetectorPersist, AdaDetectorTagMismatchIsCleanError) {
   AdaDetector ada(h, detectorConfig(4));
   Deserializer in(bytes.data());
   EXPECT_THROW(ada.loadState(in), persist::SnapshotError);
+}
+
+// ADA buffers its warm-up units as ascending (node, count) runs, and the
+// snapshot stores them as such: a unit whose ids are out of order or
+// repeated is rejected instead of being loaded into runs that are not runs.
+TEST(DetectorPersist, AdaWarmupIdsMustBeStrictlyAscending) {
+  const auto h = HierarchyBuilder::balanced({3, 2, 2});
+  AdaDetector ada(h, detectorConfig(8));
+  TimeUnitBatch batch;
+  batch.records = {{h.leaves()[1], 0}, {h.leaves()[0], 0}, {h.leaves()[1], 0}};
+  ada.step(batch);
+  const std::vector<std::uint8_t> good = saved(ada).data();
+  // tag u8, window u64, bootstrapped u8, unit count u64, then the first
+  // unit: run count u64 and (id u32, count f64) pairs.
+  constexpr std::size_t kFirstId = 1 + 8 + 1 + 8 + 8;
+  constexpr std::size_t kSecondId = kFirstId + 4 + 8;
+  ASSERT_GE(good.size(), kSecondId + 4 + 8);
+  ASSERT_EQ(persist::le32(good.data() + kFirstId), h.leaves()[0]);
+  ASSERT_EQ(persist::le32(good.data() + kSecondId), h.leaves()[1]);
+  {
+    AdaDetector restored(h, detectorConfig(8));
+    Deserializer in(good);
+    restored.loadState(in);
+    EXPECT_TRUE(in.atEnd());
+  }
+
+  const std::pair<NodeId, NodeId> bad[] = {
+      {h.leaves()[1], h.leaves()[0]},  // descending
+      {h.leaves()[0], h.leaves()[0]},  // duplicate
+  };
+  for (const auto& [first, second] : bad) {
+    std::vector<std::uint8_t> bytes = good;
+    persist::putLe32(bytes.data() + kFirstId, first);
+    persist::putLe32(bytes.data() + kSecondId, second);
+    AdaDetector restored(h, detectorConfig(8));
+    Deserializer in(bytes);
+    EXPECT_THROW(restored.loadState(in), persist::SnapshotError)
+        << first << ", " << second;
+  }
 }
 
 // --- Batcher position ------------------------------------------------------

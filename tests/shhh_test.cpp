@@ -6,6 +6,7 @@
 
 #include "common/rng.h"
 #include "core/shhh.h"
+#include "fixed_set_sweep.h"
 #include "hierarchy/builder.h"
 
 namespace tiresias {
@@ -164,7 +165,7 @@ TEST(FixedSetSeries, ReconstructsKnownValues) {
   std::vector<CountMap> units;
   units.push_back({{a0, 6.0}, {a1, 2.0}, {bb, 1.0}});
   units.push_back({{a0, 1.0}, {bb, 4.0}});
-  const auto series = modifiedSeriesFixedSet(h, units, {a0});
+  const auto series = sweepSeries(h, units, {a0}).modified;
 
   ASSERT_TRUE(series.count(a0));
   EXPECT_EQ(series.at(a0), (std::vector<double>{6.0, 1.0}));
@@ -189,7 +190,7 @@ TEST(FixedSetSeries, NestedMembersDiscountOnlyUncoveredWeight) {
 
   std::vector<CountMap> units;
   units.push_back({{a0, 5.0}, {a1, 3.0}});
-  const auto series = modifiedSeriesFixedSet(h, units, {aa, a0});
+  const auto series = sweepSeries(h, units, {aa, a0}).modified;
   EXPECT_EQ(series.at(a0), std::vector<double>{5.0});
   EXPECT_EQ(series.at(aa), std::vector<double>{3.0});
   EXPECT_EQ(series.at(h.root()), std::vector<double>{0.0});
@@ -202,7 +203,7 @@ TEST(RawSeries, AggregatesFullSubtree) {
   units.push_back({{h.leaves()[0], 2.0}, {h.leaves()[1], 3.0},
                    {h.leaves()[2], 7.0}});
   units.push_back({{h.leaves()[0], 1.0}});
-  const auto series = rawSeries(h, units, {h.root(), left});
+  const auto series = sweepSeries(h, units, {}, {h.root(), left}).raw;
   EXPECT_EQ(series.at(h.root()), (std::vector<double>{12.0, 1.0}));
   EXPECT_EQ(series.at(left), (std::vector<double>{5.0, 1.0}));
 }

@@ -220,16 +220,13 @@ TEST(StreamRouter, AnonymousOverflowIsRejected) {
   router->addNamedSlot("s0");  // no anonymous capacity at all
   router->start();
 
-  const auto wire = encodeSocketHandshakeV2(StreamClient::pathTable(h), "", 0);
-  net::TcpConn conn = net::connectLoopback(listener->port(), kTestTimeoutMs);
-  ASSERT_TRUE(conn.valid());
-  ASSERT_TRUE(conn.writeAll(wire.data(), wire.size(), kTestTimeoutMs));
-  // The router closes with unread handshake bytes still buffered, so the
-  // client sees either FIN (kEof) or RST (kError) — never its data read.
-  char byte = 0;
-  std::size_t got = 0;
-  const net::IoStatus st = conn.readSome(&byte, 1, got, kTestTimeoutMs);
-  EXPECT_TRUE(st == net::IoStatus::kEof || st == net::IoStatus::kError);
+  // With no anonymous slot the empty name is unknown: a fatal reply, so
+  // the client gives up at once instead of retrying a silent close.
+  StreamClient conn(h, clientOptions(listener->port()));
+  ASSERT_EQ(conn.open(), SendStatus::kUnknownStream) << conn.error();
+  EXPECT_EQ(conn.reply().status, kSocketResumeUnknownStream);
+  EXPECT_NE(conn.error().find("no anonymous stream"), std::string::npos)
+      << conn.error();
   EXPECT_TRUE(waitFor([&] { return router->rejected() == 1; }));
   router->stop();
 }

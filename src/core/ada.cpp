@@ -8,16 +8,8 @@
 namespace tiresias {
 
 AdaDetector::AdaDetector(const Hierarchy& hierarchy, DetectorConfig config)
-    : hierarchy_(hierarchy),
-      config_(std::move(config)),
+    : Detector(hierarchy, std::move(config)),
       splitRules_(config_.splitRule, config_.splitEwmaAlpha) {
-  TIRESIAS_EXPECT(config_.windowLength >= 2, "window length must be >= 2");
-  TIRESIAS_EXPECT(config_.forecasterFactory != nullptr,
-                  "forecaster factory is required");
-  if (!config_.workspace) {
-    config_.workspace = std::make_shared<DetectWorkspace>();
-  }
-  config_.workspace->bind(hierarchy_.size());
   stateSlot_.assign(hierarchy_.size(), -1);
   refSlot_.assign(hierarchy_.size(), -1);
 }
@@ -57,42 +49,39 @@ void AdaDetector::eraseState(NodeId n) {
 void AdaDetector::copyState(SeriesState& dst, const SeriesState& src) const {
   dst.actual = src.actual;
   dst.forecastSeries = src.forecastSeries;
-  if (!dst.model) dst.model = config_.forecasterFactory->make();
+  if (!dst.model) dst.model = factory().make();
   dst.model->copyFrom(*src.model);
 }
 
 void AdaDetector::initState(SeriesState& st) const {
   st.actual = RingSeries(config_.windowLength);
   st.forecastSeries = RingSeries(config_.windowLength);
-  st.model = config_.forecasterFactory->make();
+  st.model = factory().make();
 }
 
 std::optional<InstanceResult> AdaDetector::step(const TimeUnitBatch& batch) {
   newestUnit_ = batch.unit;
-  if (!bootstrapped_) {
-    bootstrapInstance(batch);
-    if (bootstrapUnits_.size() < config_.windowLength) return std::nullopt;
-    finishBootstrap();
-    // The bootstrap instance itself also reports a detection result.
-  } else {
-    return adaptiveInstance(batch);
-  }
+  if (bootstrapped_) return adaptiveInstance(batch);
+  bootstrapInstance(batch);
+  if (bootstrapUnits_.size() < config_.windowLength) return std::nullopt;
+  finishBootstrap();
+  // The bootstrap instance itself also reports a detection result.
+  return judge();
+}
 
-  // First detection result (end of bootstrap).
+InstanceResult AdaDetector::judge() {
+  StageTimer::Scope scope(stages_, kStageDetect);
   InstanceResult result;
   result.unit = newestUnit_;
-  {
-    StageTimer::Scope scope(stages_, kStageDetect);
-    result.shhh = currentShhh();
-    for (NodeId n : result.shhh) {
-      const auto& st = stateOf(n);
-      const double actual = st.actual.latest();
-      const double forecast = st.forecastSeries.latest();
-      if (isAnomalous(actual, forecast, config_.ratioThreshold,
-                      config_.diffThreshold)) {
-        result.anomalies.push_back(
-            {n, newestUnit_, actual, forecast, anomalyRatio(actual, forecast)});
-      }
+  result.shhh = currentShhh();
+  for (NodeId n : result.shhh) {
+    const auto& st = stateOf(n);
+    const double actual = st.actual.latest();
+    const double forecast = st.forecastSeries.latest();
+    if (isAnomalous(actual, forecast, config_.ratioThreshold,
+                    config_.diffThreshold)) {
+      result.anomalies.push_back(
+          {n, newestUnit_, actual, forecast, anomalyRatio(actual, forecast)});
     }
   }
   return result;
@@ -376,24 +365,7 @@ std::optional<InstanceResult> AdaDetector::adaptiveInstance(
     splitRules_.observeTouched(touched);
   }
 
-  // ---- Stage: Detecting Anomalies (Definition 4) ----
-  InstanceResult result;
-  result.unit = newestUnit_;
-  {
-    StageTimer::Scope scope(stages_, kStageDetect);
-    result.shhh = currentShhh();
-    for (NodeId n : result.shhh) {
-      const auto& st = stateOf(n);
-      const double actual = st.actual.latest();
-      const double forecast = st.forecastSeries.latest();
-      if (isAnomalous(actual, forecast, config_.ratioThreshold,
-                      config_.diffThreshold)) {
-        result.anomalies.push_back(
-            {n, newestUnit_, actual, forecast, anomalyRatio(actual, forecast)});
-      }
-    }
-  }
-  return result;
+  return judge();
 }
 
 std::vector<NodeId> AdaDetector::currentShhh() const {
@@ -457,6 +429,9 @@ void AdaDetector::loadState(persist::Deserializer& in) {
   Deserializer::require(in.u64() == config_.windowLength,
                         "ADA snapshot: window length mismatch");
   const bool bootstrapped = in.boolean();
+  Deserializer::require(
+      !bootstrapped || config_.forecasterFactory != nullptr,
+      "ADA snapshot: bootstrapped state but no forecaster factory");
   const std::size_t nBootstrap = in.count(sizeof(std::uint64_t));
   Deserializer::require(nBootstrap <= config_.windowLength,
                         "ADA snapshot: more bootstrap units than the window");
@@ -476,6 +451,8 @@ void AdaDetector::loadState(persist::Deserializer& in) {
   const auto readStates = [&](std::vector<NodeId>& nodes,
                               std::vector<SeriesState>& states) {
     const std::size_t n = in.count(sizeof(std::uint32_t));
+    Deserializer::require(bootstrapped || n == 0,
+                          "ADA snapshot: series state before bootstrap");
     nodes.clear();
     states.clear();
     nodes.reserve(n);
@@ -495,7 +472,7 @@ void AdaDetector::loadState(persist::Deserializer& in) {
           st.actual.capacity() == config_.windowLength &&
               st.forecastSeries.capacity() == config_.windowLength,
           "ADA snapshot: series ring capacity != window length");
-      st.model = config_.forecasterFactory->make();
+      st.model = factory().make();
       st.model->loadState(in);
       nodes.push_back(node);
       states.push_back(std::move(st));
@@ -507,8 +484,6 @@ void AdaDetector::loadState(persist::Deserializer& in) {
   readStates(refNodes, refs);
   // Invariants the adaptation relies on; a state that breaks one would
   // abort (or read out of bounds) in the next step instead of throwing.
-  Deserializer::require(bootstrapped || (holders.empty() && refNodes.empty()),
-                        "ADA snapshot: series state before bootstrap");
   Deserializer::require(
       !bootstrapped ||
           std::binary_search(holders.begin(), holders.end(), hierarchy_.root()),

@@ -56,13 +56,11 @@ class AdaDetector final : public Detector {
   void forecastSeriesInto(NodeId node,
                           std::vector<double>& out) const override;
   MemoryStats memoryStats() const override;
+  std::size_t windowFill() const override {
+    return bootstrapped_ ? config_.windowLength : bootstrapUnits_.size();
+  }
   void saveState(persist::Serializer& out) const override;
   void loadState(persist::Deserializer& in) override;
-  void bindWorkspace(std::shared_ptr<DetectWorkspace> workspace) override {
-    config_.workspace = std::move(workspace);
-  }
-
-  const Hierarchy& hierarchy() const { return hierarchy_; }
 
   /// Number of split/merge operations performed so far (diagnostics and
   /// the Fig 12 / §VII-A discussion of how split frequency drives error).
@@ -84,12 +82,11 @@ class AdaDetector final : public Detector {
   /// Reference (unmodified-weight) series for a top-level node (§V-B5).
   using RefState = SeriesState;
 
-  DetectWorkspace& ws() { return *config_.workspace; }
-  const DetectWorkspace& ws() const { return *config_.workspace; }
-
   void bootstrapInstance(const TimeUnitBatch& batch);
   void finishBootstrap();
   std::optional<InstanceResult> adaptiveInstance(const TimeUnitBatch& batch);
+  /// Stage: Detecting Anomalies (Definition 4) over the current holders.
+  InstanceResult judge();
 
   void split(NodeId n);
   void mergeGroupOf(NodeId n);
@@ -135,8 +132,6 @@ class AdaDetector final : public Detector {
     return freshWeight(n) >= config_.theta;
   }
 
-  const Hierarchy& hierarchy_;
-  DetectorConfig config_;
   SplitRuleEngine splitRules_;
 
   // --- bootstrap phase ---

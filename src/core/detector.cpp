@@ -2,7 +2,24 @@
 
 #include <limits>
 
+#include "common/expect.h"
+
 namespace tiresias {
+
+Detector::Detector(const Hierarchy& hierarchy, DetectorConfig config)
+    : hierarchy_(hierarchy), config_(std::move(config)) {
+  TIRESIAS_EXPECT(config_.windowLength >= 2, "window length must be >= 2");
+  if (!config_.workspace) {
+    config_.workspace = std::make_shared<DetectWorkspace>();
+  }
+  config_.workspace->bind(hierarchy_.size());
+}
+
+const ForecasterFactory& Detector::factory() const {
+  TIRESIAS_EXPECT(config_.forecasterFactory != nullptr,
+                  "forecaster factory is required once the window is full");
+  return *config_.forecasterFactory;
+}
 
 bool isAnomalous(double actual, double forecast, double ratioThreshold,
                  double diffThreshold) {

@@ -3,9 +3,11 @@
 //
 // A detector consumes one TimeUnitBatch per step. While the ℓ-unit history
 // window is still filling it returns nothing; once warm, every step yields
-// an InstanceResult for the newest (detection) timeunit. Stage timings are
-// accumulated under the paper's Table III stage names so benches can print
-// the same breakdown.
+// an InstanceResult for the newest (detection) timeunit. The detector is
+// the one owner of that warm-up window: its owner steps it from the first
+// unit on and buffers nothing itself. Stage timings are accumulated under
+// the paper's Table III stage names so benches can print the same
+// breakdown.
 #pragma once
 
 #include <memory>
@@ -42,7 +44,10 @@ struct DetectorConfig {
   /// Number of reference-series levels h below the root (§V-B5). ADA only.
   /// The root's raw series is always maintained.
   std::size_t referenceLevels = 2;
-  /// Forecasting model for heavy-hitter series. Required.
+  /// Forecasting model for heavy-hitter series. May be null while the
+  /// window fills (a pipeline deriving its factory from the first window
+  /// installs it with Detector::setForecasterFactory before the ℓ-th
+  /// step); the detector requires it once the window is full.
   std::shared_ptr<const ForecasterFactory> forecasterFactory;
   /// Dense per-unit scratch. Normally supplied by the owning
   /// TiresiasPipeline (one workspace per stream, reused across units); a
@@ -100,12 +105,23 @@ class Detector {
 
   virtual MemoryStats memoryStats() const = 0;
 
+  /// Units held in the history window so far, saturating at ℓ: the
+  /// detector is warm (every step yields a result) once this equals ℓ.
+  virtual std::size_t windowFill() const = 0;
+
   /// Swap the detection workspace (engine pooling: the owning pipeline
   /// attaches the advancing worker's loaner before each advance). The
   /// workspace must already be bound to this detector's hierarchy; call
   /// only between steps — the workspace is per-step scratch, so nothing
   /// the detector needs survives the swap.
-  virtual void bindWorkspace(std::shared_ptr<DetectWorkspace> workspace) = 0;
+  void bindWorkspace(std::shared_ptr<DetectWorkspace> workspace) {
+    config_.workspace = std::move(workspace);
+  }
+  /// Install the forecasting model (call only between steps, before the
+  /// window fills; see DetectorConfig::forecasterFactory).
+  void setForecasterFactory(std::shared_ptr<const ForecasterFactory> f) {
+    config_.forecasterFactory = std::move(f);
+  }
 
   /// Snapshot the detector's full mutable state (window contents, series,
   /// forecaster models, adaptation statistics), prefixed with the type tag
@@ -120,6 +136,18 @@ class Detector {
   const StageTimer& stages() const { return stages_; }
 
  protected:
+  /// Checks the window length and binds the workspace (a private one when
+  /// the configuration carries none).
+  Detector(const Hierarchy& hierarchy, DetectorConfig config);
+
+  DetectWorkspace& ws() { return *config_.workspace; }
+  const DetectWorkspace& ws() const { return *config_.workspace; }
+  /// The forecasting model, which must be installed by now (first use
+  /// once the window is full).
+  const ForecasterFactory& factory() const;
+
+  const Hierarchy& hierarchy_;
+  DetectorConfig config_;
   StageTimer stages_;
 };
 

@@ -19,12 +19,6 @@ TiresiasPipeline::TiresiasPipeline(std::shared_ptr<const Hierarchy> hierarchy,
   // standalone pipelines create a private one when the detector is built.
 }
 
-void TiresiasPipeline::ensureWorkspace() {
-  if (workspace_) return;
-  workspace_ = std::make_shared<DetectWorkspace>();
-  workspace_->bind(hierarchy_->size());
-}
-
 void TiresiasPipeline::attachWorkspace(
     std::shared_ptr<DetectWorkspace> workspace) {
   TIRESIAS_EXPECT(workspace != nullptr, "attachWorkspace(null)");
@@ -44,13 +38,8 @@ void TiresiasPipeline::hibernate(persist::Serializer& out) {
   // preserved — the engine's ingest side reads resumeTime() from the shell
   // to place the batcher, and a wake() restores the identical value.
   detector_.reset();
-  warmup_.clear();
-  warmup_.shrink_to_fit();
-  warmupRootCounts_.clear();
-  warmupRootCounts_.shrink_to_fit();
-  derivedSeasons_.clear();
-  derivedSeasons_.shrink_to_fit();
-  factoryDerived_ = false;
+  warmupRootCounts_ = {};
+  derivedSeasons_ = {};
   activeFactory_.reset();
   // Drop the loaner workspace reference (pooling) or the private one
   // (standalone): a hibernated stream holds no scratch.
@@ -58,98 +47,113 @@ void TiresiasPipeline::hibernate(persist::Serializer& out) {
   lastStageSeconds_[0] = lastStageSeconds_[1] = lastStageSeconds_[2] = 0.0;
 }
 
-void TiresiasPipeline::buildDetector(const std::vector<double>& rootSeries,
-                                     RunSummary& summary) {
+std::unique_ptr<Detector> TiresiasPipeline::makeDetector() {
   DetectorConfig cfg = config_.detector;
-  factoryDerived_ = !cfg.forecasterFactory;
-  if (!cfg.forecasterFactory) {
-    // Step 3: offline seasonality analysis on the first window's root
-    // counts, as the paper does ("we perform the data seasonality analysis
-    // ... only in the first time instance"). Windows too short or too flat
-    // for spectral analysis degrade to a trend-only model.
-    std::vector<SeasonSpec> seasons;
-    const bool flat =
-        rootSeries.empty() ||
-        std::all_of(rootSeries.begin(), rootSeries.end(),
-                    [&](double v) { return v == rootSeries.front(); });
-    if (rootSeries.size() >= 16 && !flat) {
-      SeasonalityOptions opts;
-      opts.candidatePeriods = config_.candidatePeriods;
-      opts.maxSeasons = config_.maxSeasons;
-      seasons = analyzeSeasonality(rootSeries, opts).seasons;
-    }
-    summary.seasons = seasons;
-    derivedSeasons_ = seasons;
-    cfg.forecasterFactory = std::make_shared<HoltWintersFactory>(
-        config_.hwParams, std::move(seasons));
-  }
-  activeFactory_ = cfg.forecasterFactory;
-  ensureWorkspace();
+  // Standalone pipelines get a private workspace here (the detector binds
+  // it); the engine attaches a pooled one first.
+  if (!workspace_) workspace_ = std::make_shared<DetectWorkspace>();
   cfg.workspace = workspace_;
   if (config_.useAda) {
-    detector_ = std::make_unique<AdaDetector>(*hierarchy_, cfg);
-  } else {
-    detector_ = std::make_unique<StaDetector>(*hierarchy_, cfg);
+    return std::make_unique<AdaDetector>(*hierarchy_, std::move(cfg));
   }
+  return std::make_unique<StaDetector>(*hierarchy_, std::move(cfg));
 }
+
+namespace {
+
+/// The caller's forecaster factory, or a Holt-Winters one over `seasons`
+/// when the pipeline derives it.
+std::shared_ptr<const ForecasterFactory> factoryFor(
+    const PipelineConfig& config, std::vector<SeasonSpec> seasons) {
+  if (config.detector.forecasterFactory) {
+    return config.detector.forecasterFactory;
+  }
+  return std::make_shared<HoltWintersFactory>(config.hwParams,
+                                              std::move(seasons));
+}
+
+/// Step 3: offline seasonality analysis on the first window's root counts,
+/// as the paper does ("we perform the data seasonality analysis ... only
+/// in the first time instance"). Windows too short or too flat for
+/// spectral analysis degrade to a trend-only model.
+std::vector<SeasonSpec> firstWindowSeasons(const PipelineConfig& config,
+                                           const std::vector<double>& roots) {
+  if (roots.size() < 16 ||
+      std::all_of(roots.begin(), roots.end(),
+                  [&](double v) { return v == roots.front(); })) {
+    return {};
+  }
+  SeasonalityOptions opts;
+  opts.candidatePeriods = config.candidatePeriods;
+  opts.maxSeasons = config.maxSeasons;
+  return analyzeSeasonality(roots, opts).seasons;
+}
+
+/// Factory fingerprint: the serialized state of one fresh forecaster.
+/// Factories are opaque, but a fresh instance's state captures their
+/// parameters (EWMA alpha, Holt-Winters params + seasons), so a restore
+/// under a differently-parameterized factory fails loudly instead of
+/// mixing semantics between restored and newly promoted heavy hitters.
+std::vector<std::uint8_t> factoryProbe(const ForecasterFactory& factory) {
+  persist::Serializer probe;
+  factory.make()->saveState(probe);
+  return probe.data();
+}
+
+}  // namespace
 
 void TiresiasPipeline::processUnit(const TimeUnitBatch& batch,
                                    const ResultCallback& onResult,
                                    RunSummary& summary) {
-  auto deliver = [&](const TimeUnitBatch& b) {
-    std::optional<InstanceResult> result;
-    {
-      obs::StageSpan observe(metrics_, config_.useAda
-                                           ? obs::Stage::kAdaObserve
-                                           : obs::Stage::kStaObserve);
-      result = detector_->step(b);
-    }
-    if (metrics_) {
-      // Bridge the detector's Table-III stage timers into the per-stage
-      // histograms: record this unit's delta of each cumulative total.
-      static constexpr const char* kNames[3] = {
-          kStageUpdateHierarchies, kStageCreateSeries, kStageDetect};
-      static constexpr obs::Stage kStages[3] = {
-          obs::Stage::kUpdateHierarchies, obs::Stage::kCreateSeries,
-          obs::Stage::kDetectAnomalies};
-      const StageTimer& timer = detector_->stages();
-      for (int i = 0; i < 3; ++i) {
-        const double total = timer.totalSeconds(kNames[i]);
-        const double delta = std::max(0.0, total - lastStageSeconds_[i]);
-        metrics_->recordLatencyNs(kStages[i],
-                                  static_cast<std::uint64_t>(delta * 1e9));
-        lastStageSeconds_[i] = total;
-      }
-    }
-    if (result) {
-      ++summary.instancesDetected;
-      summary.anomaliesReported += result->anomalies.size();
-      if (onResult) onResult(*result);
-    }
-  };
-
   ++summary.unitsProcessed;
   summary.recordsProcessed += batch.records.size();
   nextStart_ = unitStart(batch.unit + 1, config_.delta);
-  if (!detector_) {
-    // Warm-up spans calls: buffer until one full window of root counts is
-    // available for the Step 3 seasonality analysis.
+  if (!detector_) detector_ = makeDetector();
+  if (!activeFactory_) {
+    // Warm-up: the detector holds the window's units; Step 3 needs only
+    // their root counts. The forecaster factory goes in just before the
+    // step that fills the window, the first one that uses it.
     warmupRootCounts_.push_back(static_cast<double>(batch.records.size()));
-    warmup_.push_back(batch);
-    if (warmup_.size() < config_.detector.windowLength) {
-      summary.warmupUnitsBuffered = warmup_.size();
-      return;
+    if (warmupRootCounts_.size() == config_.detector.windowLength) {
+      if (!config_.detector.forecasterFactory) {
+        summary.seasons = derivedSeasons_ =
+            firstWindowSeasons(config_, warmupRootCounts_);
+      }
+      activeFactory_ = factoryFor(config_, derivedSeasons_);
+      detector_->setForecasterFactory(activeFactory_);
+      warmupRootCounts_ = {};
     }
-    buildDetector(warmupRootCounts_, summary);
-    for (const auto& buffered : warmup_) deliver(buffered);
-    warmup_.clear();
-    warmup_.shrink_to_fit();
-    warmupRootCounts_.clear();
-    summary.warmupUnitsBuffered = 0;
-    return;
   }
-  deliver(batch);
-  summary.warmupUnitsBuffered = 0;
+  summary.warmupUnitsBuffered = warmupRootCounts_.size();
+
+  std::optional<InstanceResult> result;
+  {
+    obs::StageSpan observe(metrics_, config_.useAda ? obs::Stage::kAdaObserve
+                                                    : obs::Stage::kStaObserve);
+    result = detector_->step(batch);
+  }
+  if (metrics_) {
+    // Bridge the detector's Table-III stage timers into the per-stage
+    // histograms: record this unit's delta of each cumulative total.
+    static constexpr const char* kNames[3] = {
+        kStageUpdateHierarchies, kStageCreateSeries, kStageDetect};
+    static constexpr obs::Stage kStages[3] = {obs::Stage::kUpdateHierarchies,
+                                              obs::Stage::kCreateSeries,
+                                              obs::Stage::kDetectAnomalies};
+    const StageTimer& timer = detector_->stages();
+    for (int i = 0; i < 3; ++i) {
+      const double total = timer.totalSeconds(kNames[i]);
+      const double delta = std::max(0.0, total - lastStageSeconds_[i]);
+      metrics_->recordLatencyNs(kStages[i],
+                                static_cast<std::uint64_t>(delta * 1e9));
+      lastStageSeconds_[i] = total;
+    }
+  }
+  if (result) {
+    ++summary.instancesDetected;
+    summary.anomaliesReported += result->anomalies.size();
+    if (onResult) onResult(*result);
+  }
 }
 
 void TiresiasPipeline::saveState(persist::Serializer& out) const {
@@ -163,42 +167,29 @@ void TiresiasPipeline::saveState(persist::Serializer& out) const {
   out.i64(nextStart_);
   out.u64(warmupRootCounts_.size());
   out.f64s(warmupRootCounts_);
-  out.u64(warmup_.size());
-  for (const auto& batch : warmup_) {
-    out.i64(batch.unit);
-    out.u64(batch.records.size());
-    for (const auto& r : batch.records) {
-      out.u32(r.category);
-      out.i64(r.time);
-    }
-  }
-  out.boolean(detector_ != nullptr);
-  if (detector_) {
-    out.boolean(factoryDerived_);
+  // The factory section: present once the window has filled.
+  out.boolean(activeFactory_ != nullptr);
+  if (activeFactory_) {
+    out.boolean(!config_.detector.forecasterFactory);  // derived
     out.u64(derivedSeasons_.size());
     for (const auto& s : derivedSeasons_) {
       out.u64(s.period);
       out.f64(s.weight);
     }
-    // Factory fingerprint: the serialized state of one fresh forecaster.
-    // Factories are opaque, but a fresh instance's state captures their
-    // parameters (EWMA alpha, Holt-Winters params + seasons), so a
-    // restore under a differently-parameterized factory fails loudly
-    // instead of mixing semantics between restored and newly promoted
-    // heavy hitters.
-    persist::Serializer probe;
-    activeFactory_->make()->saveState(probe);
-    out.str(std::string_view(
-        reinterpret_cast<const char*>(probe.data().data()), probe.size()));
-    detector_->saveState(out);
+    const std::vector<std::uint8_t> probe = factoryProbe(*activeFactory_);
+    out.str(std::string_view(reinterpret_cast<const char*>(probe.data()),
+                             probe.size()));
   }
+  out.boolean(detector_ != nullptr);
+  if (detector_) detector_->saveState(out);
 }
 
 void TiresiasPipeline::loadState(persist::Deserializer& in) {
   using persist::Deserializer;
+  const std::size_t window = config_.detector.windowLength;
   Deserializer::require(in.i64() == config_.delta,
                         "pipeline snapshot: timeunit size mismatch");
-  Deserializer::require(in.u64() == config_.detector.windowLength,
+  Deserializer::require(in.u64() == window,
                         "pipeline snapshot: window length mismatch");
   Deserializer::require(in.boolean() == config_.useAda,
                         "pipeline snapshot: detector algorithm mismatch");
@@ -206,37 +197,19 @@ void TiresiasPipeline::loadState(persist::Deserializer& in) {
                         "pipeline snapshot: theta mismatch");
 
   const Timestamp nextStart = in.i64();
-  std::size_t n = in.count(sizeof(double));
-  Deserializer::require(n <= config_.detector.windowLength,
-                        "pipeline snapshot: warm-up longer than the window");
+  const std::size_t n = in.count(sizeof(double));
+  Deserializer::require(n < window,
+                        "pipeline snapshot: warm-up as long as the window");
   std::vector<double> warmupRootCounts(n);
   in.f64s(warmupRootCounts);
-  n = in.count(sizeof(std::int64_t) + sizeof(std::uint64_t));
-  Deserializer::require(n == warmupRootCounts.size(),
-                        "pipeline snapshot: warm-up buffers disagree");
-  std::vector<TimeUnitBatch> warmup(n);
-  for (auto& batch : warmup) {
-    batch.unit = in.i64();
-    const std::size_t records =
-        in.count(sizeof(std::uint32_t) + sizeof(std::int64_t));
-    batch.records.resize(records);
-    for (auto& r : batch.records) {
-      r.category = in.u32();
-      Deserializer::require(r.category < hierarchy_->size(),
-                            "snapshot: node id outside hierarchy");
-      r.time = in.i64();
-    }
-  }
-  const bool hasDetector = in.boolean();
-  bool factoryDerived = false;
+
   std::vector<SeasonSpec> derivedSeasons;
-  std::unique_ptr<Detector> detector;
   std::shared_ptr<const ForecasterFactory> factory;
-  if (hasDetector) {
-    factoryDerived = in.boolean();
-    const std::size_t seasons =
-        in.count(sizeof(std::uint64_t) + sizeof(double));
-    derivedSeasons.resize(seasons);
+  if (in.boolean()) {
+    Deserializer::require(in.boolean() == !config_.detector.forecasterFactory,
+                          "pipeline snapshot: checkpoint and pipeline "
+                          "disagree on who supplies the forecaster factory");
+    derivedSeasons.resize(in.count(sizeof(std::uint64_t) + sizeof(double)));
     for (auto& s : derivedSeasons) {
       s.period = in.boundedCount(persist::kMaxUnbackedCount);
       Deserializer::require(s.period >= 2,
@@ -244,43 +217,40 @@ void TiresiasPipeline::loadState(persist::Deserializer& in) {
       s.weight = in.f64();
     }
     const std::string savedProbe = in.str();
-    DetectorConfig cfg = config_.detector;
-    ensureWorkspace();
-    cfg.workspace = workspace_;
-    if (factoryDerived) {
-      cfg.forecasterFactory = std::make_shared<HoltWintersFactory>(
-          config_.hwParams, derivedSeasons);
-    } else {
-      Deserializer::require(
-          cfg.forecasterFactory != nullptr,
-          "pipeline snapshot: checkpoint used the caller's forecaster "
-          "factory but this pipeline was configured without one");
-    }
-    // Compare factory fingerprints (a fresh instance's serialized state):
-    // a differently-parameterized factory would hand newly promoted heavy
+    factory = factoryFor(config_, derivedSeasons);
+    // A differently-parameterized factory would hand newly promoted heavy
     // hitters models that disagree with the restored ones.
-    persist::Serializer probe;
-    cfg.forecasterFactory->make()->saveState(probe);
+    const std::vector<std::uint8_t> probe = factoryProbe(*factory);
     Deserializer::require(
         savedProbe.size() == probe.size() &&
-            std::equal(probe.data().begin(), probe.data().end(),
+            std::equal(probe.begin(), probe.end(),
                        reinterpret_cast<const std::uint8_t*>(
                            savedProbe.data())),
         "pipeline snapshot: forecaster factory configuration differs from "
         "the checkpoint");
-    if (config_.useAda) {
-      detector = std::make_unique<AdaDetector>(*hierarchy_, cfg);
-    } else {
-      detector = std::make_unique<StaDetector>(*hierarchy_, cfg);
-    }
+  }
+
+  std::unique_ptr<Detector> detector;
+  if (in.boolean()) {
+    detector = makeDetector();
+    if (factory) detector->setForecasterFactory(factory);
     detector->loadState(in);
-    factory = cfg.forecasterFactory;
+    // The factory goes in as the window fills, and the root counts stop
+    // there: both must agree with how far the detector's window got.
+    const std::size_t fill = detector->windowFill();
+    Deserializer::require((factory != nullptr) == (fill == window),
+                          "pipeline snapshot: forecaster factory disagrees "
+                          "with the detector's warm-up state");
+    Deserializer::require(factory != nullptr || fill == n,
+                          "pipeline snapshot: warm-up root counts disagree "
+                          "with the detector's window");
+  } else {
+    Deserializer::require(!factory && n == 0,
+                          "pipeline snapshot: warm-up state but no detector");
   }
 
   nextStart_ = nextStart;
   warmupRootCounts_ = std::move(warmupRootCounts);
-  warmup_ = std::move(warmup);
-  factoryDerived_ = factoryDerived;
   derivedSeasons_ = std::move(derivedSeasons);
   detector_ = std::move(detector);
   activeFactory_ = std::move(factory);
@@ -299,7 +269,7 @@ RunSummary TiresiasPipeline::run(RecordSource& source,
     processUnit(batch, onResult, summary);
   }
   summary.junkRowsSkipped = source.skippedRecords() - skippedBefore;
-  summary.warmupUnitsBuffered = warmup_.size();
+  summary.warmupUnitsBuffered = warmupRootCounts_.size();
   return summary;
 }
 

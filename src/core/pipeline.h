@@ -4,8 +4,11 @@
 // forecasting, anomaly detection and reporting, Step 6 streaming until the
 // source is exhausted.
 //
-// The pipeline owns the detector; callers receive every InstanceResult via
-// a callback (report::AnomalyStore provides a convenient sink).
+// The pipeline owns the detector, builds it on the first unit and steps it
+// on every unit; the detector alone holds the first window while it fills,
+// and the pipeline keeps only that window's root counts for Step 3.
+// Callers receive every InstanceResult via a callback
+// (report::AnomalyStore provides a convenient sink).
 #pragma once
 
 #include <functional>
@@ -45,10 +48,11 @@ struct RunSummary {
   /// Rows the source consumed but skipped (junk lines, unknown categories)
   /// during this run — RecordSource::skippedRecords() delta.
   std::size_t junkRowsSkipped = 0;
-  /// Timeunits still buffered in pipeline warm-up (Step 3 has not run yet)
-  /// after the last processed unit. Non-zero at end of stream means the
-  /// stream was shorter than the detector window: every unit was absorbed
-  /// silently and no detection instance was ever produced.
+  /// Units of the first window seen so far while it is still filling
+  /// (the detector holds them; Step 3 has not run yet), after the last
+  /// processed unit. Non-zero at end of stream means the stream was
+  /// shorter than the detector window: every unit was absorbed silently
+  /// and no detection instance was ever produced.
   std::size_t warmupUnitsBuffered = 0;
   /// The seasonality chosen in Step 3 (empty when a factory was supplied).
   std::vector<SeasonSpec> seasons;
@@ -74,9 +78,9 @@ class TiresiasPipeline {
   /// arrive in consecutive order, exactly as a TimeUnitBatcher over the
   /// concatenated record stream would emit them; run() is expressed in
   /// terms of this, so chunked and whole-source processing are
-  /// bit-identical. The batch is only read (callers reuse their buffers);
-  /// during warm-up it is copied into the buffered window. Counters
-  /// accumulate into `summary`.
+  /// bit-identical. The batch is only read (callers reuse their buffers):
+  /// the detector is built on the first unit and steps every unit as it
+  /// arrives, warm-up included. Counters accumulate into `summary`.
   void processUnit(const TimeUnitBatch& batch, const ResultCallback& onResult,
                    RunSummary& summary);
 
@@ -119,7 +123,7 @@ class TiresiasPipeline {
 
   /// Snapshot the pipeline's full state into `out` (the exact saveState
   /// bytes) and reset the pipeline to an empty shell: detector, warm-up
-  /// buffers and factory state are released; only the configuration, the
+  /// root counts and factory state are released; only the configuration, the
   /// hierarchy handle and resumeTime() remain resident. wake() (loadState
   /// over the emitted bytes) restores it bit-identically.
   void hibernate(persist::Serializer& out);
@@ -130,8 +134,8 @@ class TiresiasPipeline {
   void wake(persist::Deserializer& in) { loadState(in); }
 
   /// True when the pipeline holds live per-stream state worth paging out
-  /// (a built detector or buffered warm-up units).
-  bool holdsState() const { return detector_ != nullptr || !warmup_.empty(); }
+  /// (a detector, built on the first unit).
+  bool holdsState() const { return detector_ != nullptr; }
 
   /// Attach a metrics registry (not owned; null detaches). processUnit
   /// then records a per-unit observe span (STA or ADA) and bridges the
@@ -139,22 +143,23 @@ class TiresiasPipeline {
   /// Call only between units (the engine binds it before start()).
   void bindMetrics(obs::MetricsRegistry* registry) { metrics_ = registry; }
 
-  /// Snapshot the pipeline: batching position, warm-up buffer, the Step-3
-  /// seasonality decision, and (when built) the detector state.
+  /// Snapshot the pipeline: batching position, the warm-up root counts,
+  /// the Step-3 seasonality decision (once the window has filled), and
+  /// (when built) the detector state.
   void saveState(persist::Serializer& out) const;
   /// Restore onto a pipeline constructed with the same configuration
   /// (delta, window length, algorithm, theta are fingerprinted). When the
   /// snapshot's forecaster factory was derived from Step-3 seasonality
   /// analysis, an identical factory is rebuilt from the persisted seasons.
-  /// Throws persist::SnapshotError on mismatch or malformed input.
+  /// Throws persist::SnapshotError on mismatch or malformed input, and
+  /// when the factory section or the root counts disagree with how far
+  /// the detector's window has filled.
   void loadState(persist::Deserializer& in);
 
  private:
-  void buildDetector(const std::vector<double>& rootSeries,
-                     RunSummary& summary);
-  /// Lazily create a private workspace when none was attached (standalone
-  /// pipelines; the engine always attaches pooled ones first).
-  void ensureWorkspace();
+  /// The one construction site of the detector, with the configured
+  /// factory (null while a derived one waits for the first window).
+  std::unique_ptr<Detector> makeDetector();
 
   std::shared_ptr<const Hierarchy> hierarchy_;
   PipelineConfig config_;
@@ -167,15 +172,15 @@ class TiresiasPipeline {
   std::unique_ptr<Detector> detector_;
   /// Where the next run() resumes batching (advances past processed units).
   Timestamp nextStart_ = 0;
-  /// Warm-up state carried across run() calls until the window fills.
-  std::vector<TimeUnitBatch> warmup_;
+  /// Root counts of the first window's units while it fills (Step 3's
+  /// input); released when the window fills.
   std::vector<double> warmupRootCounts_;
   /// The Step-3 decision, remembered so a checkpoint can rebuild the
   /// derived forecaster factory instead of re-running the analysis.
-  bool factoryDerived_ = false;
   std::vector<SeasonSpec> derivedSeasons_;
-  /// The factory the live detector was built with (caller-supplied or
-  /// derived); snapshots fingerprint it via a fresh instance's state.
+  /// The factory installed in the detector when the window filled
+  /// (caller-supplied or derived); null during warm-up. Snapshots
+  /// fingerprint it via a fresh instance's state.
   std::shared_ptr<const ForecasterFactory> activeFactory_;
   /// Metrics sink (not owned; null = metrics off) plus the last-seen
   /// cumulative totals of the detector's Table-III stage timers, so each

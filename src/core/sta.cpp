@@ -3,20 +3,12 @@
 #include <algorithm>
 #include <map>
 
-#include "common/expect.h"
 #include "core/state_io.h"
 
 namespace tiresias {
 
 StaDetector::StaDetector(const Hierarchy& hierarchy, DetectorConfig config)
-    : hierarchy_(hierarchy), config_(std::move(config)) {
-  TIRESIAS_EXPECT(config_.windowLength >= 2, "window length must be >= 2");
-  TIRESIAS_EXPECT(config_.forecasterFactory != nullptr,
-                  "forecaster factory is required");
-  if (!config_.workspace) {
-    config_.workspace = std::make_shared<DetectWorkspace>();
-  }
-  config_.workspace->bind(hierarchy_.size());
+    : Detector(hierarchy, std::move(config)) {
   slotIndex_.assign(hierarchy_.size(), -1);
   resultIndex_.assign(hierarchy_.size(), -1);
   windowUnits_.resize(config_.windowLength);
@@ -150,11 +142,12 @@ void StaDetector::rebuildSeries() {
 
   // Refit the forecasting model over each reconstructed series, recording
   // the one-step-ahead forecast at every unit (Fig 4 lines 10-11).
+  const ForecasterFactory& models = factory();
   for (std::size_t i = 0; i < resultNodes_.size(); ++i) {
     const auto& actual = resultSeries_[i];
     auto& fc = resultForecast_[i];
     fc.resize(len);
-    auto model = config_.forecasterFactory->make();
+    auto model = models.make();
     for (std::size_t u = 0; u < len; ++u) fc[u] = model->advance(actual[u]);
   }
 }
@@ -274,6 +267,9 @@ void StaDetector::loadState(persist::Deserializer& in) {
   const std::size_t units = in.count(sizeof(std::uint64_t));
   Deserializer::require(units <= config_.windowLength,
                         "STA snapshot: more units than the window holds");
+  Deserializer::require(
+      units < config_.windowLength || config_.forecasterFactory != nullptr,
+      "STA snapshot: full window but no forecaster factory");
   std::vector<std::vector<std::pair<NodeId, double>>> window(units);
   for (auto& unit : window) {
     // Historical acceptance semantics: arbitrary order, duplicate keys

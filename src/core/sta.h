@@ -42,13 +42,9 @@ class StaDetector final : public Detector {
   void forecastSeriesInto(NodeId node,
                           std::vector<double>& out) const override;
   MemoryStats memoryStats() const override;
+  std::size_t windowFill() const override { return windowSize_; }
   void saveState(persist::Serializer& out) const override;
   void loadState(persist::Deserializer& in) override;
-  void bindWorkspace(std::shared_ptr<DetectWorkspace> workspace) override {
-    config_.workspace = std::move(workspace);
-  }
-
-  const Hierarchy& hierarchy() const { return hierarchy_; }
 
  private:
   /// One resident timeunit of the sliding window.
@@ -60,8 +56,6 @@ class StaDetector final : public Detector {
     /// |counted ∪ ancestors| — the unit's sparse-tree size (Table IV).
     std::uint32_t touchedNodes = 0;
   };
-
-  DetectWorkspace& ws() { return *config_.workspace; }
 
   /// Zero the expiring unit's ring entries and release empty slots.
   void expireUnit(std::size_t pos);
@@ -99,9 +93,6 @@ class StaDetector final : public Detector {
                  : slotRings_.data() +
                        static_cast<std::size_t>(s) * config_.windowLength;
   }
-
-  const Hierarchy& hierarchy_;
-  DetectorConfig config_;
 
   // --- sliding window ---
   std::vector<WindowUnit> windowUnits_;  // ring of ℓ units, recycled buffers

@@ -107,7 +107,7 @@ struct StreamStats {
   std::size_t instancesDetected = 0;
   std::size_t anomaliesReported = 0;
   std::size_t junkRowsSkipped = 0;   // source-side skipped rows (CSV junk)
-  std::size_t warmupUnitsBuffered = 0;  // units held in pipeline warm-up
+  std::size_t warmupUnitsBuffered = 0;  // units of a first window still filling
   std::size_t queueDepth = 0;        // current
   std::size_t maxQueueDepth = 0;     // high-water mark
   std::size_t runs = 0;              // worker claims of this stream

@@ -9,7 +9,7 @@
 //
 //   +--------+---------------+       +-- per section ------------------+
 //   | magic  | formatVersion |  then | tag u32 | len u64 | crc32 u32 |  |
-//   | "TSNP" | u32 (= 1)     |       | payload bytes (len)            |
+//   | "TSNP" | u32 (= 2)     |       | payload bytes (len)            |
 //   +--------+---------------+       +--------------------------------+
 //
 // The CRC covers the payload only; tag/length corruption is caught by the
@@ -20,8 +20,10 @@
 // failure throws SnapshotError — corrupted or adversarial input must never
 // crash, over-read, or over-allocate.
 //
-// Versioning rules: formatVersion guards the container layout; readers
-// reject versions they do not know. Component payloads carry their own
+// Versioning rules: formatVersion guards the container layout and the
+// layout of the component payloads inside it; readers reject versions they
+// do not know. Version 2 dropped the pipeline's buffered warm-up records
+// (the detector holds the warm-up window); version-1 files are refused. Component payloads carry their own
 // leading type tags (detector kind, forecaster kind) so a snapshot
 // restored into a mismatched object fails with a clean error instead of
 // misinterpreting bytes.
@@ -143,7 +145,7 @@ class Deserializer {
 };
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x504E5354;  // "TSNP"
-inline constexpr std::uint32_t kSnapshotFormatVersion = 1;
+inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
 
 /// Upper bound for counts that are not backed 1:1 by snapshot bytes
 /// (ring capacities, seasonal periods): 2^26 doubles = 512 MiB, far above

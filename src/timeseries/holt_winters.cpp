@@ -40,9 +40,7 @@ double HoltWintersForecaster::forecast() const {
   if (!bootstrapped_) {
     // Best effort during warm-up: running mean of what has been seen.
     if (warmup_.empty()) return 0.0;
-    double sum = 0.0;
-    for (double v : warmup_) sum += v;
-    return sum / static_cast<double>(warmup_.size());
+    return warmupSum_ / static_cast<double>(warmup_.size());
   }
   return level_ + trend_ + combinedSeasonAhead();
 }
@@ -50,6 +48,7 @@ double HoltWintersForecaster::forecast() const {
 void HoltWintersForecaster::update(double actual) {
   if (!bootstrapped_) {
     warmup_.push_back(actual);
+    warmupSum_ += actual;
     if (warmup_.size() >= bootstrapLength()) {
       // Promote the warm-up buffer to a proper bootstrap.
       const std::vector<double> history = std::move(warmup_);
@@ -87,6 +86,7 @@ void HoltWintersForecaster::initFromHistory(std::span<const double> history) {
   // Reset.
   bootstrapped_ = false;
   warmup_.clear();
+  warmupSum_ = 0.0;
   level_ = trend_ = 0.0;
   for (auto& s : seasonal_) std::fill(s.begin(), s.end(), 0.0);
   std::fill(cursor_.begin(), cursor_.end(), 0);
@@ -143,6 +143,12 @@ void HoltWintersForecaster::scale(double ratio) {
     for (std::size_t j = 0; j < p; ++j) v[j] *= ratio;
   }
   for (double& v : warmup_) v *= ratio;
+  refoldWarmupSum();
+}
+
+void HoltWintersForecaster::refoldWarmupSum() {
+  warmupSum_ = 0.0;
+  for (double v : warmup_) warmupSum_ += v;
 }
 
 bool HoltWintersForecaster::mergeableWith(const Forecaster& other) const {
@@ -167,6 +173,7 @@ void HoltWintersForecaster::addScaled(const Forecaster& other, double k) {
     for (std::size_t i = 0; i < warmup_.size(); ++i) {
       warmup_[i] += k * o.warmup_[i];
     }
+    refoldWarmupSum();
     return;
   }
   level_ += k * o.level_;
@@ -273,6 +280,7 @@ void HoltWintersForecaster::loadState(persist::Deserializer& in) {
   trend_ = trend;
   bootstrapped_ = bootstrapped;
   warmup_ = std::move(warmup);
+  refoldWarmupSum();
 }
 
 double HoltWintersForecaster::seasonal(std::size_t i, std::size_t lag) const {

@@ -80,8 +80,13 @@ class HoltWintersForecaster final : public Forecaster {
   double level_ = 0.0;
   double trend_ = 0.0;
   bool bootstrapped_ = false;
-  // Warm-up buffer used until enough history arrives for the bootstrap.
+  // Warm-up buffer used until enough history arrives for the bootstrap,
+  // and its left-fold sum (the same bits as re-summing it front to back).
+  // Appends extend the fold; anything that rewrites the buffer re-folds.
   std::vector<double> warmup_;
+  double warmupSum_ = 0.0;
+
+  void refoldWarmupSum();
 };
 
 class HoltWintersFactory final : public ForecasterFactory {

@@ -63,6 +63,56 @@ TEST(HoltWinters, WarmupForecastIsRunningMean) {
   hw.update(10.0);
   hw.update(20.0);
   EXPECT_DOUBLE_EQ(hw.forecast(), 15.0);
+
+  // The warm-up forecast keeps a running sum; after every operation that
+  // touches the warm-up buffer it must carry the exact bits of a fresh
+  // front-to-back re-sum. `mirror` tracks the buffer outside the model.
+  std::vector<double> mirror{10.0, 20.0};
+  const auto resummedMean = [](const std::vector<double>& values) {
+    double sum = 0.0;
+    for (double v : values) sum += v;
+    return sum / static_cast<double>(values.size());
+  };
+  for (double v : {0.1, 0.7, 1e-3, 3.3}) {
+    hw.update(v);
+    mirror.push_back(v);
+    EXPECT_EQ(hw.forecast(), resummedMean(mirror)) << "update";
+  }
+
+  hw.scale(0.37);
+  for (double& v : mirror) v *= 0.37;
+  EXPECT_EQ(hw.forecast(), resummedMean(mirror)) << "scale";
+
+  HoltWintersForecaster other({0.5, 0.1, 0.3}, {{100, 1.0}});
+  std::vector<double> otherValues;
+  for (std::size_t i = 0; i < mirror.size(); ++i) {
+    otherValues.push_back(0.3 + 1.1 * static_cast<double>(i));
+    other.update(otherValues.back());
+  }
+  hw.addScaled(other, -0.6);
+  for (std::size_t i = 0; i < mirror.size(); ++i) {
+    mirror[i] += -0.6 * otherValues[i];
+  }
+  EXPECT_EQ(hw.forecast(), resummedMean(mirror)) << "addScaled";
+
+  persist::Serializer saved;
+  hw.saveState(saved);
+  HoltWintersForecaster loaded({0.5, 0.1, 0.3}, {{100, 1.0}});
+  persist::Deserializer in(saved.data());
+  loaded.loadState(in);
+  EXPECT_EQ(loaded.forecast(), resummedMean(mirror)) << "loadState";
+
+  HoltWintersForecaster copy({0.5, 0.1, 0.3}, {{100, 1.0}});
+  copy.copyFrom(hw);
+  EXPECT_EQ(copy.forecast(), resummedMean(mirror)) << "copyFrom";
+
+  const std::vector<double> history{0.2, 0.9, 4e-2, 7.7, 0.01};
+  hw.initFromHistory(history);
+  EXPECT_EQ(hw.forecast(), resummedMean(history)) << "initFromHistory";
+  hw.update(0.6);
+  std::vector<double> extended = history;
+  extended.push_back(0.6);
+  EXPECT_EQ(hw.forecast(), resummedMean(extended)) << "update after init";
 }
 
 TEST(HoltWinters, NoSeasonDegeneratesToHolt) {

@@ -500,82 +500,138 @@ std::vector<Record> pipelineTrace(std::size_t units, Duration delta,
   return trace;
 }
 
-void runPipelineRoundTrip(bool deriveFactory, std::size_t splitUnits) {
-  const auto h = HierarchyBuilder::balanced({2, 2, 2});
-  const Duration delta = 900;
-  const std::size_t totalUnits = 64;
-  PipelineConfig cfg;
-  cfg.delta = delta;
-  cfg.detector.theta = 5.0;
-  cfg.detector.windowLength = 24;
-  if (!deriveFactory) {
-    cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
+/// Every unit's detection result, in order (SHHH set and anomalies).
+using ResultLog = std::vector<InstanceResult>;
+
+void expectSameResults(const ResultLog& got, const ResultLog& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].unit, want[i].unit) << i;
+    EXPECT_EQ(got[i].shhh, want[i].shhh) << "unit " << want[i].unit;
+    EXPECT_EQ(got[i].anomalies, want[i].anomalies) << "unit " << want[i].unit;
   }
-  cfg.candidatePeriods = {8};
-  const auto trace = pipelineTrace(totalUnits, delta, h, 41);
+}
 
-  // Uninterrupted reference.
-  report::AnomalyStore refStore(h);
-  TiresiasPipeline reference(borrowHierarchy(h), cfg);
-  VectorSource refSource(trace);
-  const RunSummary refSummary = reference.run(
-      refSource, [&](const InstanceResult& r) { refStore.add(r); });
+/// Interrupt a pipeline after `splitUnits` units — save/restore into a
+/// fresh pipeline, or hibernate/wake in place — and check that its output
+/// equals an uninterrupted run's. The sweep covers every unit of the
+/// warm-up window and its boundary (0 … ℓ+2) for ADA and STA, each with a
+/// supplied and a Step-3-derived forecaster factory.
+class PipelineRoundTrip
+    : public ::testing::TestWithParam<std::tuple<bool, bool, std::size_t>> {
+ public:
+  static constexpr std::size_t kWindow = 24;
 
-  // Split run: process `splitUnits`, snapshot, restore into a fresh
-  // pipeline, replay the same source from the beginning (the restored
-  // batching position skips the processed prefix).
-  report::AnomalyStore splitStore(h);
+ protected:
+  static constexpr std::size_t kUnits = 64;
+  static constexpr Duration kDelta = 900;
+
+  PipelineRoundTrip() : h_(HierarchyBuilder::balanced({2, 2, 2})) {
+    const auto [useAda, deriveFactory, splitUnits] = GetParam();
+    cfg_.delta = kDelta;
+    cfg_.useAda = useAda;
+    cfg_.detector.theta = 5.0;
+    cfg_.detector.windowLength = kWindow;
+    if (!deriveFactory) {
+      cfg_.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
+    }
+    cfg_.candidatePeriods = {8};
+    splitUnits_ = splitUnits;
+    trace_ = pipelineTrace(kUnits, kDelta, h_, 41);
+
+    TiresiasPipeline reference(borrowHierarchy(h_), cfg_);
+    VectorSource source(trace_);
+    refSummary_ = reference.run(
+        source, [&](const InstanceResult& r) { refResults_.push_back(r); });
+  }
+
+  /// Feed the first `splitUnits_` units of the trace to `pipeline`.
+  void processPrefix(TiresiasPipeline& pipeline, ResultLog& results,
+                     RunSummary& summary) const {
+    VectorSource source(trace_);
+    TimeUnitBatcher batcher(source, kDelta, 0);
+    TimeUnitBatch b;
+    for (std::size_t i = 0; i < splitUnits_ && batcher.next(b); ++i) {
+      pipeline.processUnit(
+          b, [&](const InstanceResult& r) { results.push_back(r); }, summary);
+    }
+    EXPECT_EQ(summary.warmupUnitsBuffered,
+              splitUnits_ < kWindow ? splitUnits_ : 0u);
+  }
+
+  /// Run `pipeline` over the whole trace again (its resume point skips the
+  /// processed prefix) and compare everything with the uninterrupted run.
+  void finishAndCompare(TiresiasPipeline& pipeline, ResultLog& results,
+                        const RunSummary& summary) const {
+    EXPECT_EQ(pipeline.resumeTime(),
+              unitStart(static_cast<TimeUnit>(splitUnits_), kDelta));
+    VectorSource source(trace_);
+    const RunSummary tail = pipeline.run(
+        source, [&](const InstanceResult& r) { results.push_back(r); });
+    EXPECT_EQ(summary.unitsProcessed + tail.unitsProcessed,
+              refSummary_.unitsProcessed);
+    EXPECT_EQ(summary.recordsProcessed + tail.recordsProcessed,
+              refSummary_.recordsProcessed);
+    EXPECT_EQ(summary.instancesDetected + tail.instancesDetected,
+              refSummary_.instancesDetected);
+    EXPECT_EQ(summary.anomaliesReported + tail.anomaliesReported,
+              refSummary_.anomaliesReported);
+    EXPECT_EQ(tail.warmupUnitsBuffered, 0u);
+    expectSameResults(results, refResults_);
+  }
+
+  Hierarchy h_;
+  PipelineConfig cfg_;
+  std::size_t splitUnits_ = 0;
+  std::vector<Record> trace_;
+  RunSummary refSummary_;
+  ResultLog refResults_;
+};
+
+TEST_P(PipelineRoundTrip, SaveRestoreMatchesUninterruptedRun) {
+  ResultLog results;
   RunSummary summary;
   Serializer bytes;
   {
-    TiresiasPipeline first(borrowHierarchy(h), cfg);
-    VectorSource source(trace);
-    TimeUnitBatcher batcher(source, delta, 0);
-    TimeUnitBatch b;
-    for (std::size_t i = 0; i < splitUnits && batcher.next(b); ++i) {
-      first.processUnit(b, [&](const InstanceResult& r) { splitStore.add(r); },
-                        summary);
-    }
+    TiresiasPipeline first(borrowHierarchy(h_), cfg_);
+    processPrefix(first, results, summary);
     first.saveState(bytes);
   }
-  TiresiasPipeline restored(borrowHierarchy(h), cfg);
-  {
-    Deserializer in(bytes.data());
-    restored.loadState(in);
-    EXPECT_TRUE(in.atEnd());
-  }
-  EXPECT_EQ(restored.resumeTime(),
-            unitStart(static_cast<TimeUnit>(splitUnits), delta));
-  VectorSource resumeSource(trace);
-  const RunSummary tail = restored.run(
-      resumeSource, [&](const InstanceResult& r) { splitStore.add(r); });
-
-  EXPECT_EQ(summary.unitsProcessed + tail.unitsProcessed,
-            refSummary.unitsProcessed);
-  EXPECT_EQ(summary.recordsProcessed + tail.recordsProcessed,
-            refSummary.recordsProcessed);
-  EXPECT_EQ(summary.instancesDetected + tail.instancesDetected,
-            refSummary.instancesDetected);
-  EXPECT_EQ(summary.anomaliesReported + tail.anomaliesReported,
-            refSummary.anomaliesReported);
-  ASSERT_EQ(splitStore.size(), refStore.size());
-  for (std::size_t i = 0; i < refStore.size(); ++i) {
-    EXPECT_EQ(splitStore.all()[i].anomaly, refStore.all()[i].anomaly) << i;
-  }
+  TiresiasPipeline restored(borrowHierarchy(h_), cfg_);
+  Deserializer in(bytes.data());
+  restored.loadState(in);
+  EXPECT_TRUE(in.atEnd());
+  finishAndCompare(restored, results, summary);
 }
 
-TEST(PipelinePersist, RoundTripDuringWarmupSuppliedFactory) {
-  runPipelineRoundTrip(false, 10);
+TEST_P(PipelineRoundTrip, HibernateWakeMatchesUninterruptedRun) {
+  ResultLog results;
+  RunSummary summary;
+  TiresiasPipeline pipeline(borrowHierarchy(h_), cfg_);
+  processPrefix(pipeline, results, summary);
+  EXPECT_EQ(pipeline.holdsState(), splitUnits_ > 0);
+  Serializer bytes;
+  pipeline.hibernate(bytes);
+  EXPECT_FALSE(pipeline.holdsState());
+  EXPECT_EQ(pipeline.detector(), nullptr);
+  pipeline.attachWorkspace(std::make_shared<DetectWorkspace>());
+  Deserializer in(bytes.data());
+  pipeline.wake(in);
+  EXPECT_TRUE(in.atEnd());
+  EXPECT_EQ(pipeline.holdsState(), splitUnits_ > 0);
+  finishAndCompare(pipeline, results, summary);
 }
-TEST(PipelinePersist, RoundTripAfterWarmupSuppliedFactory) {
-  runPipelineRoundTrip(false, 40);
-}
-TEST(PipelinePersist, RoundTripDerivedFactoryRebuildsSeasonality) {
-  runPipelineRoundTrip(true, 40);
-}
-TEST(PipelinePersist, RoundTripDerivedFactoryDuringWarmup) {
-  runPipelineRoundTrip(true, 12);
-}
+
+INSTANTIATE_TEST_SUITE_P(
+    WarmupBoundary, PipelineRoundTrip,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Range<std::size_t>(
+                           0, PipelineRoundTrip::kWindow + 3)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param) ? "Ada" : "Sta") +
+             (std::get<1>(info.param) ? "Derived" : "Supplied") + "Unit" +
+             std::to_string(std::get<2>(info.param));
+    });
 
 TEST(PipelinePersist, FactoryParameterMismatchIsCleanError) {
   // The fingerprint of the snapshot's factory (a fresh forecaster's

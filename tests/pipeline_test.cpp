@@ -1,6 +1,8 @@
 // Tests for the end-to-end TiresiasPipeline (Fig 3 back end).
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "core/pipeline.h"
 #include "report/store.h"
 #include "timeseries/ewma.h"
@@ -135,7 +137,7 @@ TEST(Pipeline, WarmupSpansMultipleRuns) {
   auto summary = pipeline.run(first, nullptr);
   EXPECT_EQ(summary.unitsProcessed, 5u);
   EXPECT_EQ(summary.instancesDetected, 0u);
-  EXPECT_EQ(pipeline.detector(), nullptr);  // still warming
+  EXPECT_EQ(summary.warmupUnitsBuffered, 5u);  // still warming
 
   GeneratorSource second(spec, 5, 30, 3);
   summary = pipeline.run(second, nullptr);
@@ -155,6 +157,90 @@ TEST(Pipeline, EmptySource) {
   const auto summary = pipeline.run(src, nullptr);
   EXPECT_EQ(summary.unitsProcessed, 0u);
   EXPECT_EQ(summary.instancesDetected, 0u);
+}
+
+// The pipeline's complete output pinned bit for bit: every unit's SHHH set
+// and every anomaly (node, unit and the exact bits of actual, forecast and
+// ratio) fold into one FNV-1a digest per configuration. The three cases
+// cover ADA with a Holt-Winters factory derived by Step 3 (the analysis
+// picks seasons from the first window), ADA with a supplied EWMA factory,
+// and STA with a derived factory. The expected values were recorded with
+// the pipeline that buffered the first window's batches and replayed them
+// into a detector built at unit ℓ.
+struct PipelineDigest {
+  std::uint64_t digest = 0;
+  std::size_t results = 0;
+  std::size_t anomalies = 0;
+  std::size_t seasons = 0;
+};
+
+PipelineDigest pipelineDigest(bool useAda, bool deriveFactory) {
+  const auto spec = ccdNetworkWorkload(Scale::kTest);
+  const auto& h = spec.hierarchy;
+  GroundTruthLedger ledger;
+  ledger.add({h.find("VHO0/IO1"), 230, 4, 90.0});
+  ledger.add({h.find("VHO1/IO0"), 260, 3, 60.0});
+  auto injector = std::make_shared<AnomalyInjector>(h, ledger);
+  GeneratorSource src(spec, 0, 288, 19, injector);
+
+  PipelineConfig cfg;
+  cfg.delta = spec.unit;
+  cfg.useAda = useAda;
+  cfg.detector.theta = 8.0;
+  cfg.detector.windowLength = 192;
+  cfg.candidatePeriods = {48, 96};
+  if (!deriveFactory) {
+    cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.3);
+  }
+  TiresiasPipeline pipeline(borrowHierarchy(h), cfg);
+  PipelineDigest out;
+  out.digest = 0xcbf29ce484222325ULL;
+  const auto fold = [&out](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      out.digest = (out.digest ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001b3ULL;
+    }
+  };
+  const RunSummary summary = pipeline.run(src, [&](const InstanceResult& r) {
+    ++out.results;
+    fold(static_cast<std::uint64_t>(r.unit));
+    fold(r.shhh.size());
+    for (NodeId n : r.shhh) fold(n);
+    fold(r.anomalies.size());
+    for (const Anomaly& a : r.anomalies) {
+      ++out.anomalies;
+      fold(a.node);
+      fold(static_cast<std::uint64_t>(a.unit));
+      fold(std::bit_cast<std::uint64_t>(a.actual));
+      fold(std::bit_cast<std::uint64_t>(a.forecast));
+      fold(std::bit_cast<std::uint64_t>(a.ratio));
+    }
+  });
+  out.seasons = summary.seasons.size();
+  return out;
+}
+
+TEST(PipelineDigest, OutputIsBitIdentical) {
+  struct Case {
+    const char* name;
+    bool useAda;
+    bool deriveFactory;
+    std::uint64_t digest;
+  };
+  const Case cases[] = {
+      {"ADA + derived Holt-Winters", true, true, 0x4f02442f84d5ea85ULL},
+      {"ADA + supplied EWMA", true, false, 0xd368363cef962f83ULL},
+      {"STA + derived Holt-Winters", false, true, 0xc4326eac67592507ULL},
+  };
+  for (const Case& c : cases) {
+    const PipelineDigest d = pipelineDigest(c.useAda, c.deriveFactory);
+    EXPECT_EQ(d.results, 288u - 192u + 1u) << c.name;
+    EXPECT_GT(d.anomalies, 0u) << c.name;
+    if (c.deriveFactory) {
+      EXPECT_GT(d.seasons, 0u) << c.name;
+    }
+    EXPECT_EQ(d.digest, c.digest)
+        << c.name << ": 0x" << std::hex << d.digest;
+  }
 }
 
 }  // namespace

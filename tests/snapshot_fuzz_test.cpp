@@ -224,6 +224,71 @@ struct SavedAda {
   }
 };
 
+/// A pipeline snapshot cut into its three parts (TiresiasPipeline::
+/// saveState's order): the head (configuration fingerprint, resume time,
+/// warm-up root counts), the factory section (its presence flag
+/// included) and the detector section.
+struct PipelineParts {
+  std::vector<std::uint8_t> head, factory, detector;
+
+  explicit PipelineParts(const std::vector<std::uint8_t>& bytes) {
+    Deserializer in(bytes);
+    const auto offset = [&] { return bytes.size() - in.remaining(); };
+    in.i64();
+    in.u64();
+    in.boolean();
+    in.f64();
+    in.i64();
+    std::vector<double> roots(in.count(sizeof(double)));
+    in.f64s(roots);
+    const std::size_t headEnd = offset();
+    if (in.boolean()) {
+      in.boolean();
+      const std::size_t seasons = in.count(16);
+      for (std::size_t i = 0; i < seasons; ++i) {
+        in.u64();
+        in.f64();
+      }
+      in.str();
+    }
+    const std::size_t factoryEnd = offset();
+    head.assign(bytes.begin(), bytes.begin() + headEnd);
+    factory.assign(bytes.begin() + headEnd, bytes.begin() + factoryEnd);
+    detector.assign(bytes.begin() + factoryEnd, bytes.end());
+  }
+
+  static std::vector<std::uint8_t> join(const PipelineParts& head,
+                                        const PipelineParts& factory,
+                                        const PipelineParts& detector) {
+    std::vector<std::uint8_t> out = head.head;
+    out.insert(out.end(), factory.factory.begin(), factory.factory.end());
+    out.insert(out.end(), detector.detector.begin(), detector.detector.end());
+    return out;
+  }
+};
+
+/// The saved state of an ADA pipeline over `tree` after `units` units.
+std::vector<std::uint8_t> savedPipeline(const Hierarchy& tree,
+                                        const PipelineConfig& cfg,
+                                        TimeUnit units) {
+  TiresiasPipeline pipeline(borrowHierarchy(tree), cfg);
+  RunSummary summary;
+  for (TimeUnit u = 0; u < units; ++u) {
+    TimeUnitBatch b;
+    b.unit = u;
+    for (std::size_t i = 0; i < 3 * tree.leaves().size(); ++i) {
+      b.records.push_back({tree.leaves()[(i * 5 + static_cast<std::size_t>(
+                                                       u)) %
+                                         tree.leaves().size()],
+                           unitStart(u, cfg.delta)});
+    }
+    pipeline.processUnit(b, nullptr, summary);
+  }
+  Serializer s;
+  pipeline.saveState(s);
+  return s.data();
+}
+
 TEST_F(SnapshotFuzzTest, ZeroLengthAndTinyInputs) {
   EXPECT_THROW(SnapshotReader::parse({}), SnapshotError);
   for (std::size_t len = 1; len < 16 && len < bytes_.size(); ++len) {
@@ -310,7 +375,8 @@ TEST_F(SnapshotFuzzTest, RandomGarbageNeverCrashes) {
       // Give a third of the trials a valid header so the section parser
       // itself gets fuzzed, not just the magic check.
       garbage[0] = 0x54; garbage[1] = 0x53; garbage[2] = 0x4E; garbage[3] = 0x50;
-      garbage[4] = 1; garbage[5] = 0; garbage[6] = 0; garbage[7] = 0;
+      garbage[4] = persist::kSnapshotFormatVersion;
+      garbage[5] = 0; garbage[6] = 0; garbage[7] = 0;
     }
     EXPECT_THROW(SnapshotReader::parse(garbage), SnapshotError);
   }
@@ -441,6 +507,54 @@ TEST_F(SnapshotFuzzTest, SemanticValidationThrowsNotAborts) {
       p.holders.back().model = std::move(other);
     }
     EXPECT_THROW(hw.loadAndStep(p.encode()), SnapshotError);
+  }
+
+  // A bootstrapped ADA state loaded into a detector that has no
+  // forecaster factory yet (a derived one arrives only as the window
+  // fills): the series models cannot be rebuilt.
+  {
+    const SavedAda ewma(std::make_shared<EwmaFactory>(0.5));
+    DetectorConfig cfg = ewma.cfg;
+    cfg.forecasterFactory = nullptr;
+    AdaDetector ada(ewma.tree, cfg);
+    Deserializer in(ewma.state);
+    EXPECT_THROW(ada.loadState(in), SnapshotError);
+  }
+
+  // Pipeline snapshots whose factory section (present once the window has
+  // filled) or warm-up root counts disagree with the detector's window,
+  // for a supplied and for a derived factory.
+  const Hierarchy tree = HierarchyBuilder::balanced({3, 2});
+  for (const bool derived : {false, true}) {
+    PipelineConfig cfg;
+    cfg.delta = 900;
+    cfg.detector.theta = 4.0;
+    cfg.detector.windowLength = 6;
+    if (!derived) {
+      cfg.detector.forecasterFactory = std::make_shared<EwmaFactory>(0.5);
+    }
+    const PipelineParts warming(savedPipeline(tree, cfg, 3));
+    const PipelineParts warmer(savedPipeline(tree, cfg, 4));
+    const PipelineParts warm(savedPipeline(tree, cfg, 9));
+    ASSERT_EQ(warming.factory.size(), 1u);  // absent during warm-up
+    ASSERT_GT(warm.factory.size(), 1u);
+    const auto load = [&](const std::vector<std::uint8_t>& bytes) {
+      TiresiasPipeline pipeline(borrowHierarchy(tree), cfg);
+      Deserializer in(bytes);
+      pipeline.loadState(in);
+    };
+    // The parts re-join into loadable snapshots.
+    EXPECT_NO_THROW(load(PipelineParts::join(warming, warming, warming)));
+    EXPECT_NO_THROW(load(PipelineParts::join(warm, warm, warm)));
+    // A factory section on a detector still warming up.
+    EXPECT_THROW(load(PipelineParts::join(warming, warm, warming)),
+                 SnapshotError);
+    // No factory section on a warm detector.
+    EXPECT_THROW(load(PipelineParts::join(warm, warming, warm)),
+                 SnapshotError);
+    // Root counts for three units beside a detector holding four.
+    EXPECT_THROW(load(PipelineParts::join(warming, warming, warmer)),
+                 SnapshotError);
   }
 }
 
